@@ -11,8 +11,6 @@ from .core import (
     CacheEntry,
     CachePool,
     Origin,
-    Phase,
-    PhaseState,
     append_decoding_entry,
     evict_decoding,
     new_pool,
@@ -25,6 +23,7 @@ from .decoding import (
     StepDecision,
     adaptive_budget,
     discontinuous_due,
+    scope_target,
     selection_interval,
 )
 from .engine import (
@@ -33,10 +32,16 @@ from .engine import (
     ToyModel,
     decode_loop,
     run_prefill,
-    toy_attention,
 )
-from .metrics import EfficiencyReport, HHOriginReport, efficiency, hh_origin_distribution, retained_recall
-from .oracle import full_cache_reference, heavy_hitter_set, naive_policy_simulator
+from .metrics import (
+    EfficiencyReport,
+    HHOriginReport,
+    efficiency,
+    heavy_hitter_set,
+    hh_origin_distribution,
+    retained_recall,
+)
+from .oracle import full_cache_reference, naive_policy_simulator
 from .prefill import (
     PrefillPolicy,
     PrefillPolicyKind,
@@ -49,7 +54,6 @@ from .selection import (
     AttentionRow,
     ScoreAccumulator,
     ScoreVector,
-    accumulate,
     observation_window_scores,
     top_k,
 )

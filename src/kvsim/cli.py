@@ -17,14 +17,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .config import SWEEP_AXES, ConfigError, ExperimentConfig, load_config
 from .engine import RunRecord, ToyModel, decode_loop, run_prefill
-from .metrics import EfficiencyReport, efficiency, hh_origin_distribution, retained_recall
-from .oracle import check_policy_equivalence, full_cache_reference, heavy_hitter_set
+from .metrics import EfficiencyReport, efficiency, heavy_hitter_set, hh_origin_distribution, retained_recall
+from .oracle import check_policy_equivalence, full_cache_reference
 from .traceio import Trace, TraceError, read_trace, synthetic_trace, write_trace
 
 
@@ -82,7 +81,7 @@ def _run_cell(cfg: ExperimentConfig, token: str, seed: int, cache: dict) -> Cell
         source = ToyModel(seed, cfg.d_model, cfg.n_heads, cfg.n_layers, cfg.recency_bias)
     prefill = run_prefill(source, cfg.M, prefill_policy)
     record: RunRecord = decode_loop(source, prefill, decoding_policy, cfg.T, capture_positions=capture)
-    report = efficiency(record, cfg.M, cfg.T)
+    report = efficiency(record)
 
     hh_prefill: dict[int, float] = {}
     recall: dict[int, float] = {}
@@ -151,7 +150,7 @@ def _summary_lines(cfg: ExperimentConfig, cells: list[CellResult], stamped: bool
 def run_experiment(
     cfg: ExperimentConfig,
     axis: str | None = None,
-    axis_values: list[int] | None = None,
+    axis_values: list[int | float] | None = None,
 ) -> tuple[list[CellResult], Path, Path]:
     """Execute the (policy, seed[, axis value]) grid and write the report
     pair. Cells run in config order; reports are deterministic given the
@@ -160,30 +159,20 @@ def run_experiment(
     if axis is None:
         grids.append((cfg, None, None))
     else:
-        attr = SWEEP_AXES[axis]
+        attr, _ = SWEEP_AXES[axis]
         for value in axis_values or []:
             sub = replace(cfg, **{attr: value})
             sub.validate()
             grids.append((sub, axis, value))
 
-    tasks = []
+    cells = []
     for sub, ax, value in grids:
         cache: dict = {}
         for token in sub.policies:
             for seed in sub.seeds:
-                tasks.append((sub, token, seed, cache, ax, value))
-
-    def run_one(task):
-        sub, token, seed, cache, ax, value = task
-        cell = _run_cell(sub, token, seed, cache)
-        cell.axis, cell.axis_value = ax, value
-        return cell
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            cells = list(pool.map(run_one, tasks))
-    else:
-        cells = [run_one(task) for task in tasks]
+                cell = _run_cell(sub, token, seed, cache)
+                cell.axis, cell.axis_value = ax, value
+                cells.append(cell)
 
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -320,10 +309,12 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError(
                     f"--axis: expected KEY=V1,V2,... with KEY in {sorted(SWEEP_AXES)}, got {args.axis!r}"
                 )
+            parse = SWEEP_AXES[key][1]
             try:
-                values = [int(v) for v in raw_values.split(",") if v.strip()]
+                values = [parse(v) for v in raw_values.split(",") if v.strip()]
             except ValueError as exc:
-                raise ConfigError(f"--axis: values must be integers: {raw_values!r}") from exc
+                kind = "integers" if parse is int else "numbers"
+                raise ConfigError(f"--axis: {key} values must be {kind}: {raw_values!r}") from exc
             cells, csv_path, txt_path = run_experiment(cfg, axis=key, axis_values=values)
             print(f"{len(cells)} cell(s) across {key} in {values} -> {csv_path}")
             return 0

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .core import BudgetConfig
-from .decoding import DecodingPolicy, PolicyKind, SelectorKind
+from .decoding import DecodingPolicy, PolicyKind, SelectorKind, selection_interval
 from .prefill import PrefillPolicy, PrefillPolicyKind
 
 
@@ -80,7 +80,6 @@ class ExperimentConfig:
     trace_path: str | None = None
     trace_synthetic: bool = False
     timestamp: bool = True
-    workers: int = 1
 
     def validate(self) -> None:
         if self.mode not in ("closed_loop", "trace_replay"):
@@ -113,11 +112,17 @@ class ExperimentConfig:
         for t in self.checkpoints:
             if not 1 <= t <= self.T:
                 raise ConfigError(f"metrics.checkpoints: checkpoint {t} outside 1..{self.T}")
-        if self.workers < 1:
-            raise ConfigError(f"workers: must be >= 1, got {self.workers}")
         for name in ("alpha1", "alpha2", "beta1", "beta2"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name}: must be nonnegative")
+        # T <= beta2 never reaches a discontinuous selection and must still run
+        if "scope_discontinuous" in self.policies and self.T > self.beta2:
+            try:
+                selection_interval(self.T, self.beta1, self.beta2)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"decoding.beta1: scope_discontinuous needs 1 <= beta1 <= T - beta2 ({exc})"
+                ) from exc
 
     def budget(self) -> BudgetConfig:
         return BudgetConfig(
@@ -213,18 +218,17 @@ _KEYMAP: dict[str, tuple[str, str]] = {
     "trace.path": ("trace_path", "str"),
     "trace.synthetic": ("trace_synthetic", "bool"),
     "timestamp": ("timestamp", "bool"),
-    "workers": ("workers", "int"),
 }
 
-# sweep axes the CLI can override per cell
+# sweep axes the CLI can override per cell: key -> (attribute, value type)
 SWEEP_AXES = {
-    "alpha1": "alpha1",
-    "alpha2": "alpha2",
-    "beta1": "beta1",
-    "beta2": "beta2",
-    "t": "T",
-    "m": "M",
-    "hh_fraction": "hh_fraction",
+    "alpha1": ("alpha1", int),
+    "alpha2": ("alpha2", int),
+    "beta1": ("beta1", int),
+    "beta2": ("beta2", int),
+    "t": ("T", int),
+    "m": ("M", int),
+    "hh_fraction": ("hh_fraction", float),
 }
 
 

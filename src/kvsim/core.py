@@ -24,11 +24,6 @@ class Origin(Enum):
     DECODING = "decoding"
 
 
-class Phase(Enum):
-    PREFILL = "prefill"
-    DECODING = "decoding"
-
-
 @dataclass(frozen=True)
 class BudgetConfig:
     """Token budgets for both inference phases.
@@ -77,16 +72,6 @@ class CacheEntry:
     origin: Origin
     key: np.ndarray | None = None
     value: np.ndarray | None = None
-
-
-@dataclass
-class PhaseState:
-    """Where a sequence is in its lifecycle: ``step`` is the decoding time
-    index (0 = end of prefill) and ``prompt_len`` is M."""
-
-    step: int
-    prompt_len: int
-    phase: Phase
 
 
 class CachePool:

@@ -2,7 +2,8 @@
 
 The three phase-separated strategies (slide, adaptive, discontinuous) plus
 the unified and append-only baselines, expressed as per-step state machines
-over (pool, attention row, step counter).
+over (pool, attention row, step counter). The three strategies share one
+budget rule and differ only in its schedule (:func:`scope_target`).
 
 Step indices are decoding-relative: t = 1 is the first generated token, so
 a policy's trigger conditions read off t directly instead of absolute
@@ -17,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .core import BudgetConfig, CachePool, PhaseState, evict_decoding
+from .core import BudgetConfig, CachePool, evict_decoding
 from .selection import (
     AttentionRow,
     ScoreAccumulator,
@@ -39,9 +40,6 @@ class PolicyKind(Enum):
 
 SCOPE_KINDS = frozenset(
     {PolicyKind.SCOPE_SLIDE, PolicyKind.SCOPE_ADAPTIVE, PolicyKind.SCOPE_DISCONTINUOUS}
-)
-UNIFIED_KINDS = frozenset(
-    {PolicyKind.UNIFIED_H2O, PolicyKind.UNIFIED_STREAMING, PolicyKind.PYRAMID_INFER}
 )
 _SCORED_UNIFIED = frozenset({PolicyKind.UNIFIED_H2O, PolicyKind.PYRAMID_INFER})
 
@@ -76,16 +74,14 @@ class DecodingPolicy:
 @dataclass(frozen=True)
 class StepDecision:
     """Audit record for one policy step. ``ran_selection`` marks that the
-    policy executed its retention-update operation; ``kept_positions`` is
-    the post-step retained set of the section it manages (decoding side
-    for phase-separated kinds, the whole pool for unified kinds)."""
+    policy executed its retention-update operation; ``evicted_count`` is
+    how many entries that operation removed."""
 
     ran_selection: bool
-    kept_positions: frozenset[int] | None
     evicted_count: int
 
 
-_APPEND_ONLY = StepDecision(ran_selection=False, kept_positions=None, evicted_count=0)
+_APPEND_ONLY = StepDecision(ran_selection=False, evicted_count=0)
 
 
 def adaptive_budget(t: int, max_steps: int, beta1: int, beta2: int) -> int:
@@ -122,6 +118,21 @@ def discontinuous_due(t: int, max_steps: int, beta1: int, beta2: int) -> bool:
     return (t - beta2) % selection_interval(max_steps, beta1, beta2) == 0
 
 
+def scope_target(kind: PolicyKind, t: int, budget: BudgetConfig) -> int | None:
+    """Decode-side size a SCOPE strategy trims to at step t, or None when
+    no selection is due. Slide holds beta1+beta2 at every step; adaptive
+    grows the history part from 0 to beta1 after step beta2; discontinuous
+    applies the adaptive target only on its selection interval."""
+    if kind is PolicyKind.SCOPE_SLIDE:
+        return budget.decoding_budget
+    horizon, beta1, beta2 = budget.max_decode_steps, budget.beta1, budget.beta2
+    if t <= beta2:
+        return None
+    if kind is PolicyKind.SCOPE_DISCONTINUOUS and not discontinuous_due(t, horizon, beta1, beta2):
+        return None
+    return beta2 + adaptive_budget(t, horizon, beta1, beta2)
+
+
 class PolicyRunner:
     """Per-(sequence, layer) policy state machine.
 
@@ -154,18 +165,13 @@ class PolicyRunner:
         ):
             self._acc.add_row(prompt_scores)
 
-    def step(self, pool: CachePool, row: AttentionRow, state: PhaseState) -> tuple[CachePool, StepDecision]:
-        t = state.step
+    def step(self, pool: CachePool, row: AttentionRow, t: int) -> tuple[CachePool, StepDecision]:
         kind = self.policy.kind
         if kind is PolicyKind.PREFILL_ONLY:
             return pool, _APPEND_ONLY
         self._observe(row)
-        if kind is PolicyKind.SCOPE_SLIDE:
-            return self._step_slide(pool)
-        if kind is PolicyKind.SCOPE_ADAPTIVE:
-            return self._step_adaptive(pool, t)
-        if kind is PolicyKind.SCOPE_DISCONTINUOUS:
-            return self._step_discontinuous(pool, t)
+        if kind in SCOPE_KINDS:
+            return self._step_scope(pool, t)
         if kind is PolicyKind.UNIFIED_STREAMING:
             return self._step_streaming(pool)
         # unified_h2o and pyramid_infer share the scored unified update
@@ -195,49 +201,34 @@ class PolicyRunner:
             candidates, [lookup.get(p, 0.0) for p in candidates], validate=False
         )
 
+    def _keep_set(self, positions: list[int], history_k: int, local: int) -> set[int]:
+        """The last ``local`` positions plus the ``history_k`` best-scored
+        of the rest."""
+        split = len(positions) - local
+        keep = top_k(self._selector_scores(positions[:split]), history_k)
+        keep.update(positions[split:])
+        return keep
+
     # ------------------------------------------------------------------
     # phase-separated strategies
 
-    def _evict_decoding_to(self, pool: CachePool, history_k: int, local: int) -> tuple[CachePool, StepDecision]:
+    def _step_scope(self, pool: CachePool, t: int) -> tuple[CachePool, StepDecision]:
+        b = self.policy.budget
+        target = scope_target(self.policy.kind, t, b)
+        if target is None or pool.decoding_size <= target:
+            return pool, _APPEND_ONLY
         dec = [e.position for e in pool.decoding_entries]
-        recent = dec[len(dec) - local :] if local else []
-        older = dec[: len(dec) - local] if local else dec
-        selected = top_k(self._selector_scores(older), history_k)
-        keep = frozenset(selected) | frozenset(recent)
+        keep = self._keep_set(dec, target - b.beta2, b.beta2)
         evicted = [p for p in dec if p not in keep]
         new_pool = evict_decoding(pool, keep)
         if self.policy.selector is SelectorKind.CUMULATIVE:
             self._acc.drop(evicted)
-        return new_pool, StepDecision(True, keep, len(evicted))
-
-    def _step_slide(self, pool: CachePool) -> tuple[CachePool, StepDecision]:
-        b = self.policy.budget
-        if pool.decoding_size <= b.decoding_budget:
-            return pool, _APPEND_ONLY
-        return self._evict_decoding_to(pool, b.beta1, b.beta2)
-
-    def _step_adaptive(self, pool: CachePool, t: int) -> tuple[CachePool, StepDecision]:
-        b = self.policy.budget
-        if t <= b.beta2:
-            return pool, _APPEND_ONLY
-        target = b.beta2 + adaptive_budget(t, b.max_decode_steps, b.beta1, b.beta2)
-        if pool.decoding_size <= target:
-            return pool, _APPEND_ONLY
-        return self._evict_decoding_to(pool, target - b.beta2, b.beta2)
-
-    def _step_discontinuous(self, pool: CachePool, t: int) -> tuple[CachePool, StepDecision]:
-        b = self.policy.budget
-        if not discontinuous_due(t, b.max_decode_steps, b.beta1, b.beta2):
-            return pool, _APPEND_ONLY
-        target = b.beta2 + adaptive_budget(t, b.max_decode_steps, b.beta1, b.beta2)
-        if pool.decoding_size <= target:
-            return pool, _APPEND_ONLY
-        return self._evict_decoding_to(pool, target - b.beta2, b.beta2)
+        return new_pool, StepDecision(True, len(evicted))
 
     # ------------------------------------------------------------------
     # unified baselines (may evict prompt-side entries)
 
-    def _filter_unified(self, pool: CachePool, keep: frozenset[int]) -> tuple[CachePool, int]:
+    def _filter_unified(self, pool: CachePool, keep: set[int]) -> tuple[CachePool, int]:
         before = pool.total_size
         new_pool = CachePool(
             tuple(e for e in pool.prefill_entries if e.position in keep),
@@ -253,13 +244,9 @@ class PolicyRunner:
         if pool.total_size <= self._unified_total:
             return pool, _APPEND_ONLY
         positions = pool.all_positions().tolist()
-        local = self._unified_local
-        recent = positions[len(positions) - local :] if local else []
-        older = positions[: len(positions) - local] if local else positions
-        selected = top_k(self._selector_scores(older), self._unified_history)
-        keep = frozenset(selected) | frozenset(recent)
+        keep = self._keep_set(positions, self._unified_history, self._unified_local)
         new_pool, evicted = self._filter_unified(pool, keep)
-        return new_pool, StepDecision(True, keep, evicted)
+        return new_pool, StepDecision(True, evicted)
 
     def _step_streaming(self, pool: CachePool) -> tuple[CachePool, StepDecision]:
         total = self._unified_total
@@ -268,6 +255,6 @@ class PolicyRunner:
         positions = pool.all_positions().tolist()
         head = total // 2 + total % 2
         tail = total // 2
-        keep = frozenset(positions[:head]) | frozenset(positions[len(positions) - tail :])
+        keep = set(positions[:head]) | set(positions[len(positions) - tail :])
         new_pool, evicted = self._filter_unified(pool, keep)
-        return new_pool, StepDecision(True, keep, evicted)
+        return new_pool, StepDecision(True, evicted)

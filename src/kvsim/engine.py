@@ -25,8 +25,6 @@ from .core import (
     CacheEntry,
     CachePool,
     Origin,
-    Phase,
-    PhaseState,
     append_decoding_entry,
     new_pool,
 )
@@ -91,23 +89,6 @@ def _rmsnorm_rows(x: np.ndarray) -> np.ndarray:
     return x / norms
 
 
-def toy_attention(
-    query: np.ndarray, retained: Sequence[CacheEntry], recency_bias: float = 0.0
-) -> AttentionRow:
-    """Single-head scaled dot-product attention of one query over the
-    retained entries: softmax(q.k/sqrt(d) + bias*(pos - max_pos))."""
-    if not retained:
-        raise ValueError("attention over an empty retained set")
-    q = np.asarray(query, dtype=np.float64)
-    keys = np.stack([e.key for e in retained])
-    pos = np.fromiter((e.position for e in retained), dtype=np.int64, count=len(retained))
-    logits = keys @ q / math.sqrt(len(q)) + recency_bias * (pos - pos.max())
-    logits -= logits.max()
-    weights = np.exp(logits)
-    weights /= weights.sum()
-    return AttentionRow(pos, weights, validate=False)
-
-
 def _attend(
     hidden: np.ndarray, entries: Sequence[CacheEntry], n_heads: int, bias: float
 ) -> tuple[AttentionRow, np.ndarray]:
@@ -139,14 +120,12 @@ def _attend(
 @dataclass
 class PrefillResult:
     """Everything the decode loop needs from the prompt phase: per-layer
-    pools, the aggregated prompt score vector, the column-sum mass of the
-    retained entries (for cumulative-selector seeding), and the first
-    decode input in closed-loop mode."""
+    pools, the column-sum mass of the retained entries (for
+    cumulative-selector seeding), and the first decode input in
+    closed-loop mode."""
 
-    mode: str
     prompt_len: int
     pools: list[CachePool]
-    prompt_scores: list[ScoreVector]
     seed_scores: list[ScoreVector]
     next_input: np.ndarray | None = None
 
@@ -178,10 +157,7 @@ def _run_prefill_trace(trace: Trace, m: int, policy: PrefillPolicy) -> PrefillRe
     prompt_scores = ScoreVector.from_dense(trace.prefill_scores)
     pool = apply_prefill_policy(policy, kv, prompt_scores, att_rows=[prompt_scores])
     seed = _seed_vector(pool, trace.prefill_scores)
-    return PrefillResult(
-        mode="trace_replay", prompt_len=m, pools=[pool],
-        prompt_scores=[prompt_scores], seed_scores=[seed],
-    )
+    return PrefillResult(prompt_len=m, pools=[pool], seed_scores=[seed])
 
 
 def _run_prefill_closed(model: ToyModel, m: int, policy: PrefillPolicy) -> PrefillResult:
@@ -201,7 +177,6 @@ def _run_prefill_closed(model: ToyModel, m: int, policy: PrefillPolicy) -> Prefi
         layer_budgets = [None] * model.n_layers
 
     pools: list[CachePool] = []
-    prompt_scores: list[ScoreVector] = []
     seed_scores: list[ScoreVector] = []
     for layer in range(model.n_layers):
         k = hidden @ weights.w_k[layer]
@@ -236,13 +211,10 @@ def _run_prefill_closed(model: ToyModel, m: int, policy: PrefillPolicy) -> Prefi
             policy, kv, scores, att_rows=window_rows, layer_budget_override=layer_budgets[layer]
         )
         pools.append(pool)
-        prompt_scores.append(scores)
         seed_scores.append(_seed_vector(pool, colsums))
 
     return PrefillResult(
-        mode="closed_loop", prompt_len=m, pools=pools,
-        prompt_scores=prompt_scores, seed_scores=seed_scores,
-        next_input=_rmsnorm(hidden[m - 1]),
+        prompt_len=m, pools=pools, seed_scores=seed_scores, next_input=_rmsnorm(hidden[m - 1])
     )
 
 
@@ -254,9 +226,7 @@ def prefill_result_from_positions(trace: Trace, positions: Iterable[int]) -> Pre
         raise ValueError("prefill positions must lie in the prompt range")
     pool = new_pool([CacheEntry(p, Origin.PREFILL) for p in ordered])
     return PrefillResult(
-        mode="trace_replay", prompt_len=trace.M, pools=[pool],
-        prompt_scores=[ScoreVector.from_dense(trace.prefill_scores)],
-        seed_scores=[_seed_vector(pool, trace.prefill_scores)],
+        prompt_len=trace.M, pools=[pool], seed_scores=[_seed_vector(pool, trace.prefill_scores)]
     )
 
 
@@ -287,7 +257,6 @@ class LayerLog:
 class RunRecord:
     """Per-step audit of one decode run; all metrics derive from this."""
 
-    mode: str
     prompt_len: int
     num_steps: int
     num_layers: int
@@ -296,24 +265,6 @@ class RunRecord:
     outputs: np.ndarray | None = None
     output_tokens: list[int] | None = None
     rows: list[AttentionRow] | None = None
-
-    @property
-    def peak_total_entries(self) -> int:
-        peak = sum(log.initial_prefill_size for log in self.layers)
-        for i in range(self.num_steps):
-            peak = max(peak, sum(log.steps[i].peak_entries for log in self.layers))
-        return peak
-
-    @property
-    def total_selection_ops(self) -> int:
-        return sum(s.ran_selection for log in self.layers for s in log.steps)
-
-    @property
-    def total_transfer_entries(self) -> int:
-        return sum(s.transfer for log in self.layers for s in log.steps)
-
-    def layer_selection_ops(self, layer: int = 0) -> int:
-        return sum(s.ran_selection for s in self.layers[layer].steps)
 
     def positions_at(self, t: int, layer: int = 0) -> tuple[frozenset[int], frozenset[int]]:
         return self.layers[layer].captured[t]
@@ -400,11 +351,9 @@ def _decode_trace(
     runner = PolicyRunner(policy, m)
     runner.seed_scores(prefill.seed_scores[0])
     log = LayerLog(layer=0, initial_prefill_size=pool.prefill_size)
-    state = PhaseState(step=0, prompt_len=m, phase=Phase.DECODING)
     rows_out: list[AttentionRow] | None = [] if capture_rows else None
 
     for t in range(1, steps + 1):
-        state.step = t
         full_row = trace.row(t)
         pool = append_decoding_entry(pool, CacheEntry(m + t - 1, Origin.DECODING))
         pre_total = pool.total_size
@@ -418,11 +367,11 @@ def _decode_trace(
         row = AttentionRow(retained, sliced, validate=False)
         if rows_out is not None:
             rows_out.append(row)
-        pool, decision = runner.step(pool, row, state)
+        pool, decision = runner.step(pool, row, t)
         _record_step(log, t, pool, pre_total, decision, capture)
 
     return RunRecord(
-        mode="trace_replay", prompt_len=m, num_steps=steps, num_layers=1,
+        prompt_len=m, num_steps=steps, num_layers=1,
         layers=[log], final_pools=[pool], rows=rows_out,
     )
 
@@ -447,14 +396,12 @@ def _decode_closed(
         runner.seed_scores(prefill.seed_scores[layer])
         runners.append(runner)
     logs = [LayerLog(layer=i, initial_prefill_size=pools[i].prefill_size) for i in range(model.n_layers)]
-    state = PhaseState(step=0, prompt_len=m, phase=Phase.DECODING)
     outputs = np.zeros((steps, model.d_model))
     tokens: list[int] = []
     rows_out: list[AttentionRow] | None = [] if capture_rows else None
 
     hidden = prefill.next_input
     for t in range(1, steps + 1):
-        state.step = t
         position = m + t - 1
         h = hidden
         for layer in range(model.n_layers):
@@ -466,7 +413,7 @@ def _decode_closed(
             row, context = _attend(h, pools[layer].all_entries(), model.n_heads, model.recency_bias)
             if rows_out is not None and layer == 0:
                 rows_out.append(row)
-            pools[layer], decision = runners[layer].step(pools[layer], row, state)
+            pools[layer], decision = runners[layer].step(pools[layer], row, t)
             _record_step(logs[layer], t, pools[layer], pre_total, decision, capture)
             h = _rmsnorm(h + context)
         outputs[t - 1] = h
@@ -474,6 +421,6 @@ def _decode_closed(
         hidden = h
 
     return RunRecord(
-        mode="closed_loop", prompt_len=m, num_steps=steps, num_layers=model.n_layers,
+        prompt_len=m, num_steps=steps, num_layers=model.n_layers,
         layers=logs, final_pools=pools, outputs=outputs, output_tokens=tokens, rows=rows_out,
     )

@@ -10,13 +10,13 @@ survives multi-layer runs; the per-layer breakdown carries exact values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Set
 
 import numpy as np
 
 from .engine import RunRecord
-from .oracle import heavy_hitter_set
 from .selection import AttentionRow
 
 
@@ -40,10 +40,14 @@ class EfficiencyReport:
         return self.peak_entries * 2 * d_model * bytes_per_scalar
 
 
-def efficiency(run: RunRecord, m: int, t_steps: int) -> EfficiencyReport:
-    """Peak-entry and movement accounting for one run. ``peak_ratio`` is
-    peak entries over what a full cache would hold (num_layers * (M+T)),
-    transient within-step overshoot included."""
+def efficiency(run: RunRecord) -> EfficiencyReport:
+    """Peak-entry and movement accounting for one run. ``peak_entries`` is
+    the largest whole-model pool size at any point; ``peak_ratio`` divides
+    it by what a full cache would hold (num_layers * (M+T)), transient
+    within-step overshoot included."""
+    peak_total = sum(log.initial_prefill_size for log in run.layers)
+    for i in range(run.num_steps):
+        peak_total = max(peak_total, sum(log.steps[i].peak_entries for log in run.layers))
     per_layer = []
     for log in run.layers:
         peak = log.initial_prefill_size
@@ -58,12 +62,28 @@ def efficiency(run: RunRecord, m: int, t_steps: int) -> EfficiencyReport:
             )
         )
     return EfficiencyReport(
-        peak_entries=run.peak_total_entries,
-        peak_ratio=run.peak_total_entries / (run.num_layers * (m + t_steps)),
+        peak_entries=peak_total,
+        peak_ratio=peak_total / (run.num_layers * (run.prompt_len + run.num_steps)),
         selection_ops=max(le.selection_ops for le in per_layer),
         transfer_entries=sum(le.transfer_entries for le in per_layer),
         per_layer=tuple(per_layer),
     )
+
+
+def heavy_hitter_set(row, fraction: float) -> set[int]:
+    """Positions of the top ceil(fraction * n) scores, earliest-wins ties.
+    Accepts an AttentionRow or a dense array (positions 0..n-1)."""
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    if isinstance(row, AttentionRow):
+        items = list(zip(row.positions.tolist(), row.scores.tolist()))
+    else:
+        items = list(enumerate(np.asarray(row, dtype=np.float64).tolist()))
+    if not items:
+        raise ValueError("heavy hitters of an empty row are undefined")
+    k = math.ceil(fraction * len(items))
+    ranked = sorted(items, key=lambda it: (-it[1], it[0]))
+    return {pos for pos, _ in ranked[:k]}
 
 
 @dataclass(frozen=True)

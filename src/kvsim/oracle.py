@@ -24,7 +24,6 @@ from .engine import (
     decode_loop,
     prefill_result_from_positions,
 )
-from .selection import AttentionRow
 from .traceio import Trace
 
 DEFAULT_SIZE_GUARD = 4096
@@ -146,29 +145,13 @@ def full_cache_reference(
             )
         logs.append(log)
     record = RunRecord(
-        mode="closed_loop", prompt_len=m, num_steps=t_steps, num_layers=model.n_layers,
+        prompt_len=m, num_steps=t_steps, num_layers=model.n_layers,
         layers=logs, final_pools=[], outputs=outputs,
     )
     return ReferenceRun(
         model=model, prompt_len=m, steps=t_steps, rows=rows,
         prompt_scores=prompt_colsums, outputs=outputs, record=record,
     )
-
-
-def heavy_hitter_set(row, fraction: float) -> set[int]:
-    """Positions of the top ceil(fraction * n) scores, earliest-wins ties.
-    Accepts an AttentionRow or a dense array (positions 0..n-1)."""
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    if isinstance(row, AttentionRow):
-        items = list(zip(row.positions.tolist(), row.scores.tolist()))
-    else:
-        items = list(enumerate(np.asarray(row, dtype=np.float64).tolist()))
-    if not items:
-        raise ValueError("heavy hitters of an empty row are undefined")
-    k = math.ceil(fraction * len(items))
-    ranked = sorted(items, key=lambda it: (-it[1], it[0]))
-    return {pos for pos, _ in ranked[:k]}
 
 
 # ----------------------------------------------------------------------

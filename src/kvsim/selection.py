@@ -11,7 +11,7 @@ reproducible.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -101,9 +101,6 @@ class ScoreAccumulator:
             self._sums.pop(pos, None)
             self._evicted.add(pos)
 
-    def total(self, position: int) -> float:
-        return self._sums.get(position, 0.0)
-
     def scores_for(self, positions: Sequence[int]) -> ScoreVector:
         """Current sums for the given ascending positions; never-scored
         positions count as zero mass."""
@@ -113,15 +110,6 @@ class ScoreAccumulator:
             np.array([sums.get(p, 0.0) for p in positions], dtype=np.float64),
             validate=False,
         )
-
-    def as_dict(self) -> Mapping[int, float]:
-        return dict(self._sums)
-
-
-def accumulate(acc: ScoreAccumulator, row: ScoreVector) -> ScoreAccumulator:
-    """Fold one attention row into the accumulator and return it."""
-    acc.add_row(row)
-    return acc
 
 
 def observation_window_scores(

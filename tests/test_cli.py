@@ -146,16 +146,6 @@ class TestRunExperiment:
         ratios = {c.policy: c.report.peak_ratio for c in cells}
         assert ratios["prefill_only"] > ratios["scope_slide"]
 
-    def test_worker_pool_matches_serial(self, tmp_path):
-        cfg = load_config(write_config(tmp_path, REPLAY_CONFIG))
-        cfg.output_dir = str(tmp_path / "serial")
-        serial, csv_a, _ = run_experiment(cfg)
-        cfg.workers = 4
-        cfg.output_dir = str(tmp_path / "parallel")
-        parallel, csv_b, _ = run_experiment(cfg)
-        assert csv_a.read_text().splitlines()[0] == csv_b.read_text().splitlines()[0]
-        assert [c.report.peak_entries for c in serial] == [c.report.peak_entries for c in parallel]
-
 
 class TestCLI:
     def test_run_success_exit_zero(self, tmp_path, capsys):
@@ -228,6 +218,18 @@ class TestCLI:
         path = write_config(tmp_path, REPLAY_CONFIG)
         assert main(["sweep", str(path), "--axis", "gamma=1,2"]) == 1
 
+    def test_sweep_float_axis(self, tmp_path):
+        path = write_config(tmp_path, REPLAY_CONFIG + "metrics.checkpoints = 24\n")
+        out_dir = tmp_path / "sweep_out"
+        assert main(["sweep", str(path), "--axis", "hh_fraction=0.1,0.2", "--output-dir", str(out_dir)]) == 0
+        lines = (out_dir / "report.csv").read_text().splitlines()
+        assert {l.split(",")[-1] for l in lines[1:]} == {"0.1", "0.2"}
+
+    def test_sweep_non_integer_on_integer_axis_exit_one(self, tmp_path, capsys):
+        path = write_config(tmp_path, REPLAY_CONFIG)
+        assert main(["sweep", str(path), "--axis", "beta1=2.5"]) == 1
+        assert "values must be integers" in capsys.readouterr().err
+
     def test_run_with_mismatched_trace_shape_exit_two(self, tmp_path, capsys):
         cfg_text = (
             SMOKE_CONFIG.replace("M = 24", "M = 12")
@@ -248,17 +250,32 @@ class TestCLI:
         assert main(["run", str(replay_cfg)]) == 2
         assert "trace error" in capsys.readouterr().err
 
-    def test_runtime_invariant_violation_exit_three(self, tmp_path, capsys):
-        # beta1 > T - beta2 collapses the discontinuous interval at run time
-        cfg_text = (
-            "mode = trace_replay\ntrace.synthetic = true\n"
-            "M = 8\nT = 10\npolicies = scope_discontinuous\n"
-            "decoding.beta1 = 20\ndecoding.beta2 = 2\n"
-            f"output_dir = {tmp_path / 'out'}\n"
-        )
-        path = write_config(tmp_path, cfg_text)
+    def test_runtime_invariant_violation_exit_three(self, tmp_path, capsys, monkeypatch):
+        def broken_decode_loop(*args, **kwargs):
+            raise ValueError("decoding_entries positions must be strictly ascending")
+
+        monkeypatch.setattr("kvsim.cli.decode_loop", broken_decode_loop)
+        path = write_config(tmp_path, REPLAY_CONFIG + f"output_dir = {tmp_path / 'out'}\n")
         assert main(["run", str(path)]) == 3
         assert "invariant violation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "beta1, beta2, exit_code",
+        [(36, 8, 1), (0, 8, 1), (0, 40, 0)],  # T = 40; T <= beta2 never selects, so it runs
+    )
+    def test_discontinuous_budget_checked_at_load(self, tmp_path, capsys, beta1, beta2, exit_code):
+        out_dir = tmp_path / "out"
+        cfg_text = (
+            "mode = trace_replay\ntrace.synthetic = true\n"
+            "M = 32\nT = 40\npolicies = full, scope_discontinuous\n"
+            f"decoding.beta1 = {beta1}\ndecoding.beta2 = {beta2}\n"
+            f"output_dir = {out_dir}\n"
+        )
+        path = write_config(tmp_path, cfg_text)
+        assert main(["run", str(path)]) == exit_code
+        if exit_code:
+            assert "decoding.beta1" in capsys.readouterr().err
+            assert not out_dir.exists()
 
     def test_oracle_check_exit_zero(self, tmp_path, capsys):
         path = write_config(tmp_path, REPLAY_CONFIG)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kvsim.core import BudgetConfig, CacheEntry, Origin, Phase, PhaseState, append_decoding_entry, new_pool
+from kvsim.core import BudgetConfig, CacheEntry, Origin, append_decoding_entry, new_pool
 from kvsim.decoding import (
     DecodingPolicy,
     PolicyKind,
@@ -13,9 +13,11 @@ from kvsim.decoding import (
     SelectorKind,
     adaptive_budget,
     discontinuous_due,
+    scope_target,
     selection_interval,
 )
 from kvsim.engine import decode_loop, prefill_result_from_positions
+from kvsim.metrics import efficiency
 from kvsim.selection import AttentionRow, ScoreVector
 from kvsim.traceio import synthetic_trace
 
@@ -79,8 +81,18 @@ class TestDiscontinuousSchedule:
             selection_interval(20, 50, 10)
 
 
-def state_at(t, prompt_len):
-    return PhaseState(step=t, prompt_len=prompt_len, phase=Phase.DECODING)
+class TestScopeTarget:
+    def test_one_rule_three_schedules(self):
+        budget = BudgetConfig(beta1=256, beta2=256, max_decode_steps=4096)
+        for t in (1, 256, 257, 270, 271, 2176, 4096):
+            assert scope_target(PolicyKind.SCOPE_SLIDE, t, budget) == 512
+            adaptive = scope_target(PolicyKind.SCOPE_ADAPTIVE, t, budget)
+            assert adaptive == (None if t <= 256 else 256 + adaptive_budget(t, 4096, 256, 256))
+            due = discontinuous_due(t, 4096, 256, 256)
+            assert scope_target(PolicyKind.SCOPE_DISCONTINUOUS, t, budget) == (adaptive if due else None)
+        # first due step: 256 + 256 * 15 // 3840
+        assert scope_target(PolicyKind.SCOPE_DISCONTINUOUS, 271, budget) == 257
+        assert scope_target(PolicyKind.SCOPE_ADAPTIVE, 4096, budget) == 512
 
 
 def pool_with_decoding(m, decode_positions):
@@ -102,7 +114,7 @@ class TestSlideStep:
     def test_append_only_within_budget(self):
         runner = PolicyRunner(DecodingPolicy(PolicyKind.SCOPE_SLIDE, self.budget()), prompt_len=10)
         pool = pool_with_decoding(10, [10, 11, 12, 13])
-        new_pool_, decision = runner.step(pool, uniform_row(pool), state_at(4, 10))
+        new_pool_, decision = runner.step(pool, uniform_row(pool), 4)
         assert not decision.ran_selection
         assert new_pool_.decoding_size == 4
 
@@ -111,7 +123,7 @@ class TestSlideStep:
         pool = pool_with_decoding(10, [10, 11, 12, 13, 14])
         scores = {10: 0.5, 11: 0.1, 12: 0.3, 13: 0.05, 14: 0.05}
         row = ScoreVector.from_pairs([(p, scores.get(p, 0.01)) for p in pool.all_positions().tolist()])
-        out, decision = runner.step(pool, row, state_at(5, 10))
+        out, decision = runner.step(pool, row, 5)
         assert decision.ran_selection
         assert decision.evicted_count == 1
         assert [e.position for e in out.decoding_entries] == [10, 12, 13, 14]
@@ -124,7 +136,7 @@ class TestSlideStep:
         slide = decode_loop(trace, prefill, DecodingPolicy(PolicyKind.SCOPE_SLIDE, big), 12)
         only = decode_loop(trace, prefill, DecodingPolicy(PolicyKind.PREFILL_ONLY, big), 12)
         assert slide.final_pools[0].decoding_size == only.final_pools[0].decoding_size == 12
-        assert slide.total_selection_ops == 0
+        assert efficiency(slide).selection_ops == 0
 
 
 class TestAdaptiveStep:
@@ -132,7 +144,7 @@ class TestAdaptiveStep:
         budget = BudgetConfig(beta1=4, beta2=4, max_decode_steps=20)
         runner = PolicyRunner(DecodingPolicy(PolicyKind.SCOPE_ADAPTIVE, budget), prompt_len=6)
         pool = pool_with_decoding(6, [6, 7, 8])
-        _, decision = runner.step(pool, uniform_row(pool), state_at(3, 6))
+        _, decision = runner.step(pool, uniform_row(pool), 3)
         assert not decision.ran_selection
 
     def test_hand_evaluated_target(self):
@@ -140,7 +152,7 @@ class TestAdaptiveStep:
         budget = BudgetConfig(beta1=4, beta2=4, max_decode_steps=20)
         runner = PolicyRunner(DecodingPolicy(PolicyKind.SCOPE_ADAPTIVE, budget), prompt_len=6)
         pool = pool_with_decoding(6, range(6, 12))  # six decoding entries
-        out, decision = runner.step(pool, uniform_row(pool), state_at(8, 6))
+        out, decision = runner.step(pool, uniform_row(pool), 8)
         assert decision.ran_selection
         assert out.decoding_size == 5
 
@@ -197,7 +209,7 @@ class TestSelectionOpCounts:
         record = decode_loop(
             trace, prefill, DecodingPolicy(PolicyKind.SCOPE_DISCONTINUOUS, budget), t_steps
         )
-        assert record.total_selection_ops == 256
+        assert efficiency(record).selection_ops == 256
 
     def test_slide_steady_state_size_after_every_selection(self):
         m, t_steps = 8, 60
@@ -219,7 +231,7 @@ class TestUnifiedH2O:
         prefill = prefill_result_from_positions(trace, range(8))
         budget = BudgetConfig(alpha1=9, alpha2=9, beta1=9, beta2=9, max_decode_steps=10)
         record = decode_loop(trace, prefill, DecodingPolicy(PolicyKind.UNIFIED_H2O, budget), 10)
-        assert record.total_selection_ops == 0
+        assert efficiency(record).selection_ops == 0
         assert record.final_pools[0].total_size == 18
 
     def test_recency_weighted_trace_erodes_prompt_side(self):
@@ -264,7 +276,7 @@ class TestPrefillOnly:
         for stats in record.layers[0].steps:
             assert stats.decoding_size == stats.t
             assert stats.prefill_size == 12
-        assert record.peak_total_entries == 12 + 25
+        assert efficiency(record).peak_entries == 12 + 25
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -313,4 +325,4 @@ def test_observation_window_selector_also_supported():
     )
     record = decode_loop(trace, prefill, policy, 30)
     assert record.final_pools[0].decoding_size == budget.decoding_budget
-    assert record.total_selection_ops == 30 - budget.decoding_budget
+    assert efficiency(record).selection_ops == 30 - budget.decoding_budget

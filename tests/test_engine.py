@@ -10,10 +10,10 @@ from kvsim.decoding import DecodingPolicy, PolicyKind
 from kvsim.engine import (
     ModelWeights,
     ToyModel,
+    _attend,
     decode_loop,
     prefill_result_from_positions,
     run_prefill,
-    toy_attention,
 )
 from kvsim.prefill import PrefillPolicy, PrefillPolicyKind
 from kvsim.traceio import TraceError, synthetic_trace
@@ -26,19 +26,20 @@ def entries_with_keys(keys, start=0):
     ]
 
 
+def single_head_row(query, retained, bias=0.0):
+    """Attention row of one single-head query, the engine's selection view."""
+    return _attend(np.asarray(query, dtype=np.float64), retained, 1, bias)[0]
+
+
 class TestToyAttention:
     def test_singleton_gets_everything(self):
-        row = toy_attention(np.ones(4), entries_with_keys([np.ones(4)]))
+        row = single_head_row(np.ones(4), entries_with_keys([np.ones(4)]))
         assert row.scores.tolist() == [1.0]
 
     def test_identical_keys_uniform(self):
         retained = entries_with_keys([np.ones(4)] * 5)
-        row = toy_attention(np.ones(4), retained, recency_bias=0.0)
+        row = single_head_row(np.ones(4), retained, bias=0.0)
         assert np.allclose(row.scores, 0.2)
-
-    def test_empty_retained_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            toy_attention(np.ones(4), [])
 
     def test_matches_extended_precision_reference(self):
         rng = np.random.default_rng(0)
@@ -46,7 +47,7 @@ class TestToyAttention:
         keys = rng.normal(size=(n, d))
         q = rng.normal(size=d)
         retained = entries_with_keys(keys)
-        row = toy_attention(q, retained, recency_bias=0.1)
+        row = single_head_row(q, retained, bias=0.1)
         # independent reference in 80-bit long double
         logits = (keys.astype(np.longdouble) @ q.astype(np.longdouble)) / np.sqrt(np.longdouble(d))
         logits += np.longdouble(0.1) * (np.arange(n, dtype=np.longdouble) - (n - 1))
@@ -60,7 +61,7 @@ class TestToyAttention:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 12))
         retained = entries_with_keys(rng.normal(size=(n, 6)))
-        row = toy_attention(rng.normal(size=6), retained, bias)
+        row = single_head_row(rng.normal(size=6), retained, bias)
         assert abs(float(row.scores.sum()) - 1.0) < 1e-9
         assert np.all(row.scores >= 0)
 

@@ -6,8 +6,7 @@ import pytest
 from kvsim.core import BudgetConfig
 from kvsim.decoding import DecodingPolicy, PolicyKind
 from kvsim.engine import decode_loop, prefill_result_from_positions
-from kvsim.metrics import efficiency, hh_origin_distribution, retained_recall
-from kvsim.oracle import heavy_hitter_set
+from kvsim.metrics import efficiency, heavy_hitter_set, hh_origin_distribution, retained_recall
 from kvsim.traceio import Trace, synthetic_trace
 
 
@@ -22,7 +21,7 @@ class TestEfficiency:
         trace = synthetic_trace(m, t_steps, seed=0)
         budget = BudgetConfig(max_decode_steps=t_steps)
         record = replay(trace, range(m), DecodingPolicy(PolicyKind.PREFILL_ONLY, budget), t_steps)
-        report = efficiency(record, m, t_steps)
+        report = efficiency(record)
         assert report.peak_entries == m + t_steps
         assert report.peak_ratio == 1.0
 
@@ -31,7 +30,7 @@ class TestEfficiency:
         trace = synthetic_trace(m, t_steps, seed=1)
         budget = BudgetConfig(beta1=3, beta2=2, max_decode_steps=t_steps)
         record = replay(trace, range(m), DecodingPolicy(PolicyKind.SCOPE_SLIDE, budget), t_steps)
-        report = efficiency(record, m, t_steps)
+        report = efficiency(record)
         # steady state beta1+beta2, plus the appended entry before eviction
         assert report.peak_entries == m + budget.decoding_budget + 1
 
@@ -40,7 +39,7 @@ class TestEfficiency:
         trace = synthetic_trace(m, t_steps, seed=2)
         budget = BudgetConfig(beta1=4, beta2=2, max_decode_steps=t_steps)
         record = replay(trace, range(m), DecodingPolicy(PolicyKind.SCOPE_ADAPTIVE, budget), t_steps)
-        report = efficiency(record, m, t_steps)
+        report = efficiency(record)
         assert 0 < report.selection_ops <= t_steps
 
     def test_discontinuous_transfers_no_more_than_adaptive(self):
@@ -51,18 +50,17 @@ class TestEfficiency:
             adaptive = replay(trace, range(m), DecodingPolicy(PolicyKind.SCOPE_ADAPTIVE, budget), t_steps)
             disc = replay(trace, range(m), DecodingPolicy(PolicyKind.SCOPE_DISCONTINUOUS, budget), t_steps)
             assert (
-                efficiency(disc, m, t_steps).transfer_entries
-                <= efficiency(adaptive, m, t_steps).transfer_entries
+                efficiency(disc).transfer_entries
+                <= efficiency(adaptive).transfer_entries
             )
-            assert disc.total_selection_ops <= adaptive.total_selection_ops
+            assert efficiency(disc).selection_ops <= efficiency(adaptive).selection_ops
 
     def test_peak_bytes_display_constant(self):
         m, t_steps = 6, 6
         trace = synthetic_trace(m, t_steps, seed=3)
         budget = BudgetConfig(max_decode_steps=t_steps)
         report = efficiency(
-            replay(trace, range(m), DecodingPolicy(PolicyKind.PREFILL_ONLY, budget), t_steps),
-            m, t_steps,
+            replay(trace, range(m), DecodingPolicy(PolicyKind.PREFILL_ONLY, budget), t_steps)
         )
         assert report.peak_bytes(d_model=64, bytes_per_scalar=2) == 12 * 2 * 64 * 2
 

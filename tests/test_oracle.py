@@ -8,12 +8,8 @@ from hypothesis import strategies as st
 from kvsim.core import BudgetConfig
 from kvsim.decoding import DecodingPolicy, PolicyKind, SelectorKind
 from kvsim.engine import ToyModel, decode_loop, run_prefill
-from kvsim.oracle import (
-    check_policy_equivalence,
-    full_cache_reference,
-    heavy_hitter_set,
-    naive_policy_simulator,
-)
+from kvsim.metrics import efficiency, heavy_hitter_set
+from kvsim.oracle import check_policy_equivalence, full_cache_reference, naive_policy_simulator
 from kvsim.prefill import PrefillPolicy, PrefillPolicyKind
 from kvsim.selection import AttentionRow
 from kvsim.traceio import synthetic_trace
@@ -28,7 +24,7 @@ class TestFullCacheReference:
     def test_peak_is_everything(self):
         model = ToyModel(seed=1, d_model=8, n_heads=1)
         reference = full_cache_reference(model, 8, 8)
-        assert reference.record.peak_total_entries == 16
+        assert efficiency(reference.record).peak_entries == 16
 
     def test_rows_match_unevicted_engine_run(self):
         model = ToyModel(seed=9, d_model=16, n_heads=2, recency_bias=0.05)

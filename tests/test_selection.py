@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from kvsim.selection import (
     ScoreAccumulator,
     ScoreVector,
-    accumulate,
     observation_window_scores,
     top_k,
 )
@@ -88,25 +87,23 @@ class TestAccumulator:
     def test_first_row_copies_scores(self):
         acc = ScoreAccumulator()
         row = ScoreVector.from_pairs([(0, 0.25), (1, 0.75)])
-        accumulate(acc, row)
-        assert acc.total(0) == 0.25
-        assert acc.total(1) == 0.75
+        acc.add_row(row)
+        assert acc.scores_for([0, 1]).scores.tolist() == [0.25, 0.75]
 
     def test_two_identical_rows_double(self):
         acc = ScoreAccumulator()
         row = ScoreVector.from_pairs([(0, 0.25), (1, 0.75)])
-        accumulate(acc, row)
-        accumulate(acc, row)
-        assert acc.total(0) == 0.5
-        assert acc.total(1) == 1.5
+        acc.add_row(row)
+        acc.add_row(row)
+        assert acc.scores_for([0, 1]).scores.tolist() == [0.5, 1.5]
 
     def test_evicted_position_rejected(self):
         acc = ScoreAccumulator()
-        accumulate(acc, ScoreVector.from_pairs([(0, 1.0), (1, 1.0)]))
+        acc.add_row(ScoreVector.from_pairs([(0, 1.0), (1, 1.0)]))
         acc.drop([1])
-        assert acc.total(1) == 0.0
+        assert acc.scores_for([1]).scores.tolist() == [0.0]
         with pytest.raises(ValueError, match="evicted position 1"):
-            accumulate(acc, ScoreVector.from_pairs([(0, 1.0), (1, 1.0)]))
+            acc.add_row(ScoreVector.from_pairs([(0, 1.0), (1, 1.0)]))
 
     @given(
         n_steps=st.integers(1, 100),
@@ -119,12 +116,13 @@ class TestAccumulator:
         rows = [rng.random(n_pos) for _ in range(n_steps)]
         acc = ScoreAccumulator()
         for row in rows:
-            accumulate(acc, ScoreVector.from_dense(row))
+            acc.add_row(ScoreVector.from_dense(row))
+        got = acc.scores_for(list(range(n_pos))).scores
         for p in range(n_pos):
             naive = 0.0
             for row in rows:
                 naive += float(row[p])
-            assert acc.total(p) == pytest.approx(naive, rel=1e-12)
+            assert got[p] == pytest.approx(naive, rel=1e-12)
 
 
 class TestObservationWindow:
