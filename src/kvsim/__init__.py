@@ -6,15 +6,7 @@ attention model (closed loop) or by recorded traces (replay), with
 brute-force oracles for validation and entry-count efficiency metrics.
 """
 
-from .core import (
-    BudgetConfig,
-    CacheEntry,
-    CachePool,
-    Origin,
-    append_decoding_entry,
-    evict_decoding,
-    new_pool,
-)
+from .core import BudgetConfig, CachePool, append_decoding_entry, evict_decoding, new_pool
 from .decoding import (
     DecodingPolicy,
     PolicyKind,

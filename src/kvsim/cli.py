@@ -56,8 +56,8 @@ def _trace_for(cfg: ExperimentConfig, seed: int, cache: dict) -> Trace:
 
 
 def _reference_rows(cfg: ExperimentConfig, seed: int, cache: dict):
-    """Dense full-prefix rows for checkpoint metrics, or None when they are
-    not affordable (closed loop past the dense-size guard)."""
+    """Dense full-prefix rows for checkpoint metrics, or None when no
+    checkpoints are configured."""
     if not cfg.checkpoints:
         return None
     if cfg.mode == "trace_replay":
@@ -65,10 +65,7 @@ def _reference_rows(cfg: ExperimentConfig, seed: int, cache: dict):
     key = ("reference", seed)
     if key not in cache:
         model = ToyModel(seed, cfg.d_model, cfg.n_heads, cfg.n_layers, cfg.recency_bias)
-        try:
-            cache[key] = full_cache_reference(model, cfg.M, cfg.T).rows
-        except ValueError:
-            cache[key] = None
+        cache[key] = full_cache_reference(model, cfg.M, cfg.T).rows
     return cache[key]
 
 
@@ -86,7 +83,7 @@ def _run_cell(cfg: ExperimentConfig, token: str, seed: int, cache: dict) -> Cell
     hh_prefill: dict[int, float] = {}
     recall: dict[int, float] = {}
     rows = _reference_rows(cfg, seed, cache)
-    if rows is not None and cfg.checkpoints:
+    if rows is not None:
         hh_report = hh_origin_distribution(rows, cfg.M, cfg.checkpoints, cfg.hh_fraction)
         hh_prefill = {cp.t: cp.prefill_fraction for cp in hh_report.checkpoints}
         for t in cfg.checkpoints:
@@ -166,8 +163,11 @@ def run_experiment(
             grids.append((sub, axis, value))
 
     cells = []
+    cache: dict = {}
     for sub, ax, value in grids:
-        cache: dict = {}
+        # a trace file is read once; synthetic traces and reference rows
+        # depend on the axis value and are rebuilt per grid
+        cache = {"file": cache["file"]} if "file" in cache else {}
         for token in sub.policies:
             for seed in sub.seeds:
                 cell = _run_cell(sub, token, seed, cache)
@@ -216,7 +216,7 @@ def oracle_check(cfg: ExperimentConfig, n_traces: int = 3, out=None) -> int:
         for seed in range(n_traces):
             trace = synthetic_trace(sub.M, sub.T, seed=10_000 + seed)
             prefill = run_prefill(trace, sub.M, prefill_policy)
-            positions = [int(p) for p in prefill.pools[0].prefill_positions().tolist()]
+            positions = prefill.pools[0].prefill_entries.tolist()
             message = check_policy_equivalence(decoding_policy, trace, positions, sub.T)
             if message:
                 failures += 1

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .core import BudgetConfig
 from .decoding import DecodingPolicy, PolicyKind, SelectorKind, selection_interval
+from .oracle import DEFAULT_SIZE_GUARD
 from .prefill import PrefillPolicy, PrefillPolicyKind
 
 
@@ -107,11 +108,19 @@ class ExperimentConfig:
             raise ConfigError("d_model / n_heads / n_layers: all must be >= 1")
         if self.d_model % self.n_heads:
             raise ConfigError(f"d_model: {self.d_model} is not divisible by n_heads={self.n_heads}")
+        if self.recency_bias < 0:
+            raise ConfigError(f"recency_bias: must be nonnegative, got {self.recency_bias}")
         if not 0.0 < self.hh_fraction <= 1.0:
             raise ConfigError(f"metrics.hh_fraction: must be in (0, 1], got {self.hh_fraction}")
         for t in self.checkpoints:
             if not 1 <= t <= self.T:
                 raise ConfigError(f"metrics.checkpoints: checkpoint {t} outside 1..{self.T}")
+        # closed-loop checkpoint metrics need the dense full-cache reference
+        if self.mode == "closed_loop" and self.checkpoints and self.M + self.T > DEFAULT_SIZE_GUARD:
+            raise ConfigError(
+                f"metrics.checkpoints: closed loop needs a dense reference over M + T = "
+                f"{self.M + self.T} positions, above the limit of {DEFAULT_SIZE_GUARD}"
+            )
         for name in ("alpha1", "alpha2", "beta1", "beta2"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name}: must be nonnegative")

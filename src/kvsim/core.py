@@ -1,27 +1,25 @@
 """Two-part KV cache pool and its bookkeeping primitives.
 
-Entries that originate from the prompt live in one ordered list, entries
-generated during decoding in another. Keeping the split explicit lets
-phase-separated policies evict on the decoding side while the prompt side
-stays untouched, and lets unified policies cut across both.
+A pool is just the positions it retains: one strictly ascending int64
+array for positions that came from the prompt, another for positions
+generated during decoding. A position's origin is the array it is in.
+Keeping the split explicit lets phase-separated policies evict on the
+decoding side while the prompt side stays untouched, and lets unified
+policies cut across both.
 
 Positions are absolute token indices over prompt-then-output, so origin
 classification never needs to know the prompt length at eviction time.
+Keys and values are not part of a pool: the closed-loop engine keeps them
+in its own per-layer buffers, indexed by position.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
-
-
-class Origin(Enum):
-    PREFILL = "prefill"
-    DECODING = "decoding"
 
 
 @dataclass(frozen=True)
@@ -63,54 +61,39 @@ class BudgetConfig:
         return self.prefill_budget + self.decoding_budget
 
 
-@dataclass(frozen=True, eq=False)
-class CacheEntry:
-    """One cached token: absolute position, phase of origin, and (in
-    closed-loop mode) the key/value vectors; trace replay keeps them None."""
-
-    position: int
-    origin: Origin
-    key: np.ndarray | None = None
-    value: np.ndarray | None = None
+_NO_POSITIONS = np.zeros(0, dtype=np.int64)
 
 
 class CachePool:
-    """Ordered, origin-split cache pool.
+    """Ordered, origin-split pool of retained positions.
 
-    Both entry lists are strictly ascending by position and their position
-    sets are disjoint. Operations return new pools; the prompt-side tuple
-    is shared across steps, so its identity doubles as a cheap witness
-    that phase separation held.
+    ``prefill_entries`` and ``decoding_entries`` are strictly ascending
+    int64 position arrays with disjoint contents. Pools are treated as
+    immutable: operations return new pools, and the prompt-side array is
+    shared across steps, so its identity doubles as a cheap witness that
+    phase separation held. Build pools from outside input with
+    :func:`new_pool`, which validates; the constructor trusts its arrays.
     """
 
-    __slots__ = ("prefill_entries", "decoding_entries", "_prefill_pos")
+    __slots__ = ("prefill_entries", "decoding_entries")
 
-    def __init__(
-        self,
-        prefill_entries: Iterable[CacheEntry],
-        decoding_entries: Iterable[CacheEntry] = (),
-        _validate: bool = True,
-        _prefill_pos: np.ndarray | None = None,
-    ) -> None:
-        self.prefill_entries = tuple(prefill_entries)
-        self.decoding_entries = tuple(decoding_entries)
-        self._prefill_pos = _prefill_pos
-        if _validate:
-            self.validate()
+    def __init__(self, prefill_entries: np.ndarray, decoding_entries: np.ndarray = _NO_POSITIONS) -> None:
+        self.prefill_entries = prefill_entries
+        self.decoding_entries = decoding_entries
 
     def validate(self) -> None:
         """Raise ValueError if any pool invariant is broken."""
-        _check_ordered_unique([e.position for e in self.prefill_entries], "prefill_entries")
-        _check_ordered_unique([e.position for e in self.decoding_entries], "decoding_entries")
-        for e in self.prefill_entries:
-            if e.origin is not Origin.PREFILL:
-                raise ValueError(f"prefill_entries holds a {e.origin.value}-origin entry at {e.position}")
-        for e in self.decoding_entries:
-            if e.origin is not Origin.DECODING:
-                raise ValueError(f"decoding_entries holds a {e.origin.value}-origin entry at {e.position}")
-        overlap = {e.position for e in self.prefill_entries} & {e.position for e in self.decoding_entries}
-        if overlap:
-            raise ValueError(f"position(s) {sorted(overlap)} present in both pool sections")
+        for label, positions in (
+            ("prefill_entries", self.prefill_entries),
+            ("decoding_entries", self.decoding_entries),
+        ):
+            bad = np.flatnonzero(np.diff(positions) <= 0)
+            if len(bad):
+                a, b = positions[bad[0]], positions[bad[0] + 1]
+                raise ValueError(f"{label} positions must be strictly ascending, got {a} before {b}")
+        overlap = np.intersect1d(self.prefill_entries, self.decoding_entries)
+        if len(overlap):
+            raise ValueError(f"position(s) {overlap.tolist()} present in both pool sections")
 
     @property
     def prefill_size(self) -> int:
@@ -124,85 +107,44 @@ class CachePool:
     def total_size(self) -> int:
         return len(self.prefill_entries) + len(self.decoding_entries)
 
-    def prefill_positions(self) -> np.ndarray:
-        if self._prefill_pos is None:
-            self._prefill_pos = np.fromiter(
-                (e.position for e in self.prefill_entries), dtype=np.int64, count=len(self.prefill_entries)
-            )
-        return self._prefill_pos
-
-    def decoding_positions(self) -> np.ndarray:
-        return np.fromiter(
-            (e.position for e in self.decoding_entries), dtype=np.int64, count=len(self.decoding_entries)
-        )
-
     def all_positions(self) -> np.ndarray:
-        return np.concatenate([self.prefill_positions(), self.decoding_positions()])
-
-    def all_entries(self) -> tuple[CacheEntry, ...]:
-        return self.prefill_entries + self.decoding_entries
-
-    def max_position(self) -> int | None:
-        last = None
-        if self.decoding_entries:
-            last = self.decoding_entries[-1].position
-        elif self.prefill_entries:
-            last = self.prefill_entries[-1].position
-        return last
+        return np.concatenate((self.prefill_entries, self.decoding_entries))
 
     def prefill_fingerprint(self) -> int:
-        """Content hash of the prompt-side pool (positions plus key/value
-        bytes when present). Stable within and across processes."""
-        digest = zlib.crc32(self.prefill_positions().tobytes())
-        for e in self.prefill_entries:
-            if e.key is not None:
-                digest = zlib.crc32(e.key.tobytes(), digest)
-            if e.value is not None:
-                digest = zlib.crc32(e.value.tobytes(), digest)
-        return digest
+        """CRC32 of the prompt-side positions. Stable within and across
+        processes."""
+        return zlib.crc32(self.prefill_entries.tobytes())
 
 
-def _check_ordered_unique(positions: Sequence[int], label: str) -> None:
-    for a, b in zip(positions, positions[1:]):
-        if b <= a:
-            raise ValueError(f"{label} positions must be strictly ascending, got {a} before {b}")
+def new_pool(retained_prefill: Iterable[int]) -> CachePool:
+    """Build a pool from the prompt positions kept by prefill compression;
+    the decoding side starts empty. Raises ValueError unless the positions
+    are strictly ascending."""
+    pool = CachePool(np.array(retained_prefill, dtype=np.int64))
+    pool.validate()
+    return pool
 
 
-def new_pool(retained_prefill: Iterable[CacheEntry]) -> CachePool:
-    """Build a pool from the entries kept by prefill compression; the
-    decoding side starts empty."""
-    return CachePool(retained_prefill)
-
-
-def append_decoding_entry(pool: CachePool, entry: CacheEntry) -> CachePool:
-    """Concatenate one newly generated entry onto the decoding side."""
-    if entry.origin is not Origin.DECODING:
-        raise ValueError(f"appended entry at {entry.position} must have decoding origin")
-    last = pool.max_position()
-    if last is not None and entry.position <= last:
-        raise ValueError(f"position {entry.position} does not extend the pool (max is {last})")
-    return CachePool(
-        pool.prefill_entries,
-        pool.decoding_entries + (entry,),
-        _validate=False,
-        _prefill_pos=pool._prefill_pos,
-    )
+def append_decoding_entry(pool: CachePool, position: int) -> CachePool:
+    """Add one newly generated position to the end of the decoding side."""
+    tail = pool.decoding_entries if len(pool.decoding_entries) else pool.prefill_entries
+    if len(tail) and position <= tail[-1]:
+        raise ValueError(f"position {position} does not extend the pool (max is {tail[-1]})")
+    return CachePool(pool.prefill_entries, np.append(pool.decoding_entries, position))
 
 
 def evict_decoding(pool: CachePool, keep_positions: Iterable[int]) -> CachePool:
     """Filter the decoding side down to ``keep_positions``; the prompt side
     is passed through untouched. Asking to keep a prompt position is a
     phase-separation violation and raises."""
-    keep = frozenset(keep_positions)
-    decoding_pos = {e.position for e in pool.decoding_entries}
-    stray = keep - decoding_pos
-    if stray:
-        prefill_pos = {e.position for e in pool.prefill_entries}
-        if stray & prefill_pos:
+    keep = np.unique(np.fromiter(keep_positions, dtype=np.int64))
+    stray = np.setdiff1d(keep, pool.decoding_entries, assume_unique=True)
+    if len(stray):
+        in_prefill = np.intersect1d(stray, pool.prefill_entries)
+        if len(in_prefill):
             raise ValueError(
-                f"keep set references prefill position(s) {sorted(stray & prefill_pos)}: "
+                f"keep set references prefill position(s) {in_prefill.tolist()}: "
                 "phase separation violated"
             )
-        raise ValueError(f"keep set references unknown position(s) {sorted(stray)}")
-    kept = tuple(e for e in pool.decoding_entries if e.position in keep)
-    return CachePool(pool.prefill_entries, kept, _validate=False, _prefill_pos=pool._prefill_pos)
+        raise ValueError(f"keep set references unknown position(s) {stray.tolist()}")
+    return CachePool(pool.prefill_entries, keep)

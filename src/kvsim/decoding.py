@@ -18,6 +18,8 @@ from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
 
+import numpy as np
+
 from .core import BudgetConfig, CachePool, evict_decoding
 from .selection import (
     AttentionRow,
@@ -193,9 +195,7 @@ class PolicyRunner:
     def _selector_scores(self, candidates: list[int]) -> ScoreVector:
         if self.policy.selector is SelectorKind.CUMULATIVE:
             return self._acc.scores_for(candidates)
-        window = observation_window_scores(
-            list(self._recent_rows), self.policy.observation_window, aggregation="mean"
-        )
+        window = observation_window_scores(list(self._recent_rows), self.policy.observation_window)
         lookup = window.to_dict()
         return ScoreVector(
             candidates, [lookup.get(p, 0.0) for p in candidates], validate=False
@@ -217,7 +217,7 @@ class PolicyRunner:
         target = scope_target(self.policy.kind, t, b)
         if target is None or pool.decoding_size <= target:
             return pool, _APPEND_ONLY
-        dec = [e.position for e in pool.decoding_entries]
+        dec = pool.decoding_entries.tolist()
         keep = self._keep_set(dec, target - b.beta2, b.beta2)
         evicted = [p for p in dec if p not in keep]
         new_pool = evict_decoding(pool, keep)
@@ -229,16 +229,14 @@ class PolicyRunner:
     # unified baselines (may evict prompt-side entries)
 
     def _filter_unified(self, pool: CachePool, keep: set[int]) -> tuple[CachePool, int]:
-        before = pool.total_size
-        new_pool = CachePool(
-            tuple(e for e in pool.prefill_entries if e.position in keep),
-            tuple(e for e in pool.decoding_entries if e.position in keep),
-            _validate=False,
-        )
+        kept = np.fromiter(keep, dtype=np.int64, count=len(keep))
+        prefill_mask = np.isin(pool.prefill_entries, kept)
+        decoding_mask = np.isin(pool.decoding_entries, kept)
+        new_pool = CachePool(pool.prefill_entries[prefill_mask], pool.decoding_entries[decoding_mask])
         if self.policy.selector is SelectorKind.CUMULATIVE:
-            evicted = [e.position for e in pool.all_entries() if e.position not in keep]
-            self._acc.drop(evicted)
-        return new_pool, before - len(keep)
+            evicted = (pool.prefill_entries[~prefill_mask], pool.decoding_entries[~decoding_mask])
+            self._acc.drop(np.concatenate(evicted).tolist())
+        return new_pool, pool.total_size - len(keep)
 
     def _step_unified_scored(self, pool: CachePool) -> tuple[CachePool, StepDecision]:
         if pool.total_size <= self._unified_total:

@@ -3,7 +3,10 @@
 Two ways to drive the decode loop:
 
 * closed loop — a seeded stand-in model computes keys/values and attention
-  over whatever is retained, so eviction changes every subsequent output;
+  over whatever is retained, so eviction changes every subsequent output.
+  The engine alone owns keys and values: one preallocated (M+T) x d_model
+  buffer per layer for each, where row ``p`` holds position ``p``. Pools
+  hold positions only, and each step gathers the retained rows;
 * trace replay — prerecorded full-prefix rows are sliced to the retained
   positions and renormalized, which isolates policy accounting from model
   dynamics (an idealization: real models change scores under eviction).
@@ -17,17 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .core import (
-    CacheEntry,
-    CachePool,
-    Origin,
-    append_decoding_entry,
-    new_pool,
-)
+from .core import CachePool, append_decoding_entry, new_pool
 from .decoding import DecodingPolicy, PolicyKind, PolicyRunner, StepDecision
 from .prefill import PrefillPolicy, PrefillPolicyKind, allocate_layer_budgets, apply_prefill_policy
 from .selection import AttentionRow, ScoreVector
@@ -90,15 +87,13 @@ def _rmsnorm_rows(x: np.ndarray) -> np.ndarray:
 
 
 def _attend(
-    hidden: np.ndarray, entries: Sequence[CacheEntry], n_heads: int, bias: float
+    hidden: np.ndarray, keys: np.ndarray, values: np.ndarray, pos: np.ndarray, n_heads: int, bias: float
 ) -> tuple[AttentionRow, np.ndarray]:
-    """Multi-head attention of one hidden state over the retained entries.
-    Returns the head-averaged row (selection view) and the concatenated
-    per-head context (value view)."""
-    n = len(entries)
-    keys = np.stack([e.key for e in entries])
-    values = np.stack([e.value for e in entries])
-    pos = np.fromiter((e.position for e in entries), dtype=np.int64, count=n)
+    """Multi-head attention of one hidden state over the retained entries:
+    ``keys``/``values`` are their (n, d_model) rows, ``pos`` their ascending
+    positions. Returns the head-averaged row (selection view) and the
+    concatenated per-head context (value view)."""
+    n = len(pos)
     d = hidden.shape[0]
     dh = d // n_heads
     kh = keys.reshape(n, n_heads, dh)
@@ -121,17 +116,18 @@ def _attend(
 class PrefillResult:
     """Everything the decode loop needs from the prompt phase: per-layer
     pools, the column-sum mass of the retained entries (for
-    cumulative-selector seeding), and the first decode input in
-    closed-loop mode."""
+    cumulative-selector seeding), and in closed-loop mode each layer's
+    prompt (keys, values), shape M x d_model, and the first decode input."""
 
     prompt_len: int
     pools: list[CachePool]
     seed_scores: list[ScoreVector]
+    prompt_kv: list[tuple[np.ndarray, np.ndarray]] | None = None
     next_input: np.ndarray | None = None
 
 
 def _seed_vector(pool: CachePool, colsums: np.ndarray) -> ScoreVector:
-    positions = pool.prefill_positions()
+    positions = pool.prefill_entries
     return ScoreVector(positions, colsums[positions], validate=False)
 
 
@@ -153,9 +149,8 @@ def _run_prefill_trace(trace: Trace, m: int, policy: PrefillPolicy) -> PrefillRe
         raise TraceError(f"trace prompt covers {trace.M} positions, shorter than M={m}")
     if trace.M != m:
         raise TraceError(f"trace was recorded with M={trace.M}, run requested M={m}")
-    kv = [CacheEntry(i, Origin.PREFILL) for i in range(m)]
     prompt_scores = ScoreVector.from_dense(trace.prefill_scores)
-    pool = apply_prefill_policy(policy, kv, prompt_scores, att_rows=[prompt_scores])
+    pool = apply_prefill_policy(policy, m, prompt_scores, att_rows=[prompt_scores])
     seed = _seed_vector(pool, trace.prefill_scores)
     return PrefillResult(prompt_len=m, pools=[pool], seed_scores=[seed])
 
@@ -178,6 +173,7 @@ def _run_prefill_closed(model: ToyModel, m: int, policy: PrefillPolicy) -> Prefi
 
     pools: list[CachePool] = []
     seed_scores: list[ScoreVector] = []
+    prompt_kv: list[tuple[np.ndarray, np.ndarray]] = []
     for layer in range(model.n_layers):
         k = hidden @ weights.w_k[layer]
         v = hidden @ weights.w_v[layer]
@@ -192,7 +188,7 @@ def _run_prefill_closed(model: ToyModel, m: int, policy: PrefillPolicy) -> Prefi
         context = np.einsum("hij,jhd->ihd", att, v.reshape(m, heads, dh)).reshape(m, d)
         hidden = _rmsnorm_rows(hidden + context)
 
-        kv = [CacheEntry(i, Origin.PREFILL, key=k[i], value=v[i]) for i in range(m)]
+        prompt_kv.append((k, v))
         window = policy.observation_rows or max(policy.alpha2, 1)
         window = min(window, m)
         window_rows = [
@@ -208,13 +204,14 @@ def _run_prefill_closed(model: ToyModel, m: int, policy: PrefillPolicy) -> Prefi
                 stacked[row.positions] += row.scores
             scores = ScoreVector.from_dense(stacked / len(window_rows))
         pool = apply_prefill_policy(
-            policy, kv, scores, att_rows=window_rows, layer_budget_override=layer_budgets[layer]
+            policy, m, scores, att_rows=window_rows, layer_budget_override=layer_budgets[layer]
         )
         pools.append(pool)
         seed_scores.append(_seed_vector(pool, colsums))
 
     return PrefillResult(
-        prompt_len=m, pools=pools, seed_scores=seed_scores, next_input=_rmsnorm(hidden[m - 1])
+        prompt_len=m, pools=pools, seed_scores=seed_scores, prompt_kv=prompt_kv,
+        next_input=_rmsnorm(hidden[m - 1]),
     )
 
 
@@ -224,7 +221,7 @@ def prefill_result_from_positions(trace: Trace, positions: Iterable[int]) -> Pre
     ordered = sorted(int(p) for p in positions)
     if ordered and (ordered[0] < 0 or ordered[-1] >= trace.M):
         raise ValueError("prefill positions must lie in the prompt range")
-    pool = new_pool([CacheEntry(p, Origin.PREFILL) for p in ordered])
+    pool = new_pool(ordered)
     return PrefillResult(
         prompt_len=trace.M, pools=[pool], seed_scores=[_seed_vector(pool, trace.prefill_scores)]
     )
@@ -299,8 +296,8 @@ def _record_step(
     )
     if t in capture:
         log.captured[t] = (
-            frozenset(int(p) for p in pool.prefill_positions().tolist()),
-            frozenset(int(p) for p in pool.decoding_positions().tolist()),
+            frozenset(pool.prefill_entries.tolist()),
+            frozenset(pool.decoding_entries.tolist()),
         )
 
 
@@ -355,7 +352,7 @@ def _decode_trace(
 
     for t in range(1, steps + 1):
         full_row = trace.row(t)
-        pool = append_decoding_entry(pool, CacheEntry(m + t - 1, Origin.DECODING))
+        pool = append_decoding_entry(pool, m + t - 1)
         pre_total = pool.total_size
         retained = pool.all_positions()
         sliced = full_row[retained]
@@ -390,6 +387,11 @@ def _decode_closed(
     capture = _normalize_capture(capture_positions, steps)
     weights = ModelWeights(model)
     pools = list(prefill.pools)
+    keys = [np.empty((m + steps, model.d_model)) for _ in range(model.n_layers)]
+    values = [np.empty((m + steps, model.d_model)) for _ in range(model.n_layers)]
+    for layer, (k, v) in enumerate(prefill.prompt_kv):
+        keys[layer][:m] = k
+        values[layer][:m] = v
     runners = []
     for layer, layer_policy in enumerate(_layer_policies(policy, model.n_layers)):
         runner = PolicyRunner(layer_policy, m)
@@ -405,12 +407,14 @@ def _decode_closed(
         position = m + t - 1
         h = hidden
         for layer in range(model.n_layers):
-            k = h @ weights.w_k[layer]
-            v = h @ weights.w_v[layer]
-            entry = CacheEntry(position, Origin.DECODING, key=k, value=v)
-            pools[layer] = append_decoding_entry(pools[layer], entry)
+            keys[layer][position] = h @ weights.w_k[layer]
+            values[layer][position] = h @ weights.w_v[layer]
+            pools[layer] = append_decoding_entry(pools[layer], position)
             pre_total = pools[layer].total_size
-            row, context = _attend(h, pools[layer].all_entries(), model.n_heads, model.recency_bias)
+            pos = pools[layer].all_positions()
+            row, context = _attend(
+                h, keys[layer][pos], values[layer][pos], pos, model.n_heads, model.recency_bias
+            )
             if rows_out is not None and layer == 0:
                 rows_out.append(row)
             pools[layer], decision = runners[layer].step(pools[layer], row, t)

@@ -1,9 +1,10 @@
 """Prompt-phase compression policies.
 
-Every policy produces the initial prompt-side pool from the prompt's
-entries plus some view of the prompt attention. Compression runs exactly
-once, at the end of prefill; if a policy's budget covers the whole prompt
-it degrades to keeping everything, so budget sweeps need no special cases.
+Every policy produces the initial prompt-side pool from the prompt length
+m (the prompt is exactly positions 0..m-1) plus some view of the prompt
+attention. Compression runs exactly once, at the end of prefill; if a
+policy's budget covers the whole prompt it degrades to keeping everything,
+so budget sweeps need no special cases.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CacheEntry, CachePool, new_pool
+from .core import CachePool, new_pool
 from .selection import ScoreVector, observation_window_scores, top_k
 
 
@@ -51,10 +52,6 @@ class PrefillPolicy:
         return self.alpha1 + self.alpha2
 
 
-def _retain(kv: Sequence[CacheEntry], keep: set[int]) -> CachePool:
-    return new_pool([e for e in kv if e.position in keep])
-
-
 def _history_plus_local(scores: dict[int, float], m: int, alpha1: int, alpha2: int) -> set[int]:
     """Top-alpha1 of positions 0..m-alpha2-1 by score, plus the last alpha2
     positions unconditionally. Unscored candidates count as zero."""
@@ -68,13 +65,12 @@ def _history_plus_local(scores: dict[int, float], m: int, alpha1: int, alpha2: i
 
 def compress_prefill_topk(
     att_prefill: ScoreVector,
-    kv: Sequence[CacheEntry],
+    m: int,
     alpha1: int,
     alpha2: int,
 ) -> CachePool:
     """Keep the alpha1 highest-scoring positions outside the local window,
     concatenated with the last alpha2 positions."""
-    m = len(kv)
     if m < 1:
         raise ValueError("prompt must contain at least one token")
     if alpha2 > m:
@@ -82,22 +78,19 @@ def compress_prefill_topk(
     if alpha1 + alpha2 < 1:
         raise ValueError("alpha1 + alpha2 must be at least 1")
     if alpha1 + alpha2 >= m:
-        return new_pool(kv)
-    keep = _history_plus_local(att_prefill.to_dict(), m, alpha1, alpha2)
-    return _retain(kv, keep)
+        return new_pool(range(m))
+    return new_pool(sorted(_history_plus_local(att_prefill.to_dict(), m, alpha1, alpha2)))
 
 
-def compress_prefill_streaming(kv: Sequence[CacheEntry], total_budget: int) -> CachePool:
+def compress_prefill_streaming(m: int, total_budget: int) -> CachePool:
     """Keep the first ceil(budget/2) and last floor(budget/2) positions."""
-    m = len(kv)
     if total_budget < 2:
         raise ValueError(f"total_budget must be >= 2, got {total_budget}")
     if total_budget >= m:
-        return new_pool(kv)
+        return new_pool(range(m))
     head = total_budget // 2 + total_budget % 2
     tail = total_budget // 2
-    keep = set(range(head)) | set(range(m - tail, m))
-    return _retain(kv, keep)
+    return new_pool([*range(head), *range(m - tail, m)])
 
 
 def smooth_scores(scores: np.ndarray, pooling_width: int) -> np.ndarray:
@@ -115,14 +108,13 @@ def smooth_scores(scores: np.ndarray, pooling_width: int) -> np.ndarray:
 
 def compress_prefill_window(
     att_rows: Sequence[ScoreVector],
-    kv: Sequence[CacheEntry],
+    m: int,
     alpha1: int,
     alpha2: int,
     pooling_width: int = 7,
 ) -> CachePool:
     """Observation-window variant: aggregate the given trailing rows, smooth
     the result across positions, then apply the history+local layout."""
-    m = len(kv)
     if m < 1:
         raise ValueError("prompt must contain at least one token")
     if not att_rows:
@@ -132,13 +124,13 @@ def compress_prefill_window(
     if alpha1 + alpha2 < 1:
         raise ValueError("alpha1 + alpha2 must be at least 1")
     if alpha1 + alpha2 >= m:
-        return new_pool(kv)
-    agg = observation_window_scores(att_rows, window=len(att_rows), aggregation="mean")
+        return new_pool(range(m))
+    agg = observation_window_scores(att_rows, window=len(att_rows))
     dense = np.zeros(m, dtype=np.float64)
     dense[agg.positions] = agg.scores
     smoothed = smooth_scores(dense, pooling_width)
     scores = dict(enumerate(smoothed.tolist()))
-    return _retain(kv, _history_plus_local(scores, m, alpha1, alpha2))
+    return new_pool(sorted(_history_plus_local(scores, m, alpha1, alpha2)))
 
 
 def allocate_layer_budgets(total_budget: int, num_layers: int, taper_ratio: float) -> list[int]:
@@ -170,28 +162,28 @@ def allocate_layer_budgets(total_budget: int, num_layers: int, taper_ratio: floa
 
 def apply_prefill_policy(
     policy: PrefillPolicy,
-    kv: Sequence[CacheEntry],
+    m: int,
     prompt_scores: ScoreVector,
     att_rows: Sequence[ScoreVector] | None = None,
     layer_budget_override: int | None = None,
 ) -> CachePool:
-    """Dispatch one layer's prompt compression.
+    """Dispatch one layer's prompt compression over prompt length ``m``.
 
     ``layer_budget_override`` replaces the policy's total budget for the
     pyramid variant (the per-layer share); the local window stays alpha2.
     """
     kind = policy.kind
     if kind is PrefillPolicyKind.FULL:
-        return new_pool(kv)
+        return new_pool(range(m))
     if kind is PrefillPolicyKind.STREAMING:
-        return compress_prefill_streaming(kv, policy.budget)
+        return compress_prefill_streaming(m, policy.budget)
     if kind is PrefillPolicyKind.TOPK_LOCAL:
-        return compress_prefill_topk(prompt_scores, kv, policy.alpha1, policy.alpha2)
+        return compress_prefill_topk(prompt_scores, m, policy.alpha1, policy.alpha2)
     if kind in (PrefillPolicyKind.WINDOW, PrefillPolicyKind.PYRAMID):
         alpha1, alpha2 = policy.alpha1, policy.alpha2
         if layer_budget_override is not None:
             alpha2 = min(policy.alpha2, layer_budget_override)
             alpha1 = layer_budget_override - alpha2
         rows = att_rows if att_rows else [prompt_scores]
-        return compress_prefill_window(rows, kv, alpha1, alpha2, policy.pooling_width)
+        return compress_prefill_window(rows, m, alpha1, alpha2, policy.pooling_width)
     raise ValueError(f"unknown prefill policy kind {kind!r}")

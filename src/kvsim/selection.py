@@ -112,33 +112,20 @@ class ScoreAccumulator:
         )
 
 
-def observation_window_scores(
-    recent_rows: Sequence[ScoreVector],
-    window: int,
-    aggregation: str = "mean",
-) -> ScoreVector:
-    """Per-position aggregate over the last ``min(window, available)`` rows.
+def observation_window_scores(recent_rows: Sequence[ScoreVector], window: int) -> ScoreVector:
+    """Per-position mean over the last ``min(window, available)`` rows.
 
     A position absent from a row contributes zero to the mean (the divisor
-    is the number of rows in the window) and is simply skipped for max.
+    is the number of rows in the window).
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     if not recent_rows:
         raise ValueError("at least one attention row is required")
-    if aggregation not in ("mean", "max"):
-        raise ValueError(f"unknown aggregation {aggregation!r}")
     rows = recent_rows[-window:]
     agg: dict[int, float] = {}
     for row in rows:
         for pos, score in zip(row.positions.tolist(), row.scores.tolist()):
-            if aggregation == "mean":
-                agg[pos] = agg.get(pos, 0.0) + score
-            else:
-                prev = agg.get(pos)
-                if prev is None or score > prev:
-                    agg[pos] = score
-    if aggregation == "mean":
-        denom = float(len(rows))
-        agg = {pos: s / denom for pos, s in agg.items()}
-    return ScoreVector.from_pairs(agg.items())
+            agg[pos] = agg.get(pos, 0.0) + score
+    denom = float(len(rows))
+    return ScoreVector.from_pairs((pos, s / denom) for pos, s in agg.items())

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from kvsim.core import BudgetConfig, CacheEntry, Origin, append_decoding_entry, new_pool
+from kvsim.core import BudgetConfig, append_decoding_entry, new_pool
 from kvsim.decoding import DecodingPolicy, PolicyKind, PolicyRunner
 from kvsim.selection import AttentionRow
 
@@ -32,9 +32,11 @@ def test_every_wrapped_name_resolves():
 def test_policy_step_decision_has_traced_fields():
     budget = BudgetConfig(beta1=1, beta2=1, max_decode_steps=8)
     runner = PolicyRunner(DecodingPolicy(PolicyKind.SCOPE_SLIDE, budget), prompt_len=2)
-    pool = new_pool([CacheEntry(p, Origin.PREFILL) for p in range(2)])
+    pool = new_pool(range(2))
     for p in (2, 3, 4):
-        pool = append_decoding_entry(pool, CacheEntry(p, Origin.DECODING))
+        pool = append_decoding_entry(pool, p)
+        # the tracer's core.append extra: entries on the new decoding side
+        assert len(pool.decoding_entries) == pool.decoding_size == p - 1
     positions = pool.all_positions()
     row = AttentionRow(positions, np.full(len(positions), 1.0 / len(positions)))
     _, decision = runner.step(pool, row, 3)

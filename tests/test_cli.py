@@ -2,6 +2,7 @@
 
 import pytest
 
+from kvsim import cli
 from kvsim.cli import main, run_experiment
 from kvsim.config import ConfigError, load_config, parse_config_text
 from kvsim.decoding import PolicyKind
@@ -48,6 +49,19 @@ def write_config(tmp_path, text, name="exp.cfg"):
     return path
 
 
+def export_trace(tmp_path):
+    """Record the smoke model at M=12, T=8 as a trace file; return its path."""
+    cfg_text = (
+        SMOKE_CONFIG.replace("M = 24", "M = 12")
+        .replace("T = 16", "T = 8")
+        .replace("metrics.checkpoints = 4, 16", "metrics.checkpoints = 4, 8")
+    )
+    export_cfg = write_config(tmp_path, cfg_text, "export.cfg")
+    trace_path = tmp_path / "run.trace"
+    assert main(["trace", "export", str(export_cfg), str(trace_path)]) == 0
+    return trace_path
+
+
 class TestConfigParsing:
     def test_unknown_key_is_named(self):
         with pytest.raises(ConfigError, match="unknown config key 'decoding.gamma'"):
@@ -75,6 +89,19 @@ class TestConfigParsing:
     def test_checkpoint_beyond_horizon_rejected(self):
         cfg = parse_config_text("M = 8\nT = 8\nmetrics.checkpoints = 9")
         with pytest.raises(ConfigError, match="checkpoint"):
+            cfg.validate()
+
+    def test_closed_loop_checkpoints_past_dense_guard_rejected(self):
+        cfg = parse_config_text("M = 96\nT = 4096\nmetrics.checkpoints = 1, 4000")
+        with pytest.raises(ConfigError, match="metrics.checkpoints"):
+            cfg.validate()
+        # replay reads checkpoint rows from its trace, so no dense guard applies
+        cfg.mode, cfg.trace_synthetic = "trace_replay", True
+        cfg.validate()
+
+    def test_negative_recency_bias_rejected(self):
+        cfg = parse_config_text("M = 8\nT = 8\nrecency_bias = -0.1")
+        with pytest.raises(ConfigError, match="recency_bias"):
             cfg.validate()
 
     def test_full_smoke_config(self):
@@ -163,14 +190,7 @@ class TestCLI:
         assert main(["run", str(tmp_path / "absent.cfg")]) == 1
 
     def test_trace_export_and_import_check(self, tmp_path, capsys):
-        cfg_text = (
-            SMOKE_CONFIG.replace("M = 24", "M = 12")
-            .replace("T = 16", "T = 8")
-            .replace("metrics.checkpoints = 4, 16", "metrics.checkpoints = 4, 8")
-        )
-        path = write_config(tmp_path, cfg_text)
-        out = tmp_path / "run.trace"
-        assert main(["trace", "export", str(path), str(out)]) == 0
+        out = export_trace(tmp_path)
         assert main(["trace", "import-check", str(out)]) == 0
         assert "ok: M=12 T=8" in capsys.readouterr().out
 
@@ -181,14 +201,7 @@ class TestCLI:
         assert "trace error" in capsys.readouterr().err
 
     def test_replay_with_exported_trace_file(self, tmp_path):
-        cfg_text = (
-            SMOKE_CONFIG.replace("M = 24", "M = 12")
-            .replace("T = 16", "T = 8")
-            .replace("metrics.checkpoints = 4, 16", "metrics.checkpoints = 4, 8")
-        )
-        export_cfg = write_config(tmp_path, cfg_text, "export.cfg")
-        trace_path = tmp_path / "run.trace"
-        assert main(["trace", "export", str(export_cfg), str(trace_path)]) == 0
+        trace_path = export_trace(tmp_path)
         replay_text = (
             "mode = trace_replay\n"
             f"trace = {trace_path}\n"
@@ -200,6 +213,25 @@ class TestCLI:
         )
         replay_cfg = write_config(tmp_path, replay_text, "replay.cfg")
         assert main(["run", str(replay_cfg)]) == 0
+
+    def test_sweep_reads_trace_file_once(self, tmp_path, monkeypatch):
+        trace_path = export_trace(tmp_path)
+        replay_text = (
+            "mode = trace_replay\n"
+            f"trace = {trace_path}\n"
+            "M = 12\nT = 8\npolicies = scope_slide, h2o\n"
+            "prefill.alpha1 = 4\nprefill.alpha2 = 2\ndecoding.beta2 = 2\n"
+            "metrics.checkpoints = 8\ntimestamp = false\n"
+            f"output_dir = {tmp_path / 'sweep_out'}\n"
+        )
+        replay_cfg = write_config(tmp_path, replay_text, "replay.cfg")
+        loads = []
+        read_trace = cli.read_trace
+        monkeypatch.setattr(cli, "read_trace", lambda path: loads.append(path) or read_trace(path))
+        assert main(["sweep", str(replay_cfg), "--axis", "beta1=1,2,3"]) == 0
+        assert len(loads) == 1
+        lines = (tmp_path / "sweep_out" / "report.csv").read_text().splitlines()
+        assert len(lines) == 1 + 3 * 2
 
     def test_sweep_rows_per_axis_value(self, tmp_path):
         cfg_text = REPLAY_CONFIG.replace(
@@ -231,14 +263,7 @@ class TestCLI:
         assert "values must be integers" in capsys.readouterr().err
 
     def test_run_with_mismatched_trace_shape_exit_two(self, tmp_path, capsys):
-        cfg_text = (
-            SMOKE_CONFIG.replace("M = 24", "M = 12")
-            .replace("T = 16", "T = 8")
-            .replace("metrics.checkpoints = 4, 16", "metrics.checkpoints = 4, 8")
-        )
-        export_cfg = write_config(tmp_path, cfg_text, "export.cfg")
-        trace_path = tmp_path / "run.trace"
-        assert main(["trace", "export", str(export_cfg), str(trace_path)]) == 0
+        trace_path = export_trace(tmp_path)
         replay_text = (
             "mode = trace_replay\n"
             f"trace = {trace_path}\n"
@@ -258,6 +283,21 @@ class TestCLI:
         path = write_config(tmp_path, REPLAY_CONFIG + f"output_dir = {tmp_path / 'out'}\n")
         assert main(["run", str(path)]) == 3
         assert "invariant violation" in capsys.readouterr().err
+
+    def test_negative_recency_bias_exit_one(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        path = write_config(tmp_path, SMOKE_CONFIG + f"recency_bias = -0.1\noutput_dir = {out_dir}\n")
+        assert main(["run", str(path)]) == 1
+        assert "recency_bias" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_sweep_value_past_dense_guard_exit_one(self, tmp_path, capsys):
+        # checkpoint columns would otherwise come out blank for T = 4080
+        out_dir = tmp_path / "out"
+        path = write_config(tmp_path, SMOKE_CONFIG + f"output_dir = {out_dir}\n")
+        assert main(["sweep", str(path), "--axis", "t=16,4080"]) == 1
+        assert "metrics.checkpoints" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "beta1, beta2, exit_code",

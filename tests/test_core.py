@@ -1,26 +1,18 @@
 """Pool bookkeeping: construction, append, eviction, and the structural
 invariants that must survive any operation sequence."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kvsim.core import (
     BudgetConfig,
-    CacheEntry,
-    Origin,
+    CachePool,
     append_decoding_entry,
     evict_decoding,
     new_pool,
 )
-
-
-def prefill_entries(positions):
-    return [CacheEntry(p, Origin.PREFILL) for p in positions]
-
-
-def decoding_entry(position):
-    return CacheEntry(position, Origin.DECODING)
 
 
 class TestNewPool:
@@ -29,64 +21,59 @@ class TestNewPool:
         assert (pool.prefill_size, pool.decoding_size) == (0, 0)
 
     def test_identity(self):
-        pool = new_pool(prefill_entries([0, 1, 7]))
+        pool = new_pool([0, 1, 7])
         assert (pool.prefill_size, pool.decoding_size) == (3, 0)
-        assert [e.position for e in pool.prefill_entries] == [0, 1, 7]
+        assert pool.prefill_entries.tolist() == [0, 1, 7]
 
     def test_unsorted_rejected(self):
         with pytest.raises(ValueError, match="ascending"):
-            new_pool(prefill_entries([3, 1, 2]))
+            new_pool([3, 1, 2])
 
     def test_duplicate_rejected(self):
         with pytest.raises(ValueError, match="ascending"):
-            new_pool(prefill_entries([1, 1, 2]))
+            new_pool([1, 1, 2])
 
-    def test_decoding_origin_rejected(self):
-        with pytest.raises(ValueError, match="origin"):
-            new_pool([decoding_entry(0)])
+    def test_overlapping_sections_rejected(self):
+        with pytest.raises(ValueError, match="both pool sections"):
+            CachePool(np.array([0, 1]), np.array([1, 2])).validate()
 
 
 class TestAppend:
     def test_first_decode_token(self):
-        pool = new_pool(prefill_entries(range(5)))
-        pool = append_decoding_entry(pool, decoding_entry(5))
+        pool = new_pool(range(5))
+        pool = append_decoding_entry(pool, 5)
         assert (pool.prefill_size, pool.decoding_size) == (5, 1)
 
     def test_position_regression_rejected(self):
-        pool = new_pool(prefill_entries(range(5)))
+        pool = new_pool(range(5))
         for p in (5, 6, 7):
-            pool = append_decoding_entry(pool, decoding_entry(p))
+            pool = append_decoding_entry(pool, p)
         with pytest.raises(ValueError, match="extend"):
-            append_decoding_entry(pool, decoding_entry(4))
-
-    def test_prefill_origin_rejected(self):
-        pool = new_pool(prefill_entries(range(5)))
-        with pytest.raises(ValueError, match="decoding origin"):
-            append_decoding_entry(pool, CacheEntry(5, Origin.PREFILL))
+            append_decoding_entry(pool, 4)
 
     def test_matches_naive_list_append(self):
         # oracle: maintain the decoding side as a plain python list
-        pool = new_pool(prefill_entries(range(5)))
+        pool = new_pool(range(5))
         naive = []
         for p in (5, 6, 7, 8):
-            pool = append_decoding_entry(pool, decoding_entry(p))
+            pool = append_decoding_entry(pool, p)
             naive.append(p)
         assert (pool.prefill_size, pool.decoding_size) == (5, 4)
-        assert [e.position for e in pool.decoding_entries] == naive
+        assert pool.decoding_entries.tolist() == naive
 
 
 class TestEvict:
     def build(self, decode_positions=(10, 11, 12, 13)):
-        pool = new_pool(prefill_entries(range(10)))
+        pool = new_pool(range(10))
         for p in decode_positions:
-            pool = append_decoding_entry(pool, decoding_entry(p))
+            pool = append_decoding_entry(pool, p)
         return pool
 
     def test_keep_all_is_identity(self):
         pool = self.build()
         kept = evict_decoding(pool, {10, 11, 12, 13})
-        assert [e.position for e in kept.decoding_entries] == [10, 11, 12, 13]
-        assert kept.prefill_entries == pool.prefill_entries
+        assert kept.decoding_entries.tolist() == [10, 11, 12, 13]
+        assert kept.prefill_entries is pool.prefill_entries
 
     def test_keep_empty(self):
         kept = evict_decoding(self.build(), set())
@@ -99,7 +86,7 @@ class TestEvict:
         keep = {10, 13}
         expected = [p for p in (10, 11, 12, 13) if p in keep]
         kept = evict_decoding(pool, keep)
-        assert [e.position for e in kept.decoding_entries] == expected
+        assert kept.decoding_entries.tolist() == expected
 
     def test_prefill_position_rejected(self):
         with pytest.raises(ValueError, match="phase separation"):
@@ -134,19 +121,20 @@ class TestBudgetConfig:
 def test_random_operation_sequences_preserve_invariants(m, plan):
     """Disjointness, ordering, and prompt-side constancy hold after any
     append/evict interleaving."""
-    pool = new_pool(prefill_entries(range(m)))
+    pool = new_pool(range(m))
     initial_prefill = pool.prefill_entries
     initial_fp = pool.prefill_fingerprint()
     next_pos = m
     for do_append, salt in plan:
         if do_append or pool.decoding_size == 0:
-            pool = append_decoding_entry(pool, decoding_entry(next_pos))
+            pool = append_decoding_entry(pool, next_pos)
             next_pos += 1
         else:
-            positions = [e.position for e in pool.decoding_entries]
+            positions = pool.decoding_entries.tolist()
             keep = {p for p in positions if (p * 2654435761 + salt) % 3 != 0}
             pool = evict_decoding(pool, keep)
         pool.validate()
+        assert pool.prefill_entries.dtype == pool.decoding_entries.dtype == np.int64
         assert pool.prefill_entries is initial_prefill
         assert pool.prefill_fingerprint() == initial_fp
 
@@ -159,8 +147,8 @@ def test_evict_preserves_survivor_order(keep_mask):
     pool = new_pool([])
     positions = list(range(len(keep_mask)))
     for p in positions:
-        pool = append_decoding_entry(pool, decoding_entry(p))
+        pool = append_decoding_entry(pool, p)
     keep = {p for p, k in zip(positions, keep_mask) if k}
     kept = evict_decoding(pool, keep)
-    survivors = [e.position for e in kept.decoding_entries]
+    survivors = kept.decoding_entries.tolist()
     assert survivors == sorted(keep)

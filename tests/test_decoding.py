@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kvsim.core import BudgetConfig, CacheEntry, Origin, append_decoding_entry, new_pool
+from kvsim.core import BudgetConfig, append_decoding_entry, new_pool
 from kvsim.decoding import (
     DecodingPolicy,
     PolicyKind,
@@ -96,9 +96,9 @@ class TestScopeTarget:
 
 
 def pool_with_decoding(m, decode_positions):
-    pool = new_pool([CacheEntry(i, Origin.PREFILL) for i in range(m)])
+    pool = new_pool(range(m))
     for p in decode_positions:
-        pool = append_decoding_entry(pool, CacheEntry(p, Origin.DECODING))
+        pool = append_decoding_entry(pool, p)
     return pool
 
 
@@ -126,7 +126,7 @@ class TestSlideStep:
         out, decision = runner.step(pool, row, 5)
         assert decision.ran_selection
         assert decision.evicted_count == 1
-        assert [e.position for e in out.decoding_entries] == [10, 12, 13, 14]
+        assert out.decoding_entries.tolist() == [10, 12, 13, 14]
         assert out.prefill_size == 10
 
     def test_budget_exceeding_horizon_matches_prefill_only(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kvsim.core import BudgetConfig, CacheEntry, Origin
+from kvsim.core import BudgetConfig
 from kvsim.decoding import DecodingPolicy, PolicyKind
 from kvsim.engine import (
     ModelWeights,
@@ -19,26 +19,21 @@ from kvsim.prefill import PrefillPolicy, PrefillPolicyKind
 from kvsim.traceio import TraceError, synthetic_trace
 
 
-def entries_with_keys(keys, start=0):
-    return [
-        CacheEntry(start + i, Origin.PREFILL, key=np.asarray(k, dtype=np.float64), value=np.zeros(len(k)))
-        for i, k in enumerate(keys)
-    ]
-
-
-def single_head_row(query, retained, bias=0.0):
-    """Attention row of one single-head query, the engine's selection view."""
-    return _attend(np.asarray(query, dtype=np.float64), retained, 1, bias)[0]
+def single_head_row(query, keys, bias=0.0):
+    """Attention row of one single-head query over keys at positions
+    0..n-1, the engine's selection view."""
+    keys = np.asarray(keys, dtype=np.float64)
+    pos = np.arange(len(keys), dtype=np.int64)
+    return _attend(np.asarray(query, dtype=np.float64), keys, np.zeros_like(keys), pos, 1, bias)[0]
 
 
 class TestToyAttention:
     def test_singleton_gets_everything(self):
-        row = single_head_row(np.ones(4), entries_with_keys([np.ones(4)]))
+        row = single_head_row(np.ones(4), [np.ones(4)])
         assert row.scores.tolist() == [1.0]
 
     def test_identical_keys_uniform(self):
-        retained = entries_with_keys([np.ones(4)] * 5)
-        row = single_head_row(np.ones(4), retained, bias=0.0)
+        row = single_head_row(np.ones(4), [np.ones(4)] * 5, bias=0.0)
         assert np.allclose(row.scores, 0.2)
 
     def test_matches_extended_precision_reference(self):
@@ -46,8 +41,7 @@ class TestToyAttention:
         d, n = 8, 5
         keys = rng.normal(size=(n, d))
         q = rng.normal(size=d)
-        retained = entries_with_keys(keys)
-        row = single_head_row(q, retained, bias=0.1)
+        row = single_head_row(q, keys, bias=0.1)
         # independent reference in 80-bit long double
         logits = (keys.astype(np.longdouble) @ q.astype(np.longdouble)) / np.sqrt(np.longdouble(d))
         logits += np.longdouble(0.1) * (np.arange(n, dtype=np.longdouble) - (n - 1))
@@ -60,8 +54,7 @@ class TestToyAttention:
     def test_rows_normalize(self, seed, bias):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 12))
-        retained = entries_with_keys(rng.normal(size=(n, 6)))
-        row = single_head_row(rng.normal(size=6), retained, bias)
+        row = single_head_row(rng.normal(size=6), rng.normal(size=(n, 6)), bias)
         assert abs(float(row.scores.sum()) - 1.0) < 1e-9
         assert np.all(row.scores >= 0)
 
@@ -86,7 +79,7 @@ class TestRunPrefill:
         a = run_prefill(model, 24, policy)
         b = run_prefill(model, 24, policy)
         for pa, pb in zip(a.pools, b.pools):
-            assert [e.position for e in pa.prefill_entries] == [e.position for e in pb.prefill_entries]
+            assert pa.prefill_entries.tolist() == pb.prefill_entries.tolist()
         assert np.array_equal(a.next_input, b.next_input)
 
     def test_trace_prompt_length_mismatch_rejected(self):

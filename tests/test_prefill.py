@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kvsim.core import CacheEntry, Origin
 from kvsim.prefill import (
     PrefillPolicy,
     PrefillPolicyKind,
@@ -21,12 +20,8 @@ from kvsim.prefill import (
 from kvsim.selection import ScoreVector
 
 
-def prompt_kv(m):
-    return [CacheEntry(i, Origin.PREFILL) for i in range(m)]
-
-
 def positions(pool):
-    return [e.position for e in pool.prefill_entries]
+    return pool.prefill_entries.tolist()
 
 
 class TestTopKLocal:
@@ -40,26 +35,26 @@ class TestTopKLocal:
             )
         )
         assert best_two == {0, 2}
-        pool = compress_prefill_topk(ScoreVector.from_dense(scores), prompt_kv(6), alpha1=2, alpha2=2)
+        pool = compress_prefill_topk(ScoreVector.from_dense(scores), 6, alpha1=2, alpha2=2)
         assert positions(pool) == sorted(best_two | {4, 5})
 
     def test_budget_covers_prompt_keeps_everything(self):
-        pool = compress_prefill_topk(ScoreVector.from_dense(np.ones(5)), prompt_kv(5), 3, 2)
+        pool = compress_prefill_topk(ScoreVector.from_dense(np.ones(5)), 5, 3, 2)
         assert positions(pool) == [0, 1, 2, 3, 4]
 
     def test_production_scale_budget(self):
         m, alpha1, alpha2 = 4096, 2040, 8
         scores = ScoreVector.from_dense(np.random.default_rng(0).random(m))
-        pool = compress_prefill_topk(scores, prompt_kv(m), alpha1, alpha2)
+        pool = compress_prefill_topk(scores, m, alpha1, alpha2)
         assert pool.prefill_size == 2048
 
     def test_local_window_exceeding_prompt_rejected(self):
         with pytest.raises(ValueError, match="alpha2"):
-            compress_prefill_topk(ScoreVector.from_dense(np.ones(4)), prompt_kv(4), 1, 5)
+            compress_prefill_topk(ScoreVector.from_dense(np.ones(4)), 4, 1, 5)
 
     def test_zero_budget_rejected(self):
         with pytest.raises(ValueError, match="at least 1"):
-            compress_prefill_topk(ScoreVector.from_dense(np.ones(4)), prompt_kv(4), 0, 0)
+            compress_prefill_topk(ScoreVector.from_dense(np.ones(4)), 4, 0, 0)
 
     @given(
         m=st.integers(4, 40),
@@ -72,7 +67,7 @@ class TestTopKLocal:
         if alpha2 > m:
             alpha2 = m
         scores = ScoreVector.from_dense(np.random.default_rng(seed).random(m))
-        pool = compress_prefill_topk(scores, prompt_kv(m), alpha1, alpha2)
+        pool = compress_prefill_topk(scores, m, alpha1, alpha2)
         kept = set(positions(pool))
         assert set(range(m - alpha2, m)) <= kept
         assert pool.prefill_size == min(alpha1 + alpha2, m)
@@ -80,26 +75,26 @@ class TestTopKLocal:
 
 class TestStreaming:
     def test_split_example(self):
-        pool = compress_prefill_streaming(prompt_kv(10), 4)
+        pool = compress_prefill_streaming(10, 4)
         assert positions(pool) == [0, 1, 8, 9]
 
     def test_budget_covering_prompt(self):
-        pool = compress_prefill_streaming(prompt_kv(6), 10)
+        pool = compress_prefill_streaming(6, 10)
         assert positions(pool) == list(range(6))
 
     def test_production_scale_blocks(self):
-        pool = compress_prefill_streaming(prompt_kv(5000), 2560)
+        pool = compress_prefill_streaming(5000, 2560)
         kept = positions(pool)
         assert kept[:1280] == list(range(1280))
         assert kept[1280:] == list(range(3720, 5000))
 
     def test_odd_budget_ceil_head(self):
-        pool = compress_prefill_streaming(prompt_kv(10), 5)
+        pool = compress_prefill_streaming(10, 5)
         assert positions(pool) == [0, 1, 2, 8, 9]
 
     def test_tiny_budget_rejected(self):
         with pytest.raises(ValueError, match="total_budget"):
-            compress_prefill_streaming(prompt_kv(10), 1)
+            compress_prefill_streaming(10, 1)
 
 
 class TestWindow:
@@ -111,18 +106,18 @@ class TestWindow:
         dense = rng.random((3, 12))
         rows = self.rows(dense)
         agg = dense.mean(axis=0)
-        via_window = compress_prefill_window(rows, prompt_kv(12), 4, 2, pooling_width=1)
-        via_topk = compress_prefill_topk(ScoreVector.from_dense(agg), prompt_kv(12), 4, 2)
+        via_window = compress_prefill_window(rows, 12, 4, 2, pooling_width=1)
+        via_topk = compress_prefill_topk(ScoreVector.from_dense(agg), 12, 4, 2)
         assert positions(via_window) == positions(via_topk)
 
     def test_uniform_scores_tie_break_to_earliest(self):
         rows = self.rows(np.ones((2, 10)))
-        pool = compress_prefill_window(rows, prompt_kv(10), 3, 2, pooling_width=3)
+        pool = compress_prefill_window(rows, 10, 3, 2, pooling_width=3)
         assert positions(pool) == [0, 1, 2, 8, 9]
 
     def test_even_pooling_width_rejected(self):
         with pytest.raises(ValueError, match="odd"):
-            compress_prefill_window(self.rows(np.ones((1, 8))), prompt_kv(8), 2, 2, pooling_width=4)
+            compress_prefill_window(self.rows(np.ones((1, 8))), 8, 2, 2, pooling_width=4)
 
     def test_matches_naive_reimplementation(self):
         # brute-force oracle: sum/count smoothing and selection by full sort
@@ -137,7 +132,7 @@ class TestWindow:
             smoothed.append(sum(agg[lo:hi]) / (hi - lo))
         ranked = sorted(range(m - alpha2), key=lambda p: (-smoothed[p], p))
         expected = sorted(set(ranked[:alpha1]) | set(range(m - alpha2, m)))
-        pool = compress_prefill_window(self.rows(dense), prompt_kv(m), alpha1, alpha2, width)
+        pool = compress_prefill_window(self.rows(dense), m, alpha1, alpha2, width)
         assert positions(pool) == expected
 
     @given(seed=st.integers(0, 2**32 - 1), width=st.sampled_from([1, 3, 5, 7]))
@@ -187,14 +182,14 @@ class TestLayerAllocation:
 class TestDispatch:
     def test_full_cache_is_identity(self):
         policy = PrefillPolicy(kind=PrefillPolicyKind.FULL)
-        pool = apply_prefill_policy(policy, prompt_kv(9), ScoreVector.from_dense(np.ones(9)))
+        pool = apply_prefill_policy(policy, 9, ScoreVector.from_dense(np.ones(9)))
         assert positions(pool) == list(range(9))
 
     def test_pyramid_layer_override_shrinks_budget(self):
         policy = PrefillPolicy(kind=PrefillPolicyKind.PYRAMID, alpha1=6, alpha2=2)
         rows = [ScoreVector.from_dense(np.random.default_rng(1).random(20))]
         pool = apply_prefill_policy(
-            policy, prompt_kv(20), rows[0], att_rows=rows, layer_budget_override=5
+            policy, 20, rows[0], att_rows=rows, layer_budget_override=5
         )
         assert pool.prefill_size == 5
         assert {18, 19} <= set(positions(pool))

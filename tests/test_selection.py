@@ -139,7 +139,7 @@ class TestObservationWindow:
             ScoreVector.from_pairs([(0, 1.0), (1, 0.0)]),
             ScoreVector.from_pairs([(0, 0.0), (1, 1.0)]),
         ]
-        out = observation_window_scores(rows, window=2, aggregation="mean")
+        out = observation_window_scores(rows, window=2)
         assert out.to_dict() == {0: 0.5, 1: 0.5}
 
     def test_window_zero_rejected(self):
@@ -155,27 +155,8 @@ class TestObservationWindow:
             ScoreVector.from_pairs([(0, 1.0)]),
             ScoreVector.from_pairs([(0, 1.0), (1, 0.4)]),
         ]
-        out = observation_window_scores(rows, window=2, aggregation="mean")
+        out = observation_window_scores(rows, window=2)
         assert out.to_dict() == {0: 1.0, 1: 0.2}
-
-    def test_max_skips_absent_positions(self):
-        rows = [
-            ScoreVector.from_pairs([(0, 0.9)]),
-            ScoreVector.from_pairs([(1, 0.1)]),
-        ]
-        out = observation_window_scores(rows, window=2, aggregation="max")
-        assert out.to_dict() == {0: 0.9, 1: 0.1}
-
-    @given(seed=st.integers(0, 2**32 - 1), window=st.integers(1, 4))
-    @settings(max_examples=80)
-    def test_max_matches_direct_recomputation(self, seed, window):
-        rng = np.random.default_rng(seed)
-        n_rows, n_pos = 4, 6
-        dense = rng.random((n_rows, n_pos))
-        rows = [ScoreVector.from_dense(dense[i]) for i in range(n_rows)]
-        out = observation_window_scores(rows, window=window, aggregation="max")
-        expected = dense[-window:].max(axis=0)
-        assert np.allclose(out.scores, expected)
 
     @given(seed=st.integers(0, 2**32 - 1), window=st.integers(1, 4))
     @settings(max_examples=80)
@@ -184,7 +165,7 @@ class TestObservationWindow:
         n_rows, n_pos = 4, 6
         dense = rng.random((n_rows, n_pos))
         rows = [ScoreVector.from_dense(dense[i]) for i in range(n_rows)]
-        out = observation_window_scores(rows, window=window, aggregation="mean")
+        out = observation_window_scores(rows, window=window)
         expected = dense[-window:].mean(axis=0)
         assert np.allclose(out.scores, expected)
 
