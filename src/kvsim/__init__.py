@@ -6,7 +6,7 @@ attention model (closed loop) or by recorded traces (replay), with
 brute-force oracles for validation and entry-count efficiency metrics.
 """
 
-from .core import BudgetConfig, CachePool, append_decoding_entry, evict_decoding, new_pool
+from .core import BudgetConfig, CachePool, InvariantError, append_decoding_entry, evict_decoding, new_pool
 from .decoding import (
     DecodingPolicy,
     PolicyKind,
@@ -48,6 +48,7 @@ from .selection import (
     ScoreVector,
     observation_window_scores,
     top_k,
+    top_k_mask,
 )
 from .traceio import Trace, TraceError, read_trace, synthetic_trace, write_trace
 

@@ -9,7 +9,8 @@ Subcommands:
 * ``oracle-check <config>`` — naive-simulator equivalence suite.
 
 Exit codes: 0 success, 1 config error, 2 trace error, 3 invariant violation
-detected during a run.
+(:class:`~kvsim.core.InvariantError`) detected during a run. Any other
+exception propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .config import SWEEP_AXES, ConfigError, ExperimentConfig, load_config
+from .core import InvariantError
 from .engine import RunRecord, ToyModel, decode_loop, run_prefill
 from .metrics import EfficiencyReport, efficiency, heavy_hitter_set, hh_origin_distribution, retained_recall
 from .oracle import check_policy_equivalence, full_cache_reference
@@ -329,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
     except TraceError as exc:
         print(f"trace error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
     return 0

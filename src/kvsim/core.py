@@ -22,6 +22,10 @@ from typing import Iterable
 import numpy as np
 
 
+class InvariantError(ValueError):
+    """A pool, phase-separation or score-state invariant broke in a run."""
+
+
 @dataclass(frozen=True)
 class BudgetConfig:
     """Token budgets for both inference phases.
@@ -82,7 +86,7 @@ class CachePool:
         self.decoding_entries = decoding_entries
 
     def validate(self) -> None:
-        """Raise ValueError if any pool invariant is broken."""
+        """Raise InvariantError if any pool invariant is broken."""
         for label, positions in (
             ("prefill_entries", self.prefill_entries),
             ("decoding_entries", self.decoding_entries),
@@ -90,10 +94,10 @@ class CachePool:
             bad = np.flatnonzero(np.diff(positions) <= 0)
             if len(bad):
                 a, b = positions[bad[0]], positions[bad[0] + 1]
-                raise ValueError(f"{label} positions must be strictly ascending, got {a} before {b}")
+                raise InvariantError(f"{label} positions must be strictly ascending, got {a} before {b}")
         overlap = np.intersect1d(self.prefill_entries, self.decoding_entries)
         if len(overlap):
-            raise ValueError(f"position(s) {overlap.tolist()} present in both pool sections")
+            raise InvariantError(f"position(s) {overlap.tolist()} present in both pool sections")
 
     @property
     def prefill_size(self) -> int:
@@ -118,8 +122,8 @@ class CachePool:
 
 def new_pool(retained_prefill: Iterable[int]) -> CachePool:
     """Build a pool from the prompt positions kept by prefill compression;
-    the decoding side starts empty. Raises ValueError unless the positions
-    are strictly ascending."""
+    the decoding side starts empty. Raises InvariantError unless the
+    positions are strictly ascending."""
     pool = CachePool(np.array(retained_prefill, dtype=np.int64))
     pool.validate()
     return pool
@@ -129,22 +133,28 @@ def append_decoding_entry(pool: CachePool, position: int) -> CachePool:
     """Add one newly generated position to the end of the decoding side."""
     tail = pool.decoding_entries if len(pool.decoding_entries) else pool.prefill_entries
     if len(tail) and position <= tail[-1]:
-        raise ValueError(f"position {position} does not extend the pool (max is {tail[-1]})")
+        raise InvariantError(f"position {position} does not extend the pool (max is {tail[-1]})")
     return CachePool(pool.prefill_entries, np.append(pool.decoding_entries, position))
 
 
-def evict_decoding(pool: CachePool, keep_positions: Iterable[int]) -> CachePool:
-    """Filter the decoding side down to ``keep_positions``; the prompt side
-    is passed through untouched. Asking to keep a prompt position is a
-    phase-separation violation and raises."""
-    keep = np.unique(np.fromiter(keep_positions, dtype=np.int64))
-    stray = np.setdiff1d(keep, pool.decoding_entries, assume_unique=True)
+def evict_decoding(pool: CachePool, keep_positions) -> CachePool:
+    """Filter the decoding side down to ``keep_positions`` (strictly
+    ascending); the prompt side is passed through untouched. Asking to keep
+    a prompt position is a phase-separation violation and raises."""
+    keep = np.asarray(keep_positions, dtype=np.int64)
+    decoding = pool.decoding_entries
+    at = np.searchsorted(decoding, keep)
+    found = at < len(decoding)
+    found[found] = decoding[at[found]] == keep[found]
+    stray = keep[~found]
     if len(stray):
         in_prefill = np.intersect1d(stray, pool.prefill_entries)
         if len(in_prefill):
-            raise ValueError(
+            raise InvariantError(
                 f"keep set references prefill position(s) {in_prefill.tolist()}: "
                 "phase separation violated"
             )
-        raise ValueError(f"keep set references unknown position(s) {stray.tolist()}")
+        raise InvariantError(f"keep set references unknown position(s) {stray.tolist()}")
+    if np.any(np.diff(at) <= 0):
+        raise InvariantError("keep positions must be strictly ascending")
     return CachePool(pool.prefill_entries, keep)

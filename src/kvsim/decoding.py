@@ -26,7 +26,8 @@ from .selection import (
     ScoreAccumulator,
     ScoreVector,
     observation_window_scores,
-    top_k,
+    top_k,  # unused here, but perfbench/tracer.py wraps decoding.top_k by name
+    top_k_mask,
 )
 
 
@@ -146,9 +147,9 @@ class PolicyRunner:
     def __init__(self, policy: DecodingPolicy, prompt_len: int) -> None:
         self.policy = policy
         self.prompt_len = prompt_len
-        self._acc = ScoreAccumulator()
-        self._recent_rows: deque[ScoreVector] = deque(maxlen=policy.observation_window)
         b = policy.budget
+        self._acc = ScoreAccumulator(prompt_len + b.max_decode_steps)
+        self._recent_rows: deque[ScoreVector] = deque(maxlen=policy.observation_window)
         if policy.kind is PolicyKind.PYRAMID_INFER and policy.layer_budget is not None:
             total = policy.layer_budget
         else:
@@ -192,22 +193,23 @@ class PolicyRunner:
         else:
             self._recent_rows.append(row)
 
-    def _selector_scores(self, candidates: list[int]) -> ScoreVector:
+    def _selector_scores(self, candidates: np.ndarray) -> np.ndarray:
         if self.policy.selector is SelectorKind.CUMULATIVE:
-            return self._acc.scores_for(candidates)
+            return self._acc.scores_for(candidates).scores
         window = observation_window_scores(list(self._recent_rows), self.policy.observation_window)
-        lookup = window.to_dict()
-        return ScoreVector(
-            candidates, [lookup.get(p, 0.0) for p in candidates], validate=False
-        )
+        return window[candidates]
 
-    def _keep_set(self, positions: list[int], history_k: int, local: int) -> set[int]:
-        """The last ``local`` positions plus the ``history_k`` best-scored
-        of the rest."""
+    def _keep_mask(self, positions: np.ndarray, history_k: int, local: int) -> np.ndarray:
+        """Keep the last ``local`` positions plus the ``history_k``
+        best-scored of the rest."""
         split = len(positions) - local
-        keep = top_k(self._selector_scores(positions[:split]), history_k)
-        keep.update(positions[split:])
+        keep = np.ones(len(positions), dtype=bool)
+        keep[:split] = top_k_mask(self._selector_scores(positions[:split]), history_k)
         return keep
+
+    def _drop(self, positions: np.ndarray, keep: np.ndarray) -> None:
+        if self.policy.selector is SelectorKind.CUMULATIVE:
+            self._acc.drop(positions[~keep])
 
     # ------------------------------------------------------------------
     # phase-separated strategies
@@ -217,42 +219,34 @@ class PolicyRunner:
         target = scope_target(self.policy.kind, t, b)
         if target is None or pool.decoding_size <= target:
             return pool, _APPEND_ONLY
-        dec = pool.decoding_entries.tolist()
-        keep = self._keep_set(dec, target - b.beta2, b.beta2)
-        evicted = [p for p in dec if p not in keep]
-        new_pool = evict_decoding(pool, keep)
-        if self.policy.selector is SelectorKind.CUMULATIVE:
-            self._acc.drop(evicted)
-        return new_pool, StepDecision(True, len(evicted))
+        dec = pool.decoding_entries
+        keep = self._keep_mask(dec, target - b.beta2, b.beta2)
+        new_pool = evict_decoding(pool, dec[keep])
+        self._drop(dec, keep)
+        return new_pool, StepDecision(True, pool.decoding_size - new_pool.decoding_size)
 
     # ------------------------------------------------------------------
     # unified baselines (may evict prompt-side entries)
 
-    def _filter_unified(self, pool: CachePool, keep: set[int]) -> tuple[CachePool, int]:
-        kept = np.fromiter(keep, dtype=np.int64, count=len(keep))
-        prefill_mask = np.isin(pool.prefill_entries, kept)
-        decoding_mask = np.isin(pool.decoding_entries, kept)
-        new_pool = CachePool(pool.prefill_entries[prefill_mask], pool.decoding_entries[decoding_mask])
-        if self.policy.selector is SelectorKind.CUMULATIVE:
-            evicted = (pool.prefill_entries[~prefill_mask], pool.decoding_entries[~decoding_mask])
-            self._acc.drop(np.concatenate(evicted).tolist())
-        return new_pool, pool.total_size - len(keep)
+    def _filter_unified(self, pool: CachePool, keep: np.ndarray) -> tuple[CachePool, StepDecision]:
+        # keep is a mask over pool.all_positions(): prompt side, then decoding side
+        split = pool.prefill_size
+        new_pool = CachePool(pool.prefill_entries[keep[:split]], pool.decoding_entries[keep[split:]])
+        return new_pool, StepDecision(True, pool.total_size - new_pool.total_size)
 
     def _step_unified_scored(self, pool: CachePool) -> tuple[CachePool, StepDecision]:
         if pool.total_size <= self._unified_total:
             return pool, _APPEND_ONLY
-        positions = pool.all_positions().tolist()
-        keep = self._keep_set(positions, self._unified_history, self._unified_local)
-        new_pool, evicted = self._filter_unified(pool, keep)
-        return new_pool, StepDecision(True, evicted)
+        positions = pool.all_positions()
+        keep = self._keep_mask(positions, self._unified_history, self._unified_local)
+        self._drop(positions, keep)
+        return self._filter_unified(pool, keep)
 
     def _step_streaming(self, pool: CachePool) -> tuple[CachePool, StepDecision]:
         total = self._unified_total
         if pool.total_size <= total:
             return pool, _APPEND_ONLY
-        positions = pool.all_positions().tolist()
         head = total // 2 + total % 2
         tail = total // 2
-        keep = set(positions[:head]) | set(positions[len(positions) - tail :])
-        new_pool, evicted = self._filter_unified(pool, keep)
-        return new_pool, StepDecision(True, evicted)
+        index = np.arange(pool.total_size)
+        return self._filter_unified(pool, (index < head) | (index >= pool.total_size - tail))

@@ -27,7 +27,7 @@ import numpy as np
 from .core import CachePool, append_decoding_entry, new_pool
 from .decoding import DecodingPolicy, PolicyKind, PolicyRunner, StepDecision
 from .prefill import PrefillPolicy, PrefillPolicyKind, allocate_layer_budgets, apply_prefill_policy
-from .selection import AttentionRow, ScoreVector
+from .selection import AttentionRow, ScoreVector, observation_window_scores
 from .traceio import Trace, TraceError
 
 
@@ -199,10 +199,7 @@ def _run_prefill_closed(model: ToyModel, m: int, policy: PrefillPolicy) -> Prefi
         if policy.score_mode == "sum":
             scores = ScoreVector.from_dense(colsums)
         else:
-            stacked = np.zeros(m)
-            for row in window_rows:
-                stacked[row.positions] += row.scores
-            scores = ScoreVector.from_dense(stacked / len(window_rows))
+            scores = ScoreVector.from_dense(observation_window_scores(window_rows, len(window_rows)))
         pool = apply_prefill_policy(
             policy, m, scores, att_rows=window_rows, layer_budget_override=layer_budgets[layer]
         )
@@ -319,14 +316,18 @@ def decode_loop(
     capture_positions=None,
     capture_rows: bool = False,
 ) -> RunRecord:
-    """Run ``t_steps`` decode steps (default: the budget's horizon) and
-    return the audit record. Closed-loop mode threads hidden states through
-    the layers so eviction feeds back into later outputs; trace replay
-    slices prerecorded rows to the retained positions and renormalizes,
-    driving a single policy lane (trace rows are already layer-aggregated)."""
-    steps = t_steps if t_steps is not None else policy.budget.max_decode_steps
+    """Run ``t_steps`` decode steps (default: the budget's horizon, which
+    is also their upper bound) and return the audit record. Closed-loop
+    mode threads hidden states through the layers so eviction feeds back
+    into later outputs; trace replay slices prerecorded rows to the
+    retained positions and renormalizes, driving a single policy lane
+    (trace rows are already layer-aggregated)."""
+    horizon = policy.budget.max_decode_steps
+    steps = t_steps if t_steps is not None else horizon
     if steps < 1:
         raise ValueError("decode loop needs at least one step")
+    if steps > horizon:
+        raise ValueError(f"t_steps={steps} exceeds the budget's horizon max_decode_steps={horizon}")
     if isinstance(source, Trace):
         return _decode_trace(source, prefill, policy, steps, capture_positions, capture_rows)
     return _decode_closed(source, prefill, policy, steps, capture_positions, capture_rows)

@@ -52,15 +52,11 @@ class PrefillPolicy:
         return self.alpha1 + self.alpha2
 
 
-def _history_plus_local(scores: dict[int, float], m: int, alpha1: int, alpha2: int) -> set[int]:
-    """Top-alpha1 of positions 0..m-alpha2-1 by score, plus the last alpha2
-    positions unconditionally. Unscored candidates count as zero."""
-    local = set(range(m - alpha2, m))
-    candidates = ScoreVector(
-        np.arange(m - alpha2, dtype=np.int64),
-        np.array([scores.get(p, 0.0) for p in range(m - alpha2)], dtype=np.float64),
-    )
-    return top_k(candidates, alpha1) | local
+def _history_plus_local(scores: np.ndarray, m: int, alpha1: int, alpha2: int) -> CachePool:
+    """Top-alpha1 of positions 0..m-alpha2-1 by ``scores`` (dense, indexed
+    by position), plus the last alpha2 positions unconditionally."""
+    history = top_k(ScoreVector.from_dense(scores[: m - alpha2]), alpha1)
+    return new_pool([*sorted(history), *range(m - alpha2, m)])
 
 
 def compress_prefill_topk(
@@ -70,7 +66,8 @@ def compress_prefill_topk(
     alpha2: int,
 ) -> CachePool:
     """Keep the alpha1 highest-scoring positions outside the local window,
-    concatenated with the last alpha2 positions."""
+    concatenated with the last alpha2 positions. ``att_prefill`` scores
+    prompt positions; unscored ones count as zero."""
     if m < 1:
         raise ValueError("prompt must contain at least one token")
     if alpha2 > m:
@@ -79,7 +76,9 @@ def compress_prefill_topk(
         raise ValueError("alpha1 + alpha2 must be at least 1")
     if alpha1 + alpha2 >= m:
         return new_pool(range(m))
-    return new_pool(sorted(_history_plus_local(att_prefill.to_dict(), m, alpha1, alpha2)))
+    dense = np.zeros(m)
+    dense[att_prefill.positions] = att_prefill.scores
+    return _history_plus_local(dense, m, alpha1, alpha2)
 
 
 def compress_prefill_streaming(m: int, total_budget: int) -> CachePool:
@@ -126,11 +125,8 @@ def compress_prefill_window(
     if alpha1 + alpha2 >= m:
         return new_pool(range(m))
     agg = observation_window_scores(att_rows, window=len(att_rows))
-    dense = np.zeros(m, dtype=np.float64)
-    dense[agg.positions] = agg.scores
-    smoothed = smooth_scores(dense, pooling_width)
-    scores = dict(enumerate(smoothed.tolist()))
-    return new_pool(sorted(_history_plus_local(scores, m, alpha1, alpha2)))
+    dense = np.pad(agg, (0, m - len(agg)))  # positions no row covers score zero
+    return _history_plus_local(smooth_scores(dense, pooling_width), m, alpha1, alpha2)
 
 
 def allocate_layer_budgets(total_budget: int, num_layers: int, taper_ratio: float) -> list[int]:

@@ -11,9 +11,11 @@ reproducible.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
+
+from .core import InvariantError
 
 
 class ScoreVector:
@@ -40,11 +42,6 @@ class ScoreVector:
         return len(self.positions)
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, float]]) -> "ScoreVector":
-        ordered = sorted(pairs)
-        return cls([p for p, _ in ordered], [s for _, s in ordered])
-
-    @classmethod
     def from_dense(cls, scores, start: int = 0) -> "ScoreVector":
         scores = np.asarray(scores, dtype=np.float64)
         return cls(np.arange(start, start + len(scores), dtype=np.int64), scores)
@@ -54,66 +51,66 @@ class ScoreVector:
         cut = int(np.searchsorted(self.positions, min_position))
         return ScoreVector(self.positions[cut:], self.scores[cut:], validate=False)
 
-    def to_dict(self) -> dict[int, float]:
-        return dict(zip(self.positions.tolist(), self.scores.tolist()))
-
 
 AttentionRow = ScoreVector
+
+
+def top_k_mask(scores: np.ndarray, k: int) -> np.ndarray:
+    """Boolean mask over ``scores`` (aligned to ascending positions) that
+    marks the ``min(k, len)`` largest, earliest position winning ties.
+    O(n): everything above the k-th largest score is kept, and the slots
+    left over go to the earliest positions that score exactly that."""
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
+    n, k = len(scores), min(k, len(scores))
+    if k == 0:
+        return np.zeros(n, dtype=bool)
+    kth = scores[np.argpartition(scores, n - k)[n - k]]
+    keep = scores > kth
+    tied = np.flatnonzero(scores == kth)
+    keep[tied[: k - np.count_nonzero(keep)]] = True
+    return keep
 
 
 def top_k(scores: ScoreVector, k: int) -> set[int]:
     """Positions of the ``min(k, len)`` largest scores, earliest position
     winning ties."""
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    n = len(scores)
-    if k == 0 or n == 0:
-        return set()
-    if k >= n:
-        return set(scores.positions.tolist())
-    # lexsort: last key is primary -> score descending, then position ascending
-    order = np.lexsort((scores.positions, -scores.scores))
-    return set(scores.positions[order[:k]].tolist())
+    return set(scores.positions[top_k_mask(scores.scores, k)].tolist())
 
 
 class ScoreAccumulator:
-    """Running per-position attention mass over the retained entries.
+    """Running per-position attention mass over the retained entries, in
+    dense arrays indexed by absolute position below ``size``.
 
     Dropping a position discards its accumulated mass for good; scoring an
-    already-dropped position again is an error because rows are only ever
-    computed over retained entries.
+    already-dropped position again is an invariant violation because rows
+    are only ever computed over retained entries.
     """
 
-    def __init__(self) -> None:
-        self._sums: dict[int, float] = {}
-        self._evicted: set[int] = set()
+    def __init__(self, size: int) -> None:
+        self.sums = np.zeros(size)
+        self.evicted = np.zeros(size, dtype=bool)
 
     def add_row(self, row: ScoreVector) -> None:
-        sums = self._sums
-        evicted = self._evicted
-        for pos, score in zip(row.positions.tolist(), row.scores.tolist()):
-            if pos in evicted:
-                raise ValueError(f"row references evicted position {pos}")
-            sums[pos] = sums.get(pos, 0.0) + score
+        stale = self.evicted[row.positions]
+        if stale.any():
+            raise InvariantError(f"row references evicted position {row.positions[stale.argmax()]}")
+        self.sums[row.positions] += row.scores
 
-    def drop(self, positions: Iterable[int]) -> None:
-        for pos in positions:
-            self._sums.pop(pos, None)
-            self._evicted.add(pos)
+    def drop(self, positions) -> None:
+        self.sums[positions] = 0.0
+        self.evicted[positions] = True
 
-    def scores_for(self, positions: Sequence[int]) -> ScoreVector:
+    def scores_for(self, positions) -> ScoreVector:
         """Current sums for the given ascending positions; never-scored
         positions count as zero mass."""
-        sums = self._sums
-        return ScoreVector(
-            np.asarray(positions, dtype=np.int64),
-            np.array([sums.get(p, 0.0) for p in positions], dtype=np.float64),
-            validate=False,
-        )
+        positions = np.asarray(positions, dtype=np.int64)
+        return ScoreVector(positions, self.sums[positions], validate=False)
 
 
-def observation_window_scores(recent_rows: Sequence[ScoreVector], window: int) -> ScoreVector:
-    """Per-position mean over the last ``min(window, available)`` rows.
+def observation_window_scores(recent_rows: Sequence[ScoreVector], window: int) -> np.ndarray:
+    """Per-position mean over the last ``min(window, available)`` rows, as
+    a dense array indexed by position up to the largest one in the window.
 
     A position absent from a row contributes zero to the mean (the divisor
     is the number of rows in the window).
@@ -123,9 +120,7 @@ def observation_window_scores(recent_rows: Sequence[ScoreVector], window: int) -
     if not recent_rows:
         raise ValueError("at least one attention row is required")
     rows = recent_rows[-window:]
-    agg: dict[int, float] = {}
+    total = np.zeros(max((int(row.positions[-1]) + 1 for row in rows if len(row)), default=0))
     for row in rows:
-        for pos, score in zip(row.positions.tolist(), row.scores.tolist()):
-            agg[pos] = agg.get(pos, 0.0) + score
-    denom = float(len(rows))
-    return ScoreVector.from_pairs((pos, s / denom) for pos, s in agg.items())
+        total[row.positions] += row.scores
+    return total / len(rows)

@@ -5,6 +5,7 @@ import pytest
 from kvsim import cli
 from kvsim.cli import main, run_experiment
 from kvsim.config import ConfigError, load_config, parse_config_text
+from kvsim.core import InvariantError
 from kvsim.decoding import PolicyKind
 from kvsim.prefill import PrefillPolicyKind
 
@@ -277,12 +278,22 @@ class TestCLI:
 
     def test_runtime_invariant_violation_exit_three(self, tmp_path, capsys, monkeypatch):
         def broken_decode_loop(*args, **kwargs):
-            raise ValueError("decoding_entries positions must be strictly ascending")
+            raise InvariantError("decoding_entries positions must be strictly ascending")
 
         monkeypatch.setattr("kvsim.cli.decode_loop", broken_decode_loop)
         path = write_config(tmp_path, REPLAY_CONFIG + f"output_dir = {tmp_path / 'out'}\n")
         assert main(["run", str(path)]) == 3
         assert "invariant violation" in capsys.readouterr().err
+
+    def test_other_value_error_is_not_an_invariant_violation(self, tmp_path, capsys, monkeypatch):
+        def broken_decode_loop(*args, **kwargs):
+            raise ValueError("a programming error")
+
+        monkeypatch.setattr("kvsim.cli.decode_loop", broken_decode_loop)
+        path = write_config(tmp_path, REPLAY_CONFIG + f"output_dir = {tmp_path / 'out'}\n")
+        with pytest.raises(ValueError, match="a programming error"):
+            main(["run", str(path)])
+        assert "invariant violation" not in capsys.readouterr().err
 
     def test_negative_recency_bias_exit_one(self, tmp_path, capsys):
         out_dir = tmp_path / "out"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from kvsim.core import (
     BudgetConfig,
     CachePool,
+    InvariantError,
     append_decoding_entry,
     evict_decoding,
     new_pool,
@@ -34,7 +35,7 @@ class TestNewPool:
             new_pool([1, 1, 2])
 
     def test_overlapping_sections_rejected(self):
-        with pytest.raises(ValueError, match="both pool sections"):
+        with pytest.raises(InvariantError, match="both pool sections"):
             CachePool(np.array([0, 1]), np.array([1, 2])).validate()
 
 
@@ -48,7 +49,7 @@ class TestAppend:
         pool = new_pool(range(5))
         for p in (5, 6, 7):
             pool = append_decoding_entry(pool, p)
-        with pytest.raises(ValueError, match="extend"):
+        with pytest.raises(InvariantError, match="extend"):
             append_decoding_entry(pool, 4)
 
     def test_matches_naive_list_append(self):
@@ -71,12 +72,12 @@ class TestEvict:
 
     def test_keep_all_is_identity(self):
         pool = self.build()
-        kept = evict_decoding(pool, {10, 11, 12, 13})
+        kept = evict_decoding(pool, [10, 11, 12, 13])
         assert kept.decoding_entries.tolist() == [10, 11, 12, 13]
         assert kept.prefill_entries is pool.prefill_entries
 
     def test_keep_empty(self):
-        kept = evict_decoding(self.build(), set())
+        kept = evict_decoding(self.build(), [])
         assert kept.decoding_size == 0
         assert kept.prefill_size == 10
 
@@ -85,16 +86,20 @@ class TestEvict:
         pool = self.build()
         keep = {10, 13}
         expected = [p for p in (10, 11, 12, 13) if p in keep]
-        kept = evict_decoding(pool, keep)
+        kept = evict_decoding(pool, sorted(keep))
         assert kept.decoding_entries.tolist() == expected
 
     def test_prefill_position_rejected(self):
-        with pytest.raises(ValueError, match="phase separation"):
-            evict_decoding(self.build(), {3, 10})
+        with pytest.raises(InvariantError, match="phase separation"):
+            evict_decoding(self.build(), [3, 10])
 
     def test_unknown_position_rejected(self):
-        with pytest.raises(ValueError, match="unknown"):
-            evict_decoding(self.build(), {99})
+        with pytest.raises(InvariantError, match="unknown"):
+            evict_decoding(self.build(), [99])
+
+    def test_unordered_keep_rejected(self):
+        with pytest.raises(InvariantError, match="ascending"):
+            evict_decoding(self.build(), [12, 10])
 
 
 class TestBudgetConfig:
@@ -132,7 +137,7 @@ def test_random_operation_sequences_preserve_invariants(m, plan):
         else:
             positions = pool.decoding_entries.tolist()
             keep = {p for p in positions if (p * 2654435761 + salt) % 3 != 0}
-            pool = evict_decoding(pool, keep)
+            pool = evict_decoding(pool, sorted(keep))
         pool.validate()
         assert pool.prefill_entries.dtype == pool.decoding_entries.dtype == np.int64
         assert pool.prefill_entries is initial_prefill
@@ -149,6 +154,6 @@ def test_evict_preserves_survivor_order(keep_mask):
     for p in positions:
         pool = append_decoding_entry(pool, p)
     keep = {p for p, k in zip(positions, keep_mask) if k}
-    kept = evict_decoding(pool, keep)
+    kept = evict_decoding(pool, sorted(keep))
     survivors = kept.decoding_entries.tolist()
     assert survivors == sorted(keep)

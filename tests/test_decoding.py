@@ -122,7 +122,8 @@ class TestSlideStep:
         runner = PolicyRunner(DecodingPolicy(PolicyKind.SCOPE_SLIDE, self.budget()), prompt_len=10)
         pool = pool_with_decoding(10, [10, 11, 12, 13, 14])
         scores = {10: 0.5, 11: 0.1, 12: 0.3, 13: 0.05, 14: 0.05}
-        row = ScoreVector.from_pairs([(p, scores.get(p, 0.01)) for p in pool.all_positions().tolist()])
+        positions = pool.all_positions()
+        row = ScoreVector(positions, [scores.get(p, 0.01) for p in positions.tolist()])
         out, decision = runner.step(pool, row, 5)
         assert decision.ran_selection
         assert decision.evicted_count == 1
@@ -314,6 +315,18 @@ def test_scope_strategies_always_keep_recent_local_window(seed):
             newest = m + t - 1
             expected_tail = set(range(max(m, newest - beta2 + 1), newest + 1))
             assert expected_tail <= decoding
+
+
+def test_run_past_horizon_rejected():
+    # without the check, scope_adaptive's target kept growing past
+    # beta1 + beta2 and this run ended with 21 decoding entries against 6
+    trace = synthetic_trace(8, 40, seed=0)
+    prefill = prefill_result_from_positions(trace, range(8))
+    budget = BudgetConfig(beta1=4, beta2=2, max_decode_steps=10)
+    policy = DecodingPolicy(PolicyKind.SCOPE_ADAPTIVE, budget)
+    with pytest.raises(ValueError, match="t_steps=40 exceeds .* max_decode_steps=10"):
+        decode_loop(trace, prefill, policy, 40)
+    assert decode_loop(trace, prefill, policy, 10).final_pools[0].decoding_size <= 6
 
 
 def test_observation_window_selector_also_supported():

@@ -12,7 +12,7 @@ from kvsim.metrics import efficiency, heavy_hitter_set
 from kvsim.oracle import check_policy_equivalence, full_cache_reference, naive_policy_simulator
 from kvsim.prefill import PrefillPolicy, PrefillPolicyKind
 from kvsim.selection import AttentionRow
-from kvsim.traceio import synthetic_trace
+from kvsim.traceio import Trace, synthetic_trace
 
 
 class TestFullCacheReference:
@@ -120,3 +120,41 @@ class TestNaiveSimulator:
         for seed in range(5):
             trace = synthetic_trace(10, 20, seed=seed)
             assert check_policy_equivalence(policy, trace, range(10), 20) is None
+
+
+def coarse_trace(m, t_steps, rng):
+    """Scores on a {0, 1, 2} grid, so that equal scores, and with them ties
+    at the top-k boundary, are common."""
+    return Trace(
+        M=m,
+        T=t_steps,
+        prefill_scores=rng.integers(0, 3, m).astype(float),
+        rows=[rng.integers(0, 3, m + t).astype(float) for t in range(1, t_steps + 1)],
+    )
+
+
+@given(
+    kind=st.sampled_from(list(PolicyKind)),
+    selector=st.sampled_from(list(SelectorKind)),
+    coarse=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_every_policy_and_selector_matches_naive_simulator(kind, selector, coarse, seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(4, 16))
+    beta1, beta2 = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+    t_steps = beta1 + beta2 + int(rng.integers(beta1, 24))  # keeps T - beta2 >= beta1
+    budget = BudgetConfig(
+        alpha1=int(rng.integers(0, 6)), alpha2=int(rng.integers(1, 4)),
+        beta1=beta1, beta2=beta2, max_decode_steps=t_steps,
+    )
+    policy = DecodingPolicy(
+        kind, budget, selector=selector,
+        observation_window=int(rng.integers(1, 6)),
+        seed_prefill_scores=bool(rng.integers(2)),
+        layer_budget=int(rng.integers(3, 12)) if kind is PolicyKind.PYRAMID_INFER else None,
+    )
+    trace = coarse_trace(m, t_steps, rng) if coarse else synthetic_trace(m, t_steps, seed=seed % 1000)
+    prefill = sorted(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False).tolist())
+    assert check_policy_equivalence(policy, trace, prefill, t_steps) is None
