@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .config import SWEEP_AXES, ConfigError, ExperimentConfig, load_config
 from .core import InvariantError
-from .engine import RunRecord, ToyModel, decode_loop, run_prefill
+from .engine import ToyModel, decode_loop, run_prefill
 from .metrics import EfficiencyReport, efficiency, heavy_hitter_set, hh_origin_distribution, retained_recall
 from .oracle import check_policy_equivalence, full_cache_reference
 from .traceio import Trace, TraceError, read_trace, synthetic_trace, write_trace
@@ -73,13 +73,12 @@ def _reference_rows(cfg: ExperimentConfig, seed: int, cache: dict):
 
 def _run_cell(cfg: ExperimentConfig, token: str, seed: int, cache: dict) -> CellResult:
     prefill_policy, decoding_policy = cfg.pipeline(token)
-    capture = set(cfg.checkpoints) if cfg.checkpoints else None
     if cfg.mode == "trace_replay":
         source: ToyModel | Trace = _trace_for(cfg, seed, cache)
     else:
         source = ToyModel(seed, cfg.d_model, cfg.n_heads, cfg.n_layers, cfg.recency_bias)
     prefill = run_prefill(source, cfg.M, prefill_policy)
-    record: RunRecord = decode_loop(source, prefill, decoding_policy, cfg.T, capture_positions=capture)
+    record = decode_loop(source, prefill, decoding_policy, cfg.T, capture_positions=cfg.checkpoints)
     report = efficiency(record)
 
     hh_prefill: dict[int, float] = {}

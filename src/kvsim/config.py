@@ -1,8 +1,8 @@
 """Experiment configuration: line-oriented ``key = value`` files.
 
 Dotted keys group the prompt-phase, decode-phase, and metrics settings.
-Comma-separated values make a list. Comments start with ``#``. Unknown or
-ill-typed keys fail with a diagnostic naming the key.
+Comma-separated values make a list. Comments start with ``#``. Unknown,
+ill-typed or repeated keys fail with a diagnostic naming the key.
 
 Policy tokens map to whole pipelines. The phase-separated and append-only
 tokens use the configured prompt compression; the unified baselines
@@ -193,10 +193,9 @@ class ExperimentConfig:
 
 _BOOL = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
 
-# key -> (attribute, parser)
+# key -> (attribute, parser); one key per attribute
 _KEYMAP: dict[str, tuple[str, str]] = {
     "mode": ("mode", "str"),
-    "seed": ("seeds", "int_list"),
     "seeds": ("seeds", "int_list"),
     "d_model": ("d_model", "int"),
     "n_heads": ("n_heads", "int"),
@@ -205,7 +204,6 @@ _KEYMAP: dict[str, tuple[str, str]] = {
     "m": ("M", "int"),
     "t": ("T", "int"),
     "policies": ("policies", "str_list"),
-    "decoding.policy": ("policies", "str_list"),
     "prefill.policy": ("prefill_policy", "str"),
     "prefill.alpha1": ("alpha1", "int"),
     "prefill.alpha2": ("alpha2", "int"),
@@ -218,13 +216,11 @@ _KEYMAP: dict[str, tuple[str, str]] = {
     "decoding.selector": ("selector", "str"),
     "decoding.seed_prefill_scores": ("seed_prefill_scores", "bool"),
     "decoding.observation_window": ("observation_window", "int"),
-    "decoding.taper_ratio": ("taper_ratio", "float"),
     "metrics.hh_fraction": ("hh_fraction", "float"),
     "metrics.checkpoints": ("checkpoints", "int_list"),
     "metrics.bytes_per_scalar": ("bytes_per_scalar", "int"),
     "output_dir": ("output_dir", "str"),
     "trace": ("trace_path", "str"),
-    "trace.path": ("trace_path", "str"),
     "trace.synthetic": ("trace_synthetic", "bool"),
     "timestamp": ("timestamp", "bool"),
 }
@@ -259,7 +255,9 @@ def _parse_value(key: str, kind: str, raw: str):
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
+    """Parse config text; each key may appear once."""
     cfg = ExperimentConfig()
+    seen: dict[str, int] = {}  # key -> line that set it
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -271,6 +269,9 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
         raw = raw.strip().strip("[]")
         if key not in _KEYMAP:
             raise ConfigError(f"{source}: line {line_no}: unknown config key {key!r}")
+        if key in seen:
+            raise ConfigError(f"{source}: line {line_no}: {key!r} is already set on line {seen[key]}")
+        seen[key] = line_no
         attr, kind = _KEYMAP[key]
         setattr(cfg, attr, _parse_value(key, kind, raw))
     return cfg

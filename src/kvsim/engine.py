@@ -19,8 +19,8 @@ through a SeedSequence, so runs are bit-reproducible across platforms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -228,23 +228,48 @@ def prefill_result_from_positions(trace: Trace, positions: Iterable[int]) -> Pre
 # decode loop
 
 
-@dataclass
-class StepStats:
-    t: int
+class StepRow(NamedTuple):
+    """One step of a layer's record as plain ints, for row-wise readers."""
+
     prefill_size: int
     decoding_size: int
     peak_entries: int
-    ran_selection: bool
-    evicted: int
-    transfer: int
 
 
-@dataclass
 class LayerLog:
-    layer: int
-    initial_prefill_size: int
-    steps: list[StepStats] = field(default_factory=list)
-    captured: dict[int, tuple[frozenset[int], frozenset[int]]] = field(default_factory=dict)
+    """One layer's per-step columns, preallocated to the run length; index
+    ``t - 1`` holds step ``t``. ``peak_entries`` is the pool size after the
+    step's append and before its eviction, the two section sizes are after
+    the eviction. ``captured`` keeps the (immutable) pool of each captured
+    step."""
+
+    def __init__(self, layer: int, initial_prefill_size: int, steps: int) -> None:
+        self.layer = layer
+        self.initial_prefill_size = initial_prefill_size
+        self.prefill_size = np.zeros(steps, dtype=np.int64)
+        self.decoding_size = np.zeros(steps, dtype=np.int64)
+        self.peak_entries = np.zeros(steps, dtype=np.int64)
+        self.ran_selection = np.zeros(steps, dtype=bool)
+        self.evicted = np.zeros(steps, dtype=np.int64)
+        self.captured: dict[int, CachePool] = {}
+
+    @property
+    def steps(self) -> list[StepRow]:
+        """Read-only row view of the size columns."""
+        columns = (self.prefill_size, self.decoding_size, self.peak_entries)
+        return list(map(StepRow, *(c.tolist() for c in columns)))
+
+    def record(
+        self, t: int, pool: CachePool, peak: int, decision: StepDecision, capture: set[int]
+    ) -> None:
+        i = t - 1
+        self.prefill_size[i] = pool.prefill_size
+        self.decoding_size[i] = pool.decoding_size
+        self.peak_entries[i] = peak
+        self.ran_selection[i] = decision.ran_selection
+        self.evicted[i] = decision.evicted_count
+        if t in capture:
+            self.captured[t] = pool
 
 
 @dataclass
@@ -257,45 +282,19 @@ class RunRecord:
     layers: list[LayerLog]
     final_pools: list[CachePool]
     outputs: np.ndarray | None = None
-    output_tokens: list[int] | None = None
     rows: list[AttentionRow] | None = None
 
     def positions_at(self, t: int, layer: int = 0) -> tuple[frozenset[int], frozenset[int]]:
-        return self.layers[layer].captured[t]
+        """The (prompt-side, decode-side) positions retained after step ``t``,
+        which must have been captured."""
+        pool = self.layers[layer].captured[t]
+        return frozenset(pool.prefill_entries.tolist()), frozenset(pool.decoding_entries.tolist())
 
 
-def _normalize_capture(capture_positions, num_steps: int) -> set[int]:
-    if capture_positions is None or capture_positions is False:
-        return set()
+def _capture_steps(capture_positions: Iterable[int] | bool, num_steps: int) -> set[int]:
     if capture_positions is True:
         return set(range(1, num_steps + 1))
     return {int(t) for t in capture_positions}
-
-
-def _record_step(
-    log: LayerLog,
-    t: int,
-    pool: CachePool,
-    pre_total: int,
-    decision: StepDecision,
-    capture: set[int],
-) -> None:
-    log.steps.append(
-        StepStats(
-            t=t,
-            prefill_size=pool.prefill_size,
-            decoding_size=pool.decoding_size,
-            peak_entries=pre_total,
-            ran_selection=decision.ran_selection,
-            evicted=decision.evicted_count,
-            transfer=1 + decision.evicted_count,
-        )
-    )
-    if t in capture:
-        log.captured[t] = (
-            frozenset(pool.prefill_entries.tolist()),
-            frozenset(pool.decoding_entries.tolist()),
-        )
 
 
 def _layer_policies(policy: DecodingPolicy, n_layers: int) -> list[DecodingPolicy]:
@@ -313,7 +312,7 @@ def decode_loop(
     policy: DecodingPolicy,
     t_steps: int | None = None,
     *,
-    capture_positions=None,
+    capture_positions: Iterable[int] | bool = (),
     capture_rows: bool = False,
 ) -> RunRecord:
     """Run ``t_steps`` decode steps (default: the budget's horizon, which
@@ -321,7 +320,9 @@ def decode_loop(
     mode threads hidden states through the layers so eviction feeds back
     into later outputs; trace replay slices prerecorded rows to the
     retained positions and renormalizes, driving a single policy lane
-    (trace rows are already layer-aggregated)."""
+    (trace rows are already layer-aggregated). The record keeps the
+    retained positions of the steps in ``capture_positions`` (``True``:
+    every step) and, with ``capture_rows``, layer 0's attention rows."""
     horizon = policy.budget.max_decode_steps
     steps = t_steps if t_steps is not None else horizon
     if steps < 1:
@@ -338,17 +339,17 @@ def _decode_trace(
     prefill: PrefillResult,
     policy: DecodingPolicy,
     steps: int,
-    capture_positions,
+    capture_positions: Iterable[int] | bool,
     capture_rows: bool,
 ) -> RunRecord:
     if steps > trace.T:
         raise TraceError(f"trace holds {trace.T} steps, run requested {steps}")
     m = prefill.prompt_len
-    capture = _normalize_capture(capture_positions, steps)
+    capture = _capture_steps(capture_positions, steps)
     pool = prefill.pools[0]
     runner = PolicyRunner(policy, m)
     runner.seed_scores(prefill.seed_scores[0])
-    log = LayerLog(layer=0, initial_prefill_size=pool.prefill_size)
+    log = LayerLog(0, pool.prefill_size, steps)
     rows_out: list[AttentionRow] | None = [] if capture_rows else None
 
     for t in range(1, steps + 1):
@@ -366,7 +367,7 @@ def _decode_trace(
         if rows_out is not None:
             rows_out.append(row)
         pool, decision = runner.step(pool, row, t)
-        _record_step(log, t, pool, pre_total, decision, capture)
+        log.record(t, pool, pre_total, decision, capture)
 
     return RunRecord(
         prompt_len=m, num_steps=steps, num_layers=1,
@@ -379,13 +380,13 @@ def _decode_closed(
     prefill: PrefillResult,
     policy: DecodingPolicy,
     steps: int,
-    capture_positions,
+    capture_positions: Iterable[int] | bool,
     capture_rows: bool,
 ) -> RunRecord:
     if prefill.next_input is None or len(prefill.pools) != model.n_layers:
         raise ValueError("prefill result does not match closed-loop model shape")
     m = prefill.prompt_len
-    capture = _normalize_capture(capture_positions, steps)
+    capture = _capture_steps(capture_positions, steps)
     weights = ModelWeights(model)
     pools = list(prefill.pools)
     keys = [np.empty((m + steps, model.d_model)) for _ in range(model.n_layers)]
@@ -398,9 +399,8 @@ def _decode_closed(
         runner = PolicyRunner(layer_policy, m)
         runner.seed_scores(prefill.seed_scores[layer])
         runners.append(runner)
-    logs = [LayerLog(layer=i, initial_prefill_size=pools[i].prefill_size) for i in range(model.n_layers)]
+    logs = [LayerLog(i, pools[i].prefill_size, steps) for i in range(model.n_layers)]
     outputs = np.zeros((steps, model.d_model))
-    tokens: list[int] = []
     rows_out: list[AttentionRow] | None = [] if capture_rows else None
 
     hidden = prefill.next_input
@@ -419,13 +419,12 @@ def _decode_closed(
             if rows_out is not None and layer == 0:
                 rows_out.append(row)
             pools[layer], decision = runners[layer].step(pools[layer], row, t)
-            _record_step(logs[layer], t, pools[layer], pre_total, decision, capture)
+            logs[layer].record(t, pools[layer], pre_total, decision, capture)
             h = _rmsnorm(h + context)
         outputs[t - 1] = h
-        tokens.append(int(np.argmax(h)))
         hidden = h
 
     return RunRecord(
         prompt_len=m, num_steps=steps, num_layers=model.n_layers,
-        layers=logs, final_pools=pools, outputs=outputs, output_tokens=tokens, rows=rows_out,
+        layers=logs, final_pools=pools, outputs=outputs, rows=rows_out,
     )

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence, Set
 import numpy as np
 
 from .engine import RunRecord
-from .selection import AttentionRow
+from .selection import top_k_mask
 
 
 @dataclass(frozen=True)
@@ -36,54 +36,43 @@ class EfficiencyReport:
     transfer_entries: int
     per_layer: tuple[LayerEfficiency, ...]
 
-    def peak_bytes(self, d_model: int, bytes_per_scalar: int = 2) -> int:
-        return self.peak_entries * 2 * d_model * bytes_per_scalar
-
 
 def efficiency(run: RunRecord) -> EfficiencyReport:
     """Peak-entry and movement accounting for one run. ``peak_entries`` is
     the largest whole-model pool size at any point; ``peak_ratio`` divides
     it by what a full cache would hold (num_layers * (M+T)), transient
-    within-step overshoot included."""
-    peak_total = sum(log.initial_prefill_size for log in run.layers)
-    for i in range(run.num_steps):
-        peak_total = max(peak_total, sum(log.steps[i].peak_entries for log in run.layers))
-    per_layer = []
-    for log in run.layers:
-        peak = log.initial_prefill_size
-        for s in log.steps:
-            peak = max(peak, s.peak_entries)
-        per_layer.append(
-            LayerEfficiency(
-                layer=log.layer,
-                peak_entries=peak,
-                selection_ops=sum(s.ran_selection for s in log.steps),
-                transfer_entries=sum(s.transfer for s in log.steps),
-            )
+    within-step overshoot included. Every step inserts one entry per layer,
+    so a layer moves ``num_steps`` entries plus its evictions."""
+    per_layer = tuple(
+        LayerEfficiency(
+            layer=log.layer,
+            peak_entries=max(log.initial_prefill_size, int(log.peak_entries.max())),
+            selection_ops=int(np.count_nonzero(log.ran_selection)),
+            transfer_entries=run.num_steps + int(log.evicted.sum()),
         )
+        for log in run.layers
+    )
+    whole_model = np.sum([log.peak_entries for log in run.layers], axis=0)
+    peak_total = max(sum(log.initial_prefill_size for log in run.layers), int(whole_model.max()))
     return EfficiencyReport(
         peak_entries=peak_total,
         peak_ratio=peak_total / (run.num_layers * (run.prompt_len + run.num_steps)),
         selection_ops=max(le.selection_ops for le in per_layer),
         transfer_entries=sum(le.transfer_entries for le in per_layer),
-        per_layer=tuple(per_layer),
+        per_layer=per_layer,
     )
 
 
-def heavy_hitter_set(row, fraction: float) -> set[int]:
-    """Positions of the top ceil(fraction * n) scores, earliest-wins ties.
-    Accepts an AttentionRow or a dense array (positions 0..n-1)."""
+def heavy_hitter_set(row: np.ndarray, fraction: float) -> set[int]:
+    """Positions of the top ceil(fraction * n) scores of a dense row
+    (positions 0..n-1), earliest-wins ties."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    if isinstance(row, AttentionRow):
-        items = list(zip(row.positions.tolist(), row.scores.tolist()))
-    else:
-        items = list(enumerate(np.asarray(row, dtype=np.float64).tolist()))
-    if not items:
+    scores = np.asarray(row, dtype=np.float64)
+    if not len(scores):
         raise ValueError("heavy hitters of an empty row are undefined")
-    k = math.ceil(fraction * len(items))
-    ranked = sorted(items, key=lambda it: (-it[1], it[0]))
-    return {pos for pos, _ in ranked[:k]}
+    k = math.ceil(fraction * len(scores))
+    return set(np.flatnonzero(top_k_mask(scores, k)).tolist())
 
 
 @dataclass(frozen=True)
@@ -104,22 +93,15 @@ def hh_origin_distribution(
     prompt_len: int,
     checkpoints: Iterable[int],
     fraction: float = 0.15,
-    pool_states: dict[int, Set[int]] | None = None,
 ) -> HHOriginReport:
     """Classify each checkpoint's heavy hitters by origin (position below
     the prompt length = prompt origin). ``rows`` are dense full-prefix rows
-    indexed by step (rows[t-1]); ``pool_states`` optionally restricts a
-    checkpoint's row to a policy's retained positions first."""
+    indexed by step (rows[t-1])."""
     out = []
     for t in sorted(int(t) for t in checkpoints):
         if not 1 <= t <= len(rows):
             raise ValueError(f"checkpoint t={t} outside recorded steps 1..{len(rows)}")
-        row = rows[t - 1]
-        if pool_states is not None:
-            retained = np.array(sorted(pool_states[t]), dtype=np.int64)
-            hh = heavy_hitter_set(AttentionRow(retained, row[retained], validate=False), fraction)
-        else:
-            hh = heavy_hitter_set(row, fraction)
+        hh = heavy_hitter_set(rows[t - 1], fraction)
         n_prefill = sum(1 for p in hh if p < prompt_len)
         out.append(
             HHCheckpoint(

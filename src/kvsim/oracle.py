@@ -15,15 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .decoding import DecodingPolicy, PolicyKind, SelectorKind
-from .engine import (
-    LayerLog,
-    ModelWeights,
-    RunRecord,
-    StepStats,
-    ToyModel,
-    decode_loop,
-    prefill_result_from_positions,
-)
+from .engine import ModelWeights, ToyModel, decode_loop, prefill_result_from_positions
 from .traceio import Trace
 
 DEFAULT_SIZE_GUARD = 4096
@@ -39,7 +31,6 @@ class ReferenceRun:
     rows: list[np.ndarray]
     prompt_scores: np.ndarray
     outputs: np.ndarray
-    record: RunRecord
 
     def to_trace(self) -> Trace:
         return Trace(
@@ -133,24 +124,9 @@ def full_cache_reference(
         outputs[t - 1] = h
         x = h
 
-    logs = []
-    for layer in range(model.n_layers):
-        log = LayerLog(layer=layer, initial_prefill_size=m)
-        for t in range(1, t_steps + 1):
-            log.steps.append(
-                StepStats(
-                    t=t, prefill_size=m, decoding_size=t, peak_entries=m + t,
-                    ran_selection=False, evicted=0, transfer=1,
-                )
-            )
-        logs.append(log)
-    record = RunRecord(
-        prompt_len=m, num_steps=t_steps, num_layers=model.n_layers,
-        layers=logs, final_pools=[], outputs=outputs,
-    )
     return ReferenceRun(
         model=model, prompt_len=m, steps=t_steps, rows=rows,
-        prompt_scores=prompt_colsums, outputs=outputs, record=record,
+        prompt_scores=prompt_colsums, outputs=outputs,
     )
 
 

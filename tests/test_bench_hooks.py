@@ -2,13 +2,18 @@
 looks up must exist, and the values its span extras read must be there."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from kvsim.core import BudgetConfig, append_decoding_entry, new_pool
 from kvsim.decoding import DecodingPolicy, PolicyKind, PolicyRunner
+from kvsim.engine import ToyModel, decode_loop, run_prefill
+from kvsim.prefill import PrefillPolicy, PrefillPolicyKind
 from kvsim.selection import AttentionRow
+from kvsim.traceio import synthetic_trace
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -42,3 +47,22 @@ def test_policy_step_decision_has_traced_fields():
     _, decision = runner.step(pool, row, 3)
     assert decision.ran_selection is True
     assert decision.evicted_count == 1
+
+
+@pytest.mark.parametrize(
+    "source, n_layers",
+    [(synthetic_trace(6, 10, seed=0), 1), (ToyModel(seed=3, d_model=8, n_heads=2, n_layers=2), 2)],
+    ids=["trace_replay", "closed_loop_2layer"],
+)
+def test_decode_loop_record_has_traced_fields(source, n_layers):
+    budget = BudgetConfig(beta1=2, beta2=2, max_decode_steps=10)
+    prefill = run_prefill(source, 6, PrefillPolicy(kind=PrefillPolicyKind.FULL))
+    record = decode_loop(source, prefill, DecodingPolicy(PolicyKind.SCOPE_SLIDE, budget), 10)
+    # the tracer's engine.decode_loop extra: layer steps and retained entries
+    assert (record.num_steps, record.num_layers) == (10, n_layers)
+    rows = [s for log in record.layers for s in log.steps]
+    assert len(rows) == 10 * n_layers
+    assert all(type(v) is int for s in rows for v in (s.prefill_size, s.decoding_size, s.peak_entries))
+    retained = sum(s.peak_entries for log in record.layers for s in log.steps)
+    assert type(retained) is int
+    assert json.loads(json.dumps(retained)) == sum(int(log.peak_entries.sum()) for log in record.layers)

@@ -72,6 +72,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="decoding.beta1"):
             parse_config_text("decoding.beta1 = many")
 
+    def test_repeated_key_names_both_lines(self):
+        with pytest.raises(ConfigError, match="line 3: 'm' is already set on line 1"):
+            parse_config_text("M = 8\nT = 8\nm = 9")
+
+    @pytest.mark.parametrize("alias", ["seed", "decoding.policy", "trace.path", "decoding.taper_ratio"])
+    def test_removed_alias_is_unknown(self, alias):
+        with pytest.raises(ConfigError, match=f"unknown config key '{alias}'"):
+            parse_config_text(f"{alias} = 1")
+
     def test_missing_dimensions_rejected(self):
         cfg = parse_config_text("mode = closed_loop")
         with pytest.raises(ConfigError, match="M"):
@@ -186,6 +195,11 @@ class TestCLI:
         path = write_config(tmp_path, "M = 8\nT = 8\npolicies = nonsense")
         assert main(["run", str(path)]) == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_repeated_key_exit_one(self, tmp_path, capsys):
+        path = write_config(tmp_path, SMOKE_CONFIG + "decoding.beta1 = 4\n")
+        assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 1
+        assert "line 18: 'decoding.beta1' is already set on line 14" in capsys.readouterr().err
 
     def test_missing_config_file_exit_one(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 1

@@ -168,8 +168,7 @@ class TestAdaptiveStep:
         record = decode_loop(
             trace, prefill, DecodingPolicy(PolicyKind.SCOPE_ADAPTIVE, budget), 30
         )
-        for stats in record.layers[0].steps:
-            assert stats.decoding_size <= budget.decoding_budget
+        assert record.layers[0].decoding_size.max() <= budget.decoding_budget
 
 
 class TestDiscontinuousStep:
@@ -180,13 +179,13 @@ class TestDiscontinuousStep:
         record = decode_loop(
             trace, prefill, DecodingPolicy(PolicyKind.SCOPE_DISCONTINUOUS, budget), 40
         )
-        for stats in record.layers[0].steps:
-            if discontinuous_due(stats.t, 40, 6, 4):
-                target = 4 + adaptive_budget(stats.t, 40, 6, 4)
-                assert stats.ran_selection
-                assert stats.decoding_size == target
+        log = record.layers[0]
+        for t in range(1, 41):
+            if discontinuous_due(t, 40, 6, 4):
+                assert log.ran_selection[t - 1]
+                assert log.decoding_size[t - 1] == 4 + adaptive_budget(t, 40, 6, 4)
             else:
-                assert not stats.ran_selection
+                assert not log.ran_selection[t - 1]
 
     def test_grows_between_due_steps(self):
         trace = synthetic_trace(4, 30, seed=2)
@@ -195,8 +194,7 @@ class TestDiscontinuousStep:
         record = decode_loop(
             trace, prefill, DecodingPolicy(PolicyKind.SCOPE_DISCONTINUOUS, budget), 30
         )
-        sizes = [s.decoding_size for s in record.layers[0].steps]
-        grew = [b - a for a, b in zip(sizes, sizes[1:])]
+        grew = np.diff(record.layers[0].decoding_size)
         assert 1 in grew  # append-only stretches exist
 
 
@@ -218,12 +216,11 @@ class TestSelectionOpCounts:
         prefill = prefill_result_from_positions(trace, range(m))
         budget = BudgetConfig(beta1=5, beta2=3, max_decode_steps=t_steps)
         record = decode_loop(trace, prefill, DecodingPolicy(PolicyKind.SCOPE_SLIDE, budget), t_steps)
-        for stats in record.layers[0].steps:
-            if stats.t <= budget.decoding_budget:
-                assert not stats.ran_selection
-            else:
-                assert stats.ran_selection
-                assert stats.decoding_size == budget.decoding_budget
+        log = record.layers[0]
+        steady = slice(budget.decoding_budget, None)  # steps after the pool first fills
+        assert not log.ran_selection[: budget.decoding_budget].any()
+        assert log.ran_selection[steady].all()
+        assert (log.decoding_size[steady] == budget.decoding_budget).all()
 
 
 class TestUnifiedH2O:
@@ -246,9 +243,9 @@ class TestUnifiedH2O:
         prefill = prefill_result_from_positions(trace, range(m))
         budget = BudgetConfig(alpha1=6, alpha2=2, beta1=4, beta2=2, max_decode_steps=t_steps)
         record = decode_loop(trace, prefill, DecodingPolicy(PolicyKind.UNIFIED_H2O, budget), t_steps)
-        prefill_sizes = [s.prefill_size for s in record.layers[0].steps]
+        prefill_sizes = record.layers[0].prefill_size
         assert prefill_sizes[-1] < m
-        assert all(a >= b for a, b in zip(prefill_sizes, prefill_sizes[1:]))
+        assert (np.diff(prefill_sizes) <= 0).all()
 
     def test_uniform_scores_keep_earliest(self):
         from kvsim.traceio import Trace
@@ -274,9 +271,9 @@ class TestPrefillOnly:
         prefill = prefill_result_from_positions(trace, range(12))
         budget = BudgetConfig(max_decode_steps=25)
         record = decode_loop(trace, prefill, DecodingPolicy(PolicyKind.PREFILL_ONLY, budget), 25)
-        for stats in record.layers[0].steps:
-            assert stats.decoding_size == stats.t
-            assert stats.prefill_size == 12
+        log = record.layers[0]
+        assert log.decoding_size.tolist() == list(range(1, 26))
+        assert (log.prefill_size == 12).all()
         assert efficiency(record).peak_entries == 12 + 25
 
 
@@ -295,8 +292,7 @@ def test_scope_strategies_never_touch_prompt_pool(seed):
     for kind in (PolicyKind.SCOPE_SLIDE, PolicyKind.SCOPE_ADAPTIVE, PolicyKind.SCOPE_DISCONTINUOUS):
         record = decode_loop(trace, prefill, DecodingPolicy(kind, budget), t_steps)
         assert record.final_pools[0].prefill_fingerprint() == initial
-        for stats in record.layers[0].steps:
-            assert stats.prefill_size == m
+        assert (record.layers[0].prefill_size == m).all()
 
 
 @given(seed=st.integers(0, 2**32 - 1))

@@ -109,7 +109,6 @@ class TestDecodeLoop:
             prefill = run_prefill(model, 10, prefill_policy)
             runs.append(decode_loop(model, prefill, self.policy(), 15, capture_positions=True))
         assert np.array_equal(runs[0].outputs, runs[1].outputs)
-        assert runs[0].output_tokens == runs[1].output_tokens
         for t in range(1, 16):
             assert runs[0].positions_at(t) == runs[1].positions_at(t)
 

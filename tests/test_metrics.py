@@ -55,15 +55,6 @@ class TestEfficiency:
             )
             assert efficiency(disc).selection_ops <= efficiency(adaptive).selection_ops
 
-    def test_peak_bytes_display_constant(self):
-        m, t_steps = 6, 6
-        trace = synthetic_trace(m, t_steps, seed=3)
-        budget = BudgetConfig(max_decode_steps=t_steps)
-        report = efficiency(
-            replay(trace, range(m), DecodingPolicy(PolicyKind.PREFILL_ONLY, budget), t_steps)
-        )
-        assert report.peak_bytes(d_model=64, bytes_per_scalar=2) == 12 * 2 * 64 * 2
-
 
 class TestHHOrigin:
     def test_uniform_attention_early_checkpoint_is_all_prompt(self):
@@ -91,15 +82,6 @@ class TestHHOrigin:
         rows = [np.ones(9)]
         with pytest.raises(ValueError, match="checkpoint"):
             hh_origin_distribution(rows, 8, checkpoints=[5])
-
-    def test_pool_restriction(self):
-        m = 6
-        row = np.array([9.0, 8.0, 7.0, 1.0, 1.0, 1.0, 6.0])
-        report = hh_origin_distribution(
-            [row], m, checkpoints=[1], fraction=0.5, pool_states={1: {3, 4, 5, 6}}
-        )
-        # restricted to retained positions, the decode token dominates
-        assert report.checkpoints[0].decoding_fraction == 0.5
 
 
 class TestRetainedRecall:

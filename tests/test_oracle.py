@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from kvsim.core import BudgetConfig
 from kvsim.decoding import DecodingPolicy, PolicyKind, SelectorKind
-from kvsim.engine import ToyModel, decode_loop, run_prefill
-from kvsim.metrics import efficiency, heavy_hitter_set
+from kvsim.engine import ToyModel, decode_loop, prefill_result_from_positions, run_prefill
+from kvsim.metrics import heavy_hitter_set
 from kvsim.oracle import check_policy_equivalence, full_cache_reference, naive_policy_simulator
 from kvsim.prefill import PrefillPolicy, PrefillPolicyKind
-from kvsim.selection import AttentionRow
 from kvsim.traceio import Trace, synthetic_trace
 
 
@@ -20,11 +19,6 @@ class TestFullCacheReference:
         model = ToyModel(seed=1, d_model=8, n_heads=1)
         reference = full_cache_reference(model, 8, 8)
         assert [len(r) for r in reference.rows] == list(range(9, 17))
-
-    def test_peak_is_everything(self):
-        model = ToyModel(seed=1, d_model=8, n_heads=1)
-        reference = full_cache_reference(model, 8, 8)
-        assert efficiency(reference.record).peak_entries == 16
 
     def test_rows_match_unevicted_engine_run(self):
         model = ToyModel(seed=9, d_model=16, n_heads=2, recency_bias=0.05)
@@ -48,23 +42,21 @@ class TestFullCacheReference:
 
 class TestHeavyHitterSet:
     def test_fraction_one_keeps_all(self):
-        row = AttentionRow([0, 1, 2], [0.2, 0.5, 0.3])
-        assert heavy_hitter_set(row, 1.0) == {0, 1, 2}
+        assert heavy_hitter_set(np.array([0.2, 0.5, 0.3]), 1.0) == {0, 1, 2}
 
     def test_uniform_ties_resolve_to_earliest(self):
-        row = AttentionRow(np.arange(20), np.full(20, 0.05))
-        assert heavy_hitter_set(row, 0.15) == {0, 1, 2}
+        assert heavy_hitter_set(np.full(20, 0.05), 0.15) == {0, 1, 2}
 
     def test_matches_full_sort_reference(self):
         rng = np.random.default_rng(8)
         scores = rng.random(40)
-        got = heavy_hitter_set(AttentionRow(np.arange(40), scores), 0.15)
+        got = heavy_hitter_set(scores, 0.15)
         order = np.argsort(-scores, kind="stable")
         assert got == set(order[:6].tolist())
         assert len(got) == 6
 
     def test_bad_fraction_rejected(self):
-        row = AttentionRow([0], [1.0])
+        row = np.array([1.0])
         with pytest.raises(ValueError, match="fraction"):
             heavy_hitter_set(row, 0.0)
         with pytest.raises(ValueError, match="fraction"):
@@ -75,8 +67,7 @@ class TestHeavyHitterSet:
     def test_nestedness(self, seed, f1, f2):
         if f1 > f2:
             f1, f2 = f2, f1
-        scores = np.random.default_rng(seed).random(25)
-        row = AttentionRow(np.arange(25), scores)
+        row = np.random.default_rng(seed).random(25)
         assert heavy_hitter_set(row, f1) <= heavy_hitter_set(row, f2)
 
 
@@ -158,3 +149,15 @@ def test_every_policy_and_selector_matches_naive_simulator(kind, selector, coars
     trace = coarse_trace(m, t_steps, rng) if coarse else synthetic_trace(m, t_steps, seed=seed % 1000)
     prefill = sorted(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False).tolist())
     assert check_policy_equivalence(policy, trace, prefill, t_steps) is None
+
+    # the record's columns are the sizes of the naive simulator's sets
+    log = decode_loop(trace, prefill_result_from_positions(trace, prefill), policy, t_steps).layers[0]
+    naive = naive_policy_simulator(policy, trace, prefill, t_steps)
+    prefill_sizes = np.array([len(kept_prefill) for kept_prefill, _ in naive])
+    decoding_sizes = np.array([len(kept_decoding) for _, kept_decoding in naive])
+    totals = prefill_sizes + decoding_sizes
+    assert np.array_equal(log.prefill_size, prefill_sizes)
+    assert np.array_equal(log.decoding_size, decoding_sizes)
+    assert np.array_equal(log.peak_entries, np.concatenate(([len(prefill)], totals[:-1])) + 1)
+    assert np.array_equal(log.evicted, log.peak_entries - totals)
+    assert np.array_equal(log.ran_selection, log.evicted > 0)
