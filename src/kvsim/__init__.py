@@ -40,7 +40,6 @@ from .prefill import (
     allocate_layer_budgets,
     compress_prefill_streaming,
     compress_prefill_topk,
-    compress_prefill_window,
 )
 from .selection import (
     AttentionRow,

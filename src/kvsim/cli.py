@@ -306,13 +306,14 @@ def main(argv: list[str] | None = None) -> int:
             cfg = _load(args)
             key, _, raw_values = args.axis.partition("=")
             key = key.strip().lower()
-            if key not in SWEEP_AXES or not raw_values:
+            raw = [v for v in raw_values.split(",") if v.strip()]
+            if key not in SWEEP_AXES or not raw:
                 raise ConfigError(
                     f"--axis: expected KEY=V1,V2,... with KEY in {sorted(SWEEP_AXES)}, got {args.axis!r}"
                 )
             parse = SWEEP_AXES[key][1]
             try:
-                values = [parse(v) for v in raw_values.split(",") if v.strip()]
+                values = [parse(v) for v in raw]
             except ValueError as exc:
                 kind = "integers" if parse is int else "numbers"
                 raise ConfigError(f"--axis: {key} values must be {kind}: {raw_values!r}") from exc
@@ -322,6 +323,8 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "oracle-check":
             cfg = _load(args)
+            if args.traces < 1:
+                raise ConfigError(f"--traces: at least one trace is required, got {args.traces}")
             return 3 if oracle_check(cfg, n_traces=args.traces) else 0
 
     except ConfigError as exc:

@@ -124,6 +124,16 @@ class ExperimentConfig:
         for name in ("alpha1", "alpha2", "beta1", "beta2"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name}: must be nonnegative")
+        if min(self.seeds) < 0 and (self.mode == "closed_loop" or self.trace_synthetic):
+            raise ConfigError(f"seeds: must be nonnegative, got {min(self.seeds)}")
+        # every policy runner sizes its row buffer by it; the window selector reads those rows
+        if self.observation_window < (1 if self.selector == "window" else 0):
+            raise ConfigError(
+                f"decoding.observation_window: must be >= 1 with the window selector "
+                f"(>= 0 otherwise), got {self.observation_window}"
+            )
+        for token in self.policies:
+            self._check_prompt_policy(token, self.pipeline(token)[0])
         # T <= beta2 never reaches a discontinuous selection and must still run
         if "scope_discontinuous" in self.policies and self.T > self.beta2:
             try:
@@ -132,6 +142,34 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"decoding.beta1: scope_discontinuous needs 1 <= beta1 <= T - beta2 ({exc})"
                 ) from exc
+
+    def _check_prompt_policy(self, token: str, prompt: PrefillPolicy) -> None:
+        """Reject what the prompt policy ``token`` resolves to if its
+        compression could not run."""
+        kind = prompt.kind
+        if kind is PrefillPolicyKind.FULL:
+            return
+        floor = 2 if kind is PrefillPolicyKind.STREAMING else 1
+        if prompt.budget < floor:
+            raise ConfigError(
+                f"prefill.alpha1: policy {token!r} keeps alpha1 + alpha2 = {prompt.budget} "
+                f"prompt positions, fewer than {floor}"
+            )
+        if kind is PrefillPolicyKind.STREAMING:
+            return
+        if prompt.alpha2 > self.M:
+            raise ConfigError(
+                f"prefill.alpha2: policy {token!r} keeps a local window of {prompt.alpha2}, more than M={self.M}"
+            )
+        observes = kind is not PrefillPolicyKind.TOPK_LOCAL or prompt.score_mode == "window"
+        if observes and self.mode == "closed_loop" and (prompt.observation_rows or 0) < 0:
+            raise ConfigError(f"prefill.observation_rows: must be nonnegative, got {prompt.observation_rows}")
+        if kind is PrefillPolicyKind.TOPK_LOCAL:
+            return
+        if prompt.pooling_width < 1 or prompt.pooling_width % 2 == 0:
+            raise ConfigError(f"prefill.pooling_width: must be a positive odd number, got {prompt.pooling_width}")
+        if kind is PrefillPolicyKind.PYRAMID and not 0.0 <= prompt.taper_ratio <= 1.0:
+            raise ConfigError(f"prefill.taper_ratio: must be in [0, 1], got {prompt.taper_ratio}")
 
     def budget(self) -> BudgetConfig:
         return BudgetConfig(

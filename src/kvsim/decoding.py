@@ -158,15 +158,16 @@ class PolicyRunner:
         self._unified_history = total - self._unified_local
         self._unified_total = total
 
-    def seed_scores(self, prompt_scores: ScoreVector) -> None:
+    def seed_scores(self, positions: np.ndarray, colsums: np.ndarray) -> None:
         """Give unified cumulative selectors the prompt-phase attention mass
-        of the retained prompt entries. No-op for other configurations."""
+        (``colsums``, dense over the prompt) of the retained prompt
+        ``positions``. No-op for other configurations."""
         if (
             self.policy.kind in _SCORED_UNIFIED
             and self.policy.selector is SelectorKind.CUMULATIVE
             and self.policy.seed_prefill_scores
         ):
-            self._acc.add_row(prompt_scores)
+            self._acc.add_row(ScoreVector(positions, colsums[positions], validate=False))
 
     def step(self, pool: CachePool, row: AttentionRow, t: int) -> tuple[CachePool, StepDecision]:
         kind = self.policy.kind

@@ -1,6 +1,8 @@
-"""Closed-loop toy attention engine and trace replay.
+"""Toy attention engine: one prefill path and one decode loop, two
+sources of attention.
 
-Two ways to drive the decode loop:
+Both phases run the same bookkeeping whatever the attention comes from;
+only a small per-mode function differs:
 
 * closed loop — a seeded stand-in model computes keys/values and attention
   over whatever is retained, so eviction changes every subsequent output.
@@ -27,7 +29,7 @@ import numpy as np
 from .core import CachePool, append_decoding_entry, new_pool
 from .decoding import DecodingPolicy, PolicyKind, PolicyRunner, StepDecision
 from .prefill import PrefillPolicy, PrefillPolicyKind, allocate_layer_budgets, apply_prefill_policy
-from .selection import AttentionRow, ScoreVector, observation_window_scores
+from .selection import AttentionRow
 from .traceio import Trace, TraceError
 
 
@@ -115,47 +117,51 @@ def _attend(
 @dataclass
 class PrefillResult:
     """Everything the decode loop needs from the prompt phase: per-layer
-    pools, the column-sum mass of the retained entries (for
-    cumulative-selector seeding), and in closed-loop mode each layer's
-    prompt (keys, values), shape M x d_model, and the first decode input."""
+    pools, each layer's dense prompt column sums (for cumulative-selector
+    seeding), and in closed-loop mode each layer's prompt (keys, values),
+    shape M x d_model, and the first decode input."""
 
     prompt_len: int
     pools: list[CachePool]
-    seed_scores: list[ScoreVector]
+    seed_scores: list[np.ndarray]
     prompt_kv: list[tuple[np.ndarray, np.ndarray]] | None = None
     next_input: np.ndarray | None = None
-
-
-def _seed_vector(pool: CachePool, colsums: np.ndarray) -> ScoreVector:
-    positions = pool.prefill_entries
-    return ScoreVector(positions, colsums[positions], validate=False)
 
 
 def run_prefill(source: ToyModel | Trace, m: int, policy: PrefillPolicy) -> PrefillResult:
     """Process the prompt and build the initial pools under ``policy``.
 
-    Closed-loop mode computes full causal attention over all M positions
-    before compression; trace mode consumes the trace's stored prompt row.
+    Each layer contributes its dense prompt column sums and its trailing
+    observation rows: closed loop computes full causal attention over all
+    M positions, trace replay uses the stored prompt row for both. Budget
+    allocation, compression and seeding are the same for both modes.
     """
     if m < 1:
         raise ValueError("prompt length must be >= 1")
+    result = PrefillResult(prompt_len=m, pools=[], seed_scores=[])
     if isinstance(source, Trace):
-        return _run_prefill_trace(source, m, policy)
-    return _run_prefill_closed(source, m, policy)
+        if source.M < m:
+            raise TraceError(f"trace prompt covers {source.M} positions, shorter than M={m}")
+        if source.M != m:
+            raise TraceError(f"trace was recorded with M={source.M}, run requested M={m}")
+        n_layers, layers = 1, [(source.prefill_scores, source.prefill_scores[None, :])]
+    else:
+        n_layers, layers = source.n_layers, _closed_loop_prompt(source, m, policy, result)
+    if policy.kind is PrefillPolicyKind.PYRAMID:
+        budgets = allocate_layer_budgets(n_layers * policy.budget, n_layers, policy.taper_ratio)
+    else:
+        budgets = [None] * n_layers
+    for layer, (colsums, obs_rows) in enumerate(layers):
+        result.pools.append(apply_prefill_policy(policy, m, colsums, obs_rows, budgets[layer]))
+        result.seed_scores.append(colsums)
+    return result
 
 
-def _run_prefill_trace(trace: Trace, m: int, policy: PrefillPolicy) -> PrefillResult:
-    if trace.M < m:
-        raise TraceError(f"trace prompt covers {trace.M} positions, shorter than M={m}")
-    if trace.M != m:
-        raise TraceError(f"trace was recorded with M={trace.M}, run requested M={m}")
-    prompt_scores = ScoreVector.from_dense(trace.prefill_scores)
-    pool = apply_prefill_policy(policy, m, prompt_scores, att_rows=[prompt_scores])
-    seed = _seed_vector(pool, trace.prefill_scores)
-    return PrefillResult(prompt_len=m, pools=[pool], seed_scores=[seed])
-
-
-def _run_prefill_closed(model: ToyModel, m: int, policy: PrefillPolicy) -> PrefillResult:
+def _closed_loop_prompt(model: ToyModel, m: int, policy: PrefillPolicy, result: PrefillResult):
+    """Full causal attention over the prompt, layer by layer. Yields each
+    layer's column sums and its last ``observation_rows`` (default alpha2)
+    head-averaged rows, stores its prompt (keys, values) in ``result`` and,
+    after the last layer, the first decode input."""
     weights = ModelWeights(model)
     heads, d = model.n_heads, model.d_model
     dh = d // heads
@@ -163,17 +169,8 @@ def _run_prefill_closed(model: ToyModel, m: int, policy: PrefillPolicy) -> Prefi
     positions = np.arange(m)
     delta = positions[None, :] - positions[:, None]
     future = delta > 0
-
-    if policy.kind is PrefillPolicyKind.PYRAMID:
-        layer_budgets = allocate_layer_budgets(
-            model.n_layers * policy.budget, model.n_layers, policy.taper_ratio
-        )
-    else:
-        layer_budgets = [None] * model.n_layers
-
-    pools: list[CachePool] = []
-    seed_scores: list[ScoreVector] = []
-    prompt_kv: list[tuple[np.ndarray, np.ndarray]] = []
+    window = min(policy.observation_rows or max(policy.alpha2, 1), m)
+    result.prompt_kv = []
     for layer in range(model.n_layers):
         k = hidden @ weights.w_k[layer]
         v = hidden @ weights.w_v[layer]
@@ -187,29 +184,9 @@ def _run_prefill_closed(model: ToyModel, m: int, policy: PrefillPolicy) -> Prefi
         rows = att.mean(axis=0)  # (m, m), causal lower triangle
         context = np.einsum("hij,jhd->ihd", att, v.reshape(m, heads, dh)).reshape(m, d)
         hidden = _rmsnorm_rows(hidden + context)
-
-        prompt_kv.append((k, v))
-        window = policy.observation_rows or max(policy.alpha2, 1)
-        window = min(window, m)
-        window_rows = [
-            ScoreVector(np.arange(i + 1, dtype=np.int64), rows[i, : i + 1], validate=False)
-            for i in range(m - window, m)
-        ]
-        colsums = rows.sum(axis=0)
-        if policy.score_mode == "sum":
-            scores = ScoreVector.from_dense(colsums)
-        else:
-            scores = ScoreVector.from_dense(observation_window_scores(window_rows, len(window_rows)))
-        pool = apply_prefill_policy(
-            policy, m, scores, att_rows=window_rows, layer_budget_override=layer_budgets[layer]
-        )
-        pools.append(pool)
-        seed_scores.append(_seed_vector(pool, colsums))
-
-    return PrefillResult(
-        prompt_len=m, pools=pools, seed_scores=seed_scores, prompt_kv=prompt_kv,
-        next_input=_rmsnorm(hidden[m - 1]),
-    )
+        result.prompt_kv.append((k, v))
+        yield rows.sum(axis=0), rows[m - window:]
+    result.next_input = _rmsnorm(hidden[m - 1])
 
 
 def prefill_result_from_positions(trace: Trace, positions: Iterable[int]) -> PrefillResult:
@@ -218,10 +195,7 @@ def prefill_result_from_positions(trace: Trace, positions: Iterable[int]) -> Pre
     ordered = sorted(int(p) for p in positions)
     if ordered and (ordered[0] < 0 or ordered[-1] >= trace.M):
         raise ValueError("prefill positions must lie in the prompt range")
-    pool = new_pool(ordered)
-    return PrefillResult(
-        prompt_len=trace.M, pools=[pool], seed_scores=[_seed_vector(pool, trace.prefill_scores)]
-    )
+    return PrefillResult(prompt_len=trace.M, pools=[new_pool(ordered)], seed_scores=[trace.prefill_scores])
 
 
 # ----------------------------------------------------------------------
@@ -291,21 +265,6 @@ class RunRecord:
         return frozenset(pool.prefill_entries.tolist()), frozenset(pool.decoding_entries.tolist())
 
 
-def _capture_steps(capture_positions: Iterable[int] | bool, num_steps: int) -> set[int]:
-    if capture_positions is True:
-        return set(range(1, num_steps + 1))
-    return {int(t) for t in capture_positions}
-
-
-def _layer_policies(policy: DecodingPolicy, n_layers: int) -> list[DecodingPolicy]:
-    if policy.kind is PolicyKind.PYRAMID_INFER and n_layers > 1:
-        budgets = allocate_layer_budgets(
-            n_layers * policy.budget.total_budget, n_layers, policy.taper_ratio
-        )
-        return [policy.for_layer(b) for b in budgets]
-    return [policy] * n_layers
-
-
 def decode_loop(
     source: ToyModel | Trace,
     prefill: PrefillResult,
@@ -316,13 +275,15 @@ def decode_loop(
     capture_rows: bool = False,
 ) -> RunRecord:
     """Run ``t_steps`` decode steps (default: the budget's horizon, which
-    is also their upper bound) and return the audit record. Closed-loop
-    mode threads hidden states through the layers so eviction feeds back
-    into later outputs; trace replay slices prerecorded rows to the
-    retained positions and renormalizes, driving a single policy lane
-    (trace rows are already layer-aggregated). The record keeps the
-    retained positions of the steps in ``capture_positions`` (``True``:
-    every step) and, with ``capture_rows``, layer 0's attention rows."""
+    is also their upper bound) and return the audit record. Each step
+    appends the new position to every layer's pool, takes that layer's
+    attention row over the retained positions from the mode's source, and
+    lets the layer's policy runner evict. Closed loop threads hidden states
+    through the layers so eviction feeds back into later outputs; trace
+    replay drives a single policy lane (trace rows are already
+    layer-aggregated). The record keeps the retained positions of the
+    steps in ``capture_positions`` (``True``: every step) and, with
+    ``capture_rows``, layer 0's attention rows."""
     horizon = policy.budget.max_decode_steps
     steps = t_steps if t_steps is not None else horizon
     if steps < 1:
@@ -330,101 +291,79 @@ def decode_loop(
     if steps > horizon:
         raise ValueError(f"t_steps={steps} exceeds the budget's horizon max_decode_steps={horizon}")
     if isinstance(source, Trace):
-        return _decode_trace(source, prefill, policy, steps, capture_positions, capture_rows)
-    return _decode_closed(source, prefill, policy, steps, capture_positions, capture_rows)
-
-
-def _decode_trace(
-    trace: Trace,
-    prefill: PrefillResult,
-    policy: DecodingPolicy,
-    steps: int,
-    capture_positions: Iterable[int] | bool,
-    capture_rows: bool,
-) -> RunRecord:
-    if steps > trace.T:
-        raise TraceError(f"trace holds {trace.T} steps, run requested {steps}")
+        attend = _replay_attention(source, steps)
+    else:
+        attend = _closed_loop_attention(source, prefill, steps)
     m = prefill.prompt_len
-    capture = _capture_steps(capture_positions, steps)
-    pool = prefill.pools[0]
-    runner = PolicyRunner(policy, m)
-    runner.seed_scores(prefill.seed_scores[0])
-    log = LayerLog(0, pool.prefill_size, steps)
-    rows_out: list[AttentionRow] | None = [] if capture_rows else None
-
-    for t in range(1, steps + 1):
-        full_row = trace.row(t)
-        pool = append_decoding_entry(pool, m + t - 1)
-        pre_total = pool.total_size
-        retained = pool.all_positions()
-        sliced = full_row[retained]
-        mass = sliced.sum()
-        if mass > 0:
-            sliced = sliced / mass
-        else:
-            sliced = np.full(len(retained), 1.0 / len(retained))
-        row = AttentionRow(retained, sliced, validate=False)
-        if rows_out is not None:
-            rows_out.append(row)
-        pool, decision = runner.step(pool, row, t)
-        log.record(t, pool, pre_total, decision, capture)
-
-    return RunRecord(
-        prompt_len=m, num_steps=steps, num_layers=1,
-        layers=[log], final_pools=[pool], rows=rows_out,
-    )
-
-
-def _decode_closed(
-    model: ToyModel,
-    prefill: PrefillResult,
-    policy: DecodingPolicy,
-    steps: int,
-    capture_positions: Iterable[int] | bool,
-    capture_rows: bool,
-) -> RunRecord:
-    if prefill.next_input is None or len(prefill.pools) != model.n_layers:
-        raise ValueError("prefill result does not match closed-loop model shape")
-    m = prefill.prompt_len
-    capture = _capture_steps(capture_positions, steps)
-    weights = ModelWeights(model)
+    capture = set(range(1, steps + 1)) if capture_positions is True else {int(t) for t in capture_positions}
     pools = list(prefill.pools)
-    keys = [np.empty((m + steps, model.d_model)) for _ in range(model.n_layers)]
-    values = [np.empty((m + steps, model.d_model)) for _ in range(model.n_layers)]
-    for layer, (k, v) in enumerate(prefill.prompt_kv):
-        keys[layer][:m] = k
-        values[layer][:m] = v
+    n_layers = len(pools)
+    layer_policies = [policy] * n_layers
+    if policy.kind is PolicyKind.PYRAMID_INFER and n_layers > 1:
+        budgets = allocate_layer_budgets(n_layers * policy.budget.total_budget, n_layers, policy.taper_ratio)
+        layer_policies = [policy.for_layer(b) for b in budgets]
     runners = []
-    for layer, layer_policy in enumerate(_layer_policies(policy, model.n_layers)):
+    for layer, layer_policy in enumerate(layer_policies):
         runner = PolicyRunner(layer_policy, m)
-        runner.seed_scores(prefill.seed_scores[layer])
+        runner.seed_scores(pools[layer].prefill_entries, prefill.seed_scores[layer])
         runners.append(runner)
-    logs = [LayerLog(i, pools[i].prefill_size, steps) for i in range(model.n_layers)]
-    outputs = np.zeros((steps, model.d_model))
+    logs = [LayerLog(i, pool.prefill_size, steps) for i, pool in enumerate(pools)]
+    hidden = prefill.next_input  # None in trace replay
+    outputs = None if hidden is None else np.zeros((steps, len(hidden)))
     rows_out: list[AttentionRow] | None = [] if capture_rows else None
 
-    hidden = prefill.next_input
     for t in range(1, steps + 1):
-        position = m + t - 1
-        h = hidden
-        for layer in range(model.n_layers):
-            keys[layer][position] = h @ weights.w_k[layer]
-            values[layer][position] = h @ weights.w_v[layer]
-            pools[layer] = append_decoding_entry(pools[layer], position)
+        for layer, runner in enumerate(runners):
+            pools[layer] = append_decoding_entry(pools[layer], m + t - 1)
             pre_total = pools[layer].total_size
-            pos = pools[layer].all_positions()
-            row, context = _attend(
-                h, keys[layer][pos], values[layer][pos], pos, model.n_heads, model.recency_bias
-            )
+            row, hidden = attend(layer, t, pools[layer].all_positions(), hidden)
             if rows_out is not None and layer == 0:
                 rows_out.append(row)
-            pools[layer], decision = runners[layer].step(pools[layer], row, t)
+            pools[layer], decision = runner.step(pools[layer], row, t)
             logs[layer].record(t, pools[layer], pre_total, decision, capture)
-            h = _rmsnorm(h + context)
-        outputs[t - 1] = h
-        hidden = h
+        if outputs is not None:
+            outputs[t - 1] = hidden
 
     return RunRecord(
-        prompt_len=m, num_steps=steps, num_layers=model.n_layers,
+        prompt_len=m, num_steps=steps, num_layers=n_layers,
         layers=logs, final_pools=pools, outputs=outputs, rows=rows_out,
     )
+
+
+def _replay_attention(trace: Trace, steps: int):
+    """Trace replay's ``attend(layer, t, pos, h) -> (row, h)``: step t's
+    recorded full-prefix row sliced to ``pos`` and renormalized (uniform
+    when the slice has no mass); ``h`` passes through."""
+    if steps > trace.T:
+        raise TraceError(f"trace holds {trace.T} steps, run requested {steps}")
+
+    def attend(layer: int, t: int, pos: np.ndarray, h: None) -> tuple[AttentionRow, None]:
+        sliced = trace.row(t)[pos]
+        mass = sliced.sum()
+        sliced = sliced / mass if mass > 0 else np.full(len(pos), 1.0 / len(pos))
+        return AttentionRow(pos, sliced, validate=False), h
+
+    return attend
+
+
+def _closed_loop_attention(model: ToyModel, prefill: PrefillResult, steps: int):
+    """Closed loop's ``attend(layer, t, pos, h) -> (row, h)``: writes the
+    new position ``pos[-1]``'s key and value into the layer's buffers,
+    attends over the retained rows and returns the layer's output
+    ``rmsnorm(h + context)``."""
+    if prefill.next_input is None or len(prefill.pools) != model.n_layers:
+        raise ValueError("prefill result does not match closed-loop model shape")
+    weights = ModelWeights(model)
+    room = np.empty((steps, model.d_model))
+    keys = [np.concatenate((k, room)) for k, _ in prefill.prompt_kv]
+    values = [np.concatenate((v, room)) for _, v in prefill.prompt_kv]
+
+    def attend(layer: int, t: int, pos: np.ndarray, h: np.ndarray) -> tuple[AttentionRow, np.ndarray]:
+        keys[layer][pos[-1]] = h @ weights.w_k[layer]
+        values[layer][pos[-1]] = h @ weights.w_v[layer]
+        row, context = _attend(
+            h, keys[layer][pos], values[layer][pos], pos, model.n_heads, model.recency_bias
+        )
+        return row, _rmsnorm(h + context)
+
+    return attend

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -32,11 +31,11 @@ class PrefillPolicyKind(Enum):
 class PrefillPolicy:
     """Prompt-compression choice plus its knobs.
 
-    ``score_mode`` picks how the prompt score vector is built in
-    closed-loop mode: "window" aggregates the last local-window rows,
-    "sum" uses column sums over all prompt rows. ``observation_rows``
-    overrides how many trailing rows the window policy inspects
-    (defaults to alpha2).
+    ``score_mode`` picks what the topk_local policy ranks by: "window"
+    the mean of the trailing observation rows, "sum" the column sums over
+    all prompt rows (in trace replay both are the stored prompt row).
+    ``observation_rows`` overrides how many trailing rows closed-loop
+    prefill observes (defaults to alpha2).
     """
 
     kind: PrefillPolicyKind = PrefillPolicyKind.FULL
@@ -52,22 +51,14 @@ class PrefillPolicy:
         return self.alpha1 + self.alpha2
 
 
-def _history_plus_local(scores: np.ndarray, m: int, alpha1: int, alpha2: int) -> CachePool:
-    """Top-alpha1 of positions 0..m-alpha2-1 by ``scores`` (dense, indexed
-    by position), plus the last alpha2 positions unconditionally."""
-    history = top_k(ScoreVector.from_dense(scores[: m - alpha2]), alpha1)
-    return new_pool([*sorted(history), *range(m - alpha2, m)])
-
-
 def compress_prefill_topk(
-    att_prefill: ScoreVector,
-    m: int,
-    alpha1: int,
-    alpha2: int,
+    scores: np.ndarray, alpha1: int, alpha2: int, pooling_width: int = 1
 ) -> CachePool:
     """Keep the alpha1 highest-scoring positions outside the local window,
-    concatenated with the last alpha2 positions. ``att_prefill`` scores
-    prompt positions; unscored ones count as zero."""
+    concatenated with the last alpha2 positions. ``scores`` is dense over
+    the prompt (index = position) and is first smoothed across
+    ``pooling_width`` neighbouring positions (1: unsmoothed)."""
+    m = len(scores)
     if m < 1:
         raise ValueError("prompt must contain at least one token")
     if alpha2 > m:
@@ -76,9 +67,9 @@ def compress_prefill_topk(
         raise ValueError("alpha1 + alpha2 must be at least 1")
     if alpha1 + alpha2 >= m:
         return new_pool(range(m))
-    dense = np.zeros(m)
-    dense[att_prefill.positions] = att_prefill.scores
-    return _history_plus_local(dense, m, alpha1, alpha2)
+    history = smooth_scores(scores, pooling_width)[: m - alpha2]
+    kept = top_k(ScoreVector(np.arange(m - alpha2), history, validate=False), alpha1)
+    return new_pool([*sorted(kept), *range(m - alpha2, m)])
 
 
 def compress_prefill_streaming(m: int, total_budget: int) -> CachePool:
@@ -103,30 +94,6 @@ def smooth_scores(scores: np.ndarray, pooling_width: int) -> np.ndarray:
     sums = np.convolve(scores, kernel, mode="same")
     counts = np.convolve(np.ones(len(scores)), kernel, mode="same")
     return sums / counts
-
-
-def compress_prefill_window(
-    att_rows: Sequence[ScoreVector],
-    m: int,
-    alpha1: int,
-    alpha2: int,
-    pooling_width: int = 7,
-) -> CachePool:
-    """Observation-window variant: aggregate the given trailing rows, smooth
-    the result across positions, then apply the history+local layout."""
-    if m < 1:
-        raise ValueError("prompt must contain at least one token")
-    if not att_rows:
-        raise ValueError("at least one observation row is required")
-    if alpha2 > m:
-        raise ValueError(f"alpha2={alpha2} exceeds prompt length {m}")
-    if alpha1 + alpha2 < 1:
-        raise ValueError("alpha1 + alpha2 must be at least 1")
-    if alpha1 + alpha2 >= m:
-        return new_pool(range(m))
-    agg = observation_window_scores(att_rows, window=len(att_rows))
-    dense = np.pad(agg, (0, m - len(agg)))  # positions no row covers score zero
-    return _history_plus_local(smooth_scores(dense, pooling_width), m, alpha1, alpha2)
 
 
 def allocate_layer_budgets(total_budget: int, num_layers: int, taper_ratio: float) -> list[int]:
@@ -159,27 +126,33 @@ def allocate_layer_budgets(total_budget: int, num_layers: int, taper_ratio: floa
 def apply_prefill_policy(
     policy: PrefillPolicy,
     m: int,
-    prompt_scores: ScoreVector,
-    att_rows: Sequence[ScoreVector] | None = None,
+    colsums: np.ndarray,
+    obs_rows: np.ndarray,
     layer_budget_override: int | None = None,
 ) -> CachePool:
     """Dispatch one layer's prompt compression over prompt length ``m``.
 
-    ``layer_budget_override`` replaces the policy's total budget for the
-    pyramid variant (the per-layer share); the local window stays alpha2.
+    ``colsums`` is the layer's dense prompt column-sum vector and
+    ``obs_rows`` its trailing observation rows, one dense row of length
+    ``m`` each; the window mean over them is computed only for the kinds
+    that score by it. ``layer_budget_override`` replaces the policy's total
+    budget for the pyramid variant (the per-layer share); the local window
+    stays alpha2.
     """
     kind = policy.kind
     if kind is PrefillPolicyKind.FULL:
         return new_pool(range(m))
     if kind is PrefillPolicyKind.STREAMING:
         return compress_prefill_streaming(m, policy.budget)
+    alpha1, alpha2 = policy.alpha1, policy.alpha2
+    if kind is PrefillPolicyKind.TOPK_LOCAL and policy.score_mode == "sum":
+        return compress_prefill_topk(colsums, alpha1, alpha2)
+    positions = np.arange(m)
+    rows = [ScoreVector(positions, row, validate=False) for row in obs_rows]
+    window_mean = observation_window_scores(rows, len(rows))
     if kind is PrefillPolicyKind.TOPK_LOCAL:
-        return compress_prefill_topk(prompt_scores, m, policy.alpha1, policy.alpha2)
-    if kind in (PrefillPolicyKind.WINDOW, PrefillPolicyKind.PYRAMID):
-        alpha1, alpha2 = policy.alpha1, policy.alpha2
-        if layer_budget_override is not None:
-            alpha2 = min(policy.alpha2, layer_budget_override)
-            alpha1 = layer_budget_override - alpha2
-        rows = att_rows if att_rows else [prompt_scores]
-        return compress_prefill_window(rows, m, alpha1, alpha2, policy.pooling_width)
-    raise ValueError(f"unknown prefill policy kind {kind!r}")
+        return compress_prefill_topk(window_mean, alpha1, alpha2)
+    if layer_budget_override is not None:
+        alpha2 = min(policy.alpha2, layer_budget_override)
+        alpha1 = layer_budget_override - alpha2
+    return compress_prefill_topk(window_mean, alpha1, alpha2, policy.pooling_width)

@@ -5,8 +5,8 @@ Line-delimited JSON. The first line is a header
 then one record per step t = 0..T: ``{"t": t, "scores": [...]}`` where the
 score array has length M+t over the full causal prefix. The t=0 record is
 the aggregated prompt score row (length M) that replay-time prompt
-compression consumes. Scores are written as decimal text at full float64
-round-trip precision.
+compression consumes. Scores must be finite and nonnegative; they are
+written as decimal text at full float64 round-trip precision.
 """
 
 from __future__ import annotations
@@ -118,6 +118,12 @@ def read_trace(path: str | Path) -> Trace:
             raise TraceError(
                 f"{path}: line {line_no}: row length {len(arr)} inconsistent with causal growth "
                 f"(expected M+t={m + t_expected})"
+            )
+        bad = np.flatnonzero(~((arr >= 0) & (arr < np.inf)))
+        if len(bad):
+            raise TraceError(
+                f"{path}: line {line_no}: score {arr[bad[0]]} at position {bad[0]} "
+                "is not finite and nonnegative"
             )
         if t_expected == 0:
             prefill_scores = arr

@@ -8,12 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kvsim.cli import main
 from kvsim.core import BudgetConfig, append_decoding_entry, new_pool
 from kvsim.decoding import DecodingPolicy, PolicyKind, PolicyRunner
 from kvsim.engine import ToyModel, decode_loop, run_prefill
 from kvsim.prefill import PrefillPolicy, PrefillPolicyKind
 from kvsim.selection import AttentionRow
-from kvsim.traceio import synthetic_trace
+from kvsim.traceio import synthetic_trace, write_trace
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -32,6 +33,71 @@ def test_every_wrapped_name_resolves():
         if not callable(getattr(owner, attr, None))
     ]
     assert not missing
+
+
+CLOSED_LOOP_2LAYER = """
+mode = closed_loop
+n_layers = 2
+d_model = 8
+M = 24
+T = 12
+policies = pyramid_infer, scope_slide
+prefill.policy = window
+prefill.alpha1 = 4
+prefill.alpha2 = 2
+prefill.pooling_width = 3
+decoding.beta1 = 2
+decoding.beta2 = 2
+decoding.selector = window
+decoding.observation_window = 3
+metrics.checkpoints = 6, 12
+timestamp = false
+"""
+
+REPLAY_H2O = """
+mode = trace_replay
+M = 24
+T = 12
+policies = h2o
+prefill.alpha1 = 4
+prefill.alpha2 = 2
+decoding.beta1 = 2
+decoding.beta2 = 2
+metrics.checkpoints = 12
+timestamp = false
+"""
+
+# dead since decode-side selection calls top_k_mask; retargeting the wrap
+# is a change to the benchmark itself
+NOT_ON_A_RUN_PATH = {("kvsim.decoding", "top_k")}
+
+
+def test_every_wrapped_name_is_called(tmp_path, monkeypatch):
+    """A wrapped name that no run calls leaves its per-layer metric at 0."""
+    wraps = load_tracer().WRAPS
+    calls = [0] * len(wraps)
+    for i, (owner, attr, _, _) in enumerate(wraps):
+        def counted(*args, _fn=getattr(owner, attr), _i=i, **kwargs):
+            calls[_i] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+    trace_path = tmp_path / "run.trace"
+    write_trace(synthetic_trace(24, 12, seed=4), trace_path)
+    for name, text in [
+        ("closed", CLOSED_LOOP_2LAYER),
+        ("replay_file", REPLAY_H2O + f"trace = {trace_path}\n"),
+        ("replay_synthetic", REPLAY_H2O + "trace.synthetic = true\n"),
+    ]:
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text + f"output_dir = {tmp_path / name}\n")
+        assert main(["run", str(cfg)]) == 0
+    never = {
+        (owner.__name__, attr)
+        for (owner, attr, _, _), n in zip(wraps, calls)
+        if n == 0
+    }
+    assert never == NOT_ON_A_RUN_PATH
 
 
 def test_policy_step_decision_has_traced_fields():

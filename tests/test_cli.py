@@ -1,5 +1,7 @@
 """Config parsing, pipeline resolution, CLI subcommands, and exit codes."""
 
+import json
+
 import pytest
 
 from kvsim import cli
@@ -8,6 +10,7 @@ from kvsim.config import ConfigError, load_config, parse_config_text
 from kvsim.core import InvariantError
 from kvsim.decoding import PolicyKind
 from kvsim.prefill import PrefillPolicyKind
+from kvsim.traceio import synthetic_trace, write_trace
 
 SMOKE_CONFIG = """
 # closed-loop smoke experiment
@@ -215,6 +218,27 @@ class TestCLI:
         assert main(["trace", "import-check", str(bad)]) == 2
         assert "trace error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.25], ids=["nan", "inf", "negative"])
+    @pytest.mark.parametrize("line_no", [2, 4], ids=["prompt_row", "step_row"])
+    def test_bad_trace_score_exit_two(self, tmp_path, capsys, line_no, value):
+        path = tmp_path / "bad.trace"
+        write_trace(synthetic_trace(4, 3, seed=0), path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[line_no - 1])
+        record["scores"][1] = value
+        lines[line_no - 1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["trace", "import-check", str(path)]) == 2
+        assert f"line {line_no}: score" in capsys.readouterr().err
+        cfg_text = (
+            f"mode = trace_replay\ntrace = {path}\nM = 4\nT = 3\npolicies = h2o, scope_slide\n"
+            f"prefill.alpha1 = 1\nprefill.alpha2 = 1\ndecoding.beta2 = 1\noutput_dir = {tmp_path / 'out'}\n"
+        )
+        cfg = write_config(tmp_path, cfg_text)
+        assert main(["run", str(cfg)]) == 2
+        assert "not finite and nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_replay_with_exported_trace_file(self, tmp_path):
         trace_path = export_trace(tmp_path)
         replay_text = (
@@ -341,6 +365,51 @@ class TestCLI:
         if exit_code:
             assert "decoding.beta1" in capsys.readouterr().err
             assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "key, lines, exit_code",
+        [
+            ("prefill.pooling_width", "prefill.policy = window\nprefill.pooling_width = 4", 1),
+            ("prefill.pooling_width", "policies = pyramid_infer\nprefill.pooling_width = 6", 1),
+            ("prefill.pooling_width", "prefill.pooling_width = 4", 0),  # topk_local does not smooth
+            ("decoding.observation_window", "decoding.selector = window\ndecoding.observation_window = 0", 1),
+            ("decoding.observation_window", "decoding.observation_window = 0", 0),  # cumulative selector
+            ("prefill.observation_rows", "prefill.policy = window\nprefill.observation_rows = -2", 1),
+            ("prefill.taper_ratio", "policies = pyramid_infer\nprefill.taper_ratio = 1.5", 1),
+            ("prefill.alpha2", "prefill.alpha2 = 30", 1),
+            ("prefill.alpha1", "prefill.alpha1 = 0\nprefill.alpha2 = 0", 1),
+            ("seeds", "seeds = -1", 1),
+        ],
+    )
+    def test_unrunnable_value_checked_at_load(self, tmp_path, capsys, key, lines, exit_code):
+        out_dir = tmp_path / "out"
+        cfg_text = f"mode = closed_loop\nM = 24\nT = 8\nd_model = 8\n{lines}\noutput_dir = {out_dir}\n"
+        if "policies" not in lines:
+            cfg_text += "policies = scope_slide\n"
+        assert main(["run", str(write_config(tmp_path, cfg_text))]) == exit_code
+        if exit_code:
+            assert f"config error: {key}" in capsys.readouterr().err
+            assert not out_dir.exists()
+
+    def test_unrunnable_sweep_value_exit_one(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        path = write_config(tmp_path, SMOKE_CONFIG + f"output_dir = {out_dir}\n")
+        assert main(["sweep", str(path), "--axis", "alpha2=2,30"]) == 1
+        assert "config error: prefill.alpha2" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_sweep_without_values_exit_one(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        path = write_config(tmp_path, REPLAY_CONFIG + f"output_dir = {out_dir}\n")
+        assert main(["sweep", str(path), "--axis", "beta1=,"]) == 1
+        assert "--axis" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("traces", ["0", "-2"])
+    def test_oracle_check_without_traces_exit_one(self, tmp_path, capsys, traces):
+        path = write_config(tmp_path, REPLAY_CONFIG)
+        assert main(["oracle-check", str(path), "--traces", traces]) == 1
+        assert "--traces" in capsys.readouterr().err
 
     def test_oracle_check_exit_zero(self, tmp_path, capsys):
         path = write_config(tmp_path, REPLAY_CONFIG)

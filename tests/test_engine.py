@@ -86,6 +86,8 @@ class TestRunPrefill:
         trace = synthetic_trace(10, 5, seed=0)
         with pytest.raises(TraceError, match="shorter"):
             run_prefill(trace, 20, PrefillPolicy(kind=PrefillPolicyKind.FULL))
+        with pytest.raises(TraceError, match="recorded with M=10"):
+            run_prefill(trace, 5, PrefillPolicy(kind=PrefillPolicyKind.FULL))
 
     def test_pyramid_layer_budgets_sum_to_total(self):
         model = ToyModel(seed=5, d_model=12, n_heads=2, n_layers=4)
@@ -94,6 +96,47 @@ class TestRunPrefill:
         sizes = [pool.prefill_size for pool in result.pools]
         assert sum(sizes) == 4 * policy.budget  # prompt exceeds every layer budget
         assert sizes == sorted(sizes, reverse=True)
+
+
+# prefill_fingerprint() of every layer's pool at M = 32, alpha1 = 6,
+# alpha2 = 4, pooling width 3; any change to a retained prompt set shows here
+PREFILL_FINGERPRINTS = {
+    ("closed_loop_2layer", "full", "window"): [1636176923, 1636176923],
+    ("closed_loop_2layer", "full", "sum"): [1636176923, 1636176923],
+    ("closed_loop_2layer", "topk_local", "window"): [557516104, 2059310897],
+    ("closed_loop_2layer", "topk_local", "sum"): [3811726166, 3811726166],
+    ("closed_loop_2layer", "window", "window"): [557516104, 270433666],
+    ("closed_loop_2layer", "window", "sum"): [557516104, 270433666],
+    ("closed_loop_2layer", "streaming", "window"): [954183751, 954183751],
+    ("closed_loop_2layer", "streaming", "sum"): [954183751, 954183751],
+    ("closed_loop_2layer", "pyramid", "window"): [1584428333, 2901851217],
+    ("closed_loop_2layer", "pyramid", "sum"): [1584428333, 2901851217],
+    ("synthetic_trace", "full", "window"): [1636176923],
+    ("synthetic_trace", "full", "sum"): [1636176923],
+    ("synthetic_trace", "topk_local", "window"): [3614921493],
+    ("synthetic_trace", "topk_local", "sum"): [3614921493],
+    ("synthetic_trace", "window", "window"): [2089848758],
+    ("synthetic_trace", "window", "sum"): [2089848758],
+    ("synthetic_trace", "streaming", "window"): [954183751],
+    ("synthetic_trace", "streaming", "sum"): [954183751],
+    ("synthetic_trace", "pyramid", "window"): [2089848758],
+    ("synthetic_trace", "pyramid", "sum"): [2089848758],
+}
+
+
+@pytest.mark.parametrize("source", ["closed_loop_2layer", "synthetic_trace"])
+@pytest.mark.parametrize("score_mode", ["window", "sum"])
+@pytest.mark.parametrize("kind", list(PrefillPolicyKind), ids=lambda k: k.value)
+def test_prefill_fingerprints_pinned(source, score_mode, kind):
+    m = 32
+    if source == "synthetic_trace":
+        src = synthetic_trace(m, 4, seed=2)
+    else:
+        src = ToyModel(seed=5, d_model=8, n_heads=2, n_layers=2, recency_bias=0.02)
+    policy = PrefillPolicy(kind=kind, alpha1=6, alpha2=4, pooling_width=3, score_mode=score_mode)
+    result = run_prefill(src, m, policy)
+    fingerprints = [pool.prefill_fingerprint() for pool in result.pools]
+    assert fingerprints == PREFILL_FINGERPRINTS[(source, kind.value, score_mode)]
 
 
 class TestDecodeLoop:

@@ -14,10 +14,8 @@ from kvsim.prefill import (
     apply_prefill_policy,
     compress_prefill_streaming,
     compress_prefill_topk,
-    compress_prefill_window,
     smooth_scores,
 )
-from kvsim.selection import ScoreVector
 
 
 def positions(pool):
@@ -35,26 +33,26 @@ class TestTopKLocal:
             )
         )
         assert best_two == {0, 2}
-        pool = compress_prefill_topk(ScoreVector.from_dense(scores), 6, alpha1=2, alpha2=2)
+        pool = compress_prefill_topk(np.array(scores + [0.0, 0.0]), alpha1=2, alpha2=2)
         assert positions(pool) == sorted(best_two | {4, 5})
 
     def test_budget_covers_prompt_keeps_everything(self):
-        pool = compress_prefill_topk(ScoreVector.from_dense(np.ones(5)), 5, 3, 2)
+        pool = compress_prefill_topk(np.ones(5), 3, 2)
         assert positions(pool) == [0, 1, 2, 3, 4]
 
     def test_production_scale_budget(self):
         m, alpha1, alpha2 = 4096, 2040, 8
-        scores = ScoreVector.from_dense(np.random.default_rng(0).random(m))
-        pool = compress_prefill_topk(scores, m, alpha1, alpha2)
+        scores = np.random.default_rng(0).random(m)
+        pool = compress_prefill_topk(scores, alpha1, alpha2)
         assert pool.prefill_size == 2048
 
     def test_local_window_exceeding_prompt_rejected(self):
         with pytest.raises(ValueError, match="alpha2"):
-            compress_prefill_topk(ScoreVector.from_dense(np.ones(4)), 4, 1, 5)
+            compress_prefill_topk(np.ones(4), 1, 5)
 
     def test_zero_budget_rejected(self):
         with pytest.raises(ValueError, match="at least 1"):
-            compress_prefill_topk(ScoreVector.from_dense(np.ones(4)), 4, 0, 0)
+            compress_prefill_topk(np.ones(4), 0, 0)
 
     @given(
         m=st.integers(4, 40),
@@ -66,8 +64,8 @@ class TestTopKLocal:
     def test_local_window_always_retained(self, m, alpha1, alpha2, seed):
         if alpha2 > m:
             alpha2 = m
-        scores = ScoreVector.from_dense(np.random.default_rng(seed).random(m))
-        pool = compress_prefill_topk(scores, m, alpha1, alpha2)
+        scores = np.random.default_rng(seed).random(m)
+        pool = compress_prefill_topk(scores, alpha1, alpha2)
         kept = set(positions(pool))
         assert set(range(m - alpha2, m)) <= kept
         assert pool.prefill_size == min(alpha1 + alpha2, m)
@@ -98,26 +96,27 @@ class TestStreaming:
 
 
 class TestWindow:
-    def rows(self, dense):
-        return [ScoreVector.from_dense(r) for r in dense]
+    def window_policy(self, kind, width, alpha1, alpha2, score_mode="window"):
+        return PrefillPolicy(kind=kind, alpha1=alpha1, alpha2=alpha2, pooling_width=width, score_mode=score_mode)
 
     def test_pooling_width_one_equals_topk(self):
         rng = np.random.default_rng(7)
         dense = rng.random((3, 12))
-        rows = self.rows(dense)
-        agg = dense.mean(axis=0)
-        via_window = compress_prefill_window(rows, 12, 4, 2, pooling_width=1)
-        via_topk = compress_prefill_topk(ScoreVector.from_dense(agg), 12, 4, 2)
+        colsums = dense.sum(axis=0)
+        window = self.window_policy(PrefillPolicyKind.WINDOW, 1, 4, 2)
+        topk = self.window_policy(PrefillPolicyKind.TOPK_LOCAL, 1, 4, 2)
+        via_window = apply_prefill_policy(window, 12, colsums, dense)
+        via_topk = apply_prefill_policy(topk, 12, colsums, dense)
         assert positions(via_window) == positions(via_topk)
+        assert positions(via_topk) == positions(compress_prefill_topk(dense.mean(axis=0), 4, 2))
 
     def test_uniform_scores_tie_break_to_earliest(self):
-        rows = self.rows(np.ones((2, 10)))
-        pool = compress_prefill_window(rows, 10, 3, 2, pooling_width=3)
+        pool = compress_prefill_topk(np.ones(10), 3, 2, pooling_width=3)
         assert positions(pool) == [0, 1, 2, 8, 9]
 
     def test_even_pooling_width_rejected(self):
         with pytest.raises(ValueError, match="odd"):
-            compress_prefill_window(self.rows(np.ones((1, 8))), 8, 2, 2, pooling_width=4)
+            compress_prefill_topk(np.ones(8), 2, 2, pooling_width=4)
 
     def test_matches_naive_reimplementation(self):
         # brute-force oracle: sum/count smoothing and selection by full sort
@@ -132,7 +131,8 @@ class TestWindow:
             smoothed.append(sum(agg[lo:hi]) / (hi - lo))
         ranked = sorted(range(m - alpha2), key=lambda p: (-smoothed[p], p))
         expected = sorted(set(ranked[:alpha1]) | set(range(m - alpha2, m)))
-        pool = compress_prefill_window(self.rows(dense), m, alpha1, alpha2, width)
+        policy = self.window_policy(PrefillPolicyKind.WINDOW, width, alpha1, alpha2)
+        pool = apply_prefill_policy(policy, m, dense.sum(axis=0), dense)
         assert positions(pool) == expected
 
     @given(seed=st.integers(0, 2**32 - 1), width=st.sampled_from([1, 3, 5, 7]))
@@ -182,14 +182,12 @@ class TestLayerAllocation:
 class TestDispatch:
     def test_full_cache_is_identity(self):
         policy = PrefillPolicy(kind=PrefillPolicyKind.FULL)
-        pool = apply_prefill_policy(policy, 9, ScoreVector.from_dense(np.ones(9)))
+        pool = apply_prefill_policy(policy, 9, np.ones(9), np.ones((1, 9)))
         assert positions(pool) == list(range(9))
 
     def test_pyramid_layer_override_shrinks_budget(self):
         policy = PrefillPolicy(kind=PrefillPolicyKind.PYRAMID, alpha1=6, alpha2=2)
-        rows = [ScoreVector.from_dense(np.random.default_rng(1).random(20))]
-        pool = apply_prefill_policy(
-            policy, 20, rows[0], att_rows=rows, layer_budget_override=5
-        )
+        row = np.random.default_rng(1).random(20)
+        pool = apply_prefill_policy(policy, 20, row, row[None, :], layer_budget_override=5)
         assert pool.prefill_size == 5
         assert {18, 19} <= set(positions(pool))
