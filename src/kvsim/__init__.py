@@ -20,6 +20,7 @@ from .decoding import (
 )
 from .engine import (
     PrefillResult,
+    PromptPass,
     RunRecord,
     ToyModel,
     decode_loop,

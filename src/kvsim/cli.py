@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .config import SWEEP_AXES, ConfigError, ExperimentConfig, load_config
 from .core import InvariantError
-from .engine import ToyModel, decode_loop, run_prefill
+from .engine import PromptPass, ToyModel, decode_loop, run_prefill
 from .metrics import EfficiencyReport, efficiency, heavy_hitter_set, hh_origin_distribution, retained_recall
 from .oracle import check_policy_equivalence, full_cache_reference
 from .traceio import Trace, TraceError, read_trace, synthetic_trace, write_trace
@@ -71,13 +71,26 @@ def _reference_rows(cfg: ExperimentConfig, seed: int, cache: dict):
     return cache[key]
 
 
+def _prompt_pass(cfg: ExperimentConfig, model: ToyModel, cache: dict) -> PromptPass:
+    """The closed-loop prompt pass that every policy of ``model``'s seed
+    compresses. It keeps the rows of the widest observation window among
+    the grid's policies and is computed by the first run_prefill given it."""
+    key = ("prompt", model.seed)
+    if key not in cache:
+        rows = max(cfg.pipeline(token)[0].observed_rows(cfg.M) for token in cfg.policies)
+        cache[key] = PromptPass(model, cfg.M, rows)
+    return cache[key]
+
+
 def _run_cell(cfg: ExperimentConfig, token: str, seed: int, cache: dict) -> CellResult:
     prefill_policy, decoding_policy = cfg.pipeline(token)
     if cfg.mode == "trace_replay":
         source: ToyModel | Trace = _trace_for(cfg, seed, cache)
+        prompt = None
     else:
         source = ToyModel(seed, cfg.d_model, cfg.n_heads, cfg.n_layers, cfg.recency_bias)
-    prefill = run_prefill(source, cfg.M, prefill_policy)
+        prompt = _prompt_pass(cfg, source, cache)
+    prefill = run_prefill(source, cfg.M, prefill_policy, prompt)
     record = decode_loop(source, prefill, decoding_policy, cfg.T, capture_positions=cfg.checkpoints)
     report = efficiency(record)
 
@@ -166,8 +179,8 @@ def run_experiment(
     cells = []
     cache: dict = {}
     for sub, ax, value in grids:
-        # a trace file is read once; synthetic traces and reference rows
-        # depend on the axis value and are rebuilt per grid
+        # a trace file is read once; synthetic traces, prompt passes and
+        # reference rows depend on the axis value and are rebuilt per grid
         cache = {"file": cache["file"]} if "file" in cache else {}
         for token in sub.policies:
             for seed in sub.seeds:

@@ -161,8 +161,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"prefill.alpha2: policy {token!r} keeps a local window of {prompt.alpha2}, more than M={self.M}"
             )
-        observes = kind is not PrefillPolicyKind.TOPK_LOCAL or prompt.score_mode == "window"
-        if observes and self.mode == "closed_loop" and (prompt.observation_rows or 0) < 0:
+        if self.mode == "closed_loop" and prompt.observed_rows(self.M) < 0:
             raise ConfigError(f"prefill.observation_rows: must be nonnegative, got {prompt.observation_rows}")
         if kind is PrefillPolicyKind.TOPK_LOCAL:
             return

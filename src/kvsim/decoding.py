@@ -70,6 +70,14 @@ class DecodingPolicy:
     layer_budget: int | None = None
     taper_ratio: float = 0.5
 
+    def __post_init__(self) -> None:
+        # every runner sizes its row buffer by it; the window selector reads those rows
+        if self.observation_window < (1 if self.selector is SelectorKind.WINDOW else 0):
+            raise ValueError(
+                f"observation_window must be >= 1 with the window selector (>= 0 otherwise), "
+                f"got {self.observation_window}"
+            )
+
     def for_layer(self, layer_budget: int) -> "DecodingPolicy":
         return replace(self, layer_budget=layer_budget)
 

@@ -128,25 +128,102 @@ class PrefillResult:
     next_input: np.ndarray | None = None
 
 
-def run_prefill(source: ToyModel | Trace, m: int, policy: PrefillPolicy) -> PrefillResult:
+class PromptPass:
+    """The policy-independent part of a closed-loop prefill: full causal
+    attention over the ``m`` prompt positions, layer by layer. Keeps what
+    compression and decoding read: each layer's prompt (keys, values),
+    dense column sums and last ``rows`` head-averaged attention rows, and
+    the first decode input. Its arrays are read-only, since every policy
+    compressing this pass shares them.
+
+    Nothing is computed until the first :func:`run_prefill` given this
+    pass, so one instance shared by every policy of a seed runs the
+    forward pass once. ``rows`` must cover the widest observation window
+    among those policies (:meth:`PrefillPolicy.observed_rows`)."""
+
+    def __init__(self, model: ToyModel, m: int, rows: int) -> None:
+        if not 0 <= rows <= m:
+            raise ValueError(f"observation rows must be in 0..{m}, got {rows}")
+        self.model, self.m, self.rows = model, m, rows
+        self.colsums: list[np.ndarray] = []
+        self.obs_rows: list[np.ndarray] = []
+        self.prompt_kv: list[tuple[np.ndarray, np.ndarray]] = []
+        self.next_input: np.ndarray | None = None
+
+    def run(self) -> None:
+        """Compute the pass unless that is done already."""
+        if self.next_input is not None:
+            return
+        model, m = self.model, self.m
+        weights = ModelWeights(model)
+        heads, d = model.n_heads, model.d_model
+        dh = d // heads
+        hidden = weights.embeddings(m)
+        positions = np.arange(m)
+        delta = positions[None, :] - positions[:, None]
+        future = delta > 0
+        for layer in range(model.n_layers):
+            k = hidden @ weights.w_k[layer]
+            v = hidden @ weights.w_v[layer]
+            logits = np.einsum("ihd,jhd->hij", hidden.reshape(m, heads, dh), k.reshape(m, heads, dh))
+            logits /= math.sqrt(dh)
+            logits += model.recency_bias * delta[None, :, :]
+            logits[:, future] = -np.inf
+            logits -= logits.max(axis=2, keepdims=True)
+            att = np.exp(logits)
+            att /= att.sum(axis=2, keepdims=True)
+            rows = att.mean(axis=0)  # (m, m), causal lower triangle
+            context = np.einsum("hij,jhd->ihd", att, v.reshape(m, heads, dh)).reshape(m, d)
+            hidden = _rmsnorm_rows(hidden + context)
+            colsums, observed = rows.sum(axis=0), rows[m - self.rows:].copy()
+            for array in (colsums, observed, k, v):
+                array.flags.writeable = False
+            self.colsums.append(colsums)
+            self.obs_rows.append(observed)
+            self.prompt_kv.append((k, v))
+        self.next_input = _rmsnorm(hidden[m - 1])
+        self.next_input.flags.writeable = False
+
+
+def run_prefill(
+    source: ToyModel | Trace, m: int, policy: PrefillPolicy, prompt: PromptPass | None = None
+) -> PrefillResult:
     """Process the prompt and build the initial pools under ``policy``.
 
     Each layer contributes its dense prompt column sums and its trailing
-    observation rows: closed loop computes full causal attention over all
-    M positions, trace replay uses the stored prompt row for both. Budget
-    allocation, compression and seeding are the same for both modes.
+    observation rows: closed loop takes them from a :class:`PromptPass`
+    of full causal attention over all M positions, trace replay uses the
+    stored prompt row for both. Budget allocation, compression and seeding
+    are the same for both modes.
+
+    In closed loop, ``prompt`` passes a pass shared with other calls for
+    the same model and M (computed by the first of them), so each call
+    only compresses; by default the call runs a pass of its own.
     """
     if m < 1:
         raise ValueError("prompt length must be >= 1")
-    result = PrefillResult(prompt_len=m, pools=[], seed_scores=[])
     if isinstance(source, Trace):
         if source.M < m:
             raise TraceError(f"trace prompt covers {source.M} positions, shorter than M={m}")
         if source.M != m:
             raise TraceError(f"trace was recorded with M={source.M}, run requested M={m}")
+        result = PrefillResult(prompt_len=m, pools=[], seed_scores=[])
         n_layers, layers = 1, [(source.prefill_scores, source.prefill_scores[None, :])]
     else:
-        n_layers, layers = source.n_layers, _closed_loop_prompt(source, m, policy, result)
+        window = policy.observed_rows(m)
+        prompt = prompt or PromptPass(source, m, window)
+        if prompt.model != source or prompt.m != m or prompt.rows < window:
+            raise ValueError(
+                f"prompt pass (seed {prompt.model.seed}, M={prompt.m}, {prompt.rows} rows) does not "
+                f"serve seed {source.seed}, M={m}, {window} observation rows"
+            )
+        prompt.run()
+        result = PrefillResult(
+            prompt_len=m, pools=[], seed_scores=[],
+            prompt_kv=list(prompt.prompt_kv), next_input=prompt.next_input,
+        )
+        n_layers = source.n_layers
+        layers = zip(prompt.colsums, [rows[len(rows) - window:] for rows in prompt.obs_rows])
     if policy.kind is PrefillPolicyKind.PYRAMID:
         budgets = allocate_layer_budgets(n_layers * policy.budget, n_layers, policy.taper_ratio)
     else:
@@ -155,38 +232,6 @@ def run_prefill(source: ToyModel | Trace, m: int, policy: PrefillPolicy) -> Pref
         result.pools.append(apply_prefill_policy(policy, m, colsums, obs_rows, budgets[layer]))
         result.seed_scores.append(colsums)
     return result
-
-
-def _closed_loop_prompt(model: ToyModel, m: int, policy: PrefillPolicy, result: PrefillResult):
-    """Full causal attention over the prompt, layer by layer. Yields each
-    layer's column sums and its last ``observation_rows`` (default alpha2)
-    head-averaged rows, stores its prompt (keys, values) in ``result`` and,
-    after the last layer, the first decode input."""
-    weights = ModelWeights(model)
-    heads, d = model.n_heads, model.d_model
-    dh = d // heads
-    hidden = weights.embeddings(m)
-    positions = np.arange(m)
-    delta = positions[None, :] - positions[:, None]
-    future = delta > 0
-    window = min(policy.observation_rows or max(policy.alpha2, 1), m)
-    result.prompt_kv = []
-    for layer in range(model.n_layers):
-        k = hidden @ weights.w_k[layer]
-        v = hidden @ weights.w_v[layer]
-        logits = np.einsum("ihd,jhd->hij", hidden.reshape(m, heads, dh), k.reshape(m, heads, dh))
-        logits /= math.sqrt(dh)
-        logits += model.recency_bias * delta[None, :, :]
-        logits[:, future] = -np.inf
-        logits -= logits.max(axis=2, keepdims=True)
-        att = np.exp(logits)
-        att /= att.sum(axis=2, keepdims=True)
-        rows = att.mean(axis=0)  # (m, m), causal lower triangle
-        context = np.einsum("hij,jhd->ihd", att, v.reshape(m, heads, dh)).reshape(m, d)
-        hidden = _rmsnorm_rows(hidden + context)
-        result.prompt_kv.append((k, v))
-        yield rows.sum(axis=0), rows[m - window:]
-    result.next_input = _rmsnorm(hidden[m - 1])
 
 
 def prefill_result_from_positions(trace: Trace, positions: Iterable[int]) -> PrefillResult:
@@ -333,13 +378,16 @@ def decode_loop(
 def _replay_attention(trace: Trace, steps: int):
     """Trace replay's ``attend(layer, t, pos, h) -> (row, h)``: step t's
     recorded full-prefix row sliced to ``pos`` and renormalized (uniform
-    when the slice has no mass); ``h`` passes through."""
+    when the slice has no mass, a ``TraceError`` when its mass is NaN or
+    infinite); ``h`` passes through."""
     if steps > trace.T:
         raise TraceError(f"trace holds {trace.T} steps, run requested {steps}")
 
     def attend(layer: int, t: int, pos: np.ndarray, h: None) -> tuple[AttentionRow, None]:
         sliced = trace.row(t)[pos]
         mass = sliced.sum()
+        if not math.isfinite(mass):
+            raise TraceError(f"trace row of step {t} has non-finite mass {mass} over the retained positions")
         sliced = sliced / mass if mass > 0 else np.full(len(pos), 1.0 / len(pos))
         return AttentionRow(pos, sliced, validate=False), h
 

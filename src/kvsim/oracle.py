@@ -52,7 +52,10 @@ def full_cache_reference(
 ) -> ReferenceRun:
     """Run the toy model with no eviction, storing every full-prefix row
     densely. Re-derives the forward pass stepwise rather than reusing the
-    engine, so the two can be cross-checked."""
+    engine, so the two can be cross-checked: one position at a time, a
+    literal loop over heads. Each new key and value is written into a
+    preallocated (m + t_steps) x d_model buffer per layer, and attention
+    reads the first n rows of it."""
     if m < 1 or t_steps < 0:
         raise ValueError("need m >= 1 and t_steps >= 0")
     if m + t_steps > max_total and not allow_large:
@@ -64,13 +67,14 @@ def full_cache_reference(
     heads, d = model.n_heads, model.d_model
     dh = d // heads
     bias = model.recency_bias
-    keys = [[] for _ in range(model.n_layers)]
-    values = [[] for _ in range(model.n_layers)]
+    # row p of a layer's buffers holds position p's key and value
+    keys = [np.empty((m + t_steps, d)) for _ in range(model.n_layers)]
+    values = [np.empty((m + t_steps, d)) for _ in range(model.n_layers)]
 
-    def attend_one(h: np.ndarray, layer: int) -> tuple[np.ndarray, np.ndarray]:
-        k_mat = np.array(keys[layer])
-        v_mat = np.array(values[layer])
-        n = len(k_mat)
+    def attend_one(h: np.ndarray, layer: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Attention of ``h`` over the first ``n`` positions."""
+        k_mat = keys[layer][:n]
+        v_mat = values[layer][:n]
         offsets = np.arange(n) - (n - 1)
         row_acc = np.zeros(n)
         ctx = np.zeros(d)
@@ -95,9 +99,9 @@ def full_cache_reference(
     for i in range(m):
         h = embeddings[i]
         for layer in range(model.n_layers):
-            keys[layer].append(h @ weights.w_k[layer])
-            values[layer].append(h @ weights.w_v[layer])
-            row, ctx = attend_one(h, layer)
+            keys[layer][i] = h @ weights.w_k[layer]
+            values[layer][i] = h @ weights.w_v[layer]
+            row, ctx = attend_one(h, layer, i + 1)
             if layer == 0:
                 layer_mean = row / model.n_layers
             else:
@@ -111,10 +115,11 @@ def full_cache_reference(
     x = norm(hidden)
     for t in range(1, t_steps + 1):
         h = x
+        p = m + t - 1
         for layer in range(model.n_layers):
-            keys[layer].append(h @ weights.w_k[layer])
-            values[layer].append(h @ weights.w_v[layer])
-            row, ctx = attend_one(h, layer)
+            keys[layer][p] = h @ weights.w_k[layer]
+            values[layer][p] = h @ weights.w_v[layer]
+            row, ctx = attend_one(h, layer, p + 1)
             if layer == 0:
                 layer_mean = row / model.n_layers
             else:

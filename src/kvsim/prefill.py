@@ -50,6 +50,16 @@ class PrefillPolicy:
     def budget(self) -> int:
         return self.alpha1 + self.alpha2
 
+    def observed_rows(self, m: int) -> int:
+        """How many trailing prompt rows closed-loop compression of an
+        m-token prompt reads: none unless it scores by the window mean,
+        else ``observation_rows`` or alpha2 (at least 1), at most m."""
+        if self.kind in (PrefillPolicyKind.FULL, PrefillPolicyKind.STREAMING) or (
+            self.kind is PrefillPolicyKind.TOPK_LOCAL and self.score_mode == "sum"
+        ):
+            return 0
+        return min(self.observation_rows or max(self.alpha2, 1), m)
+
 
 def compress_prefill_topk(
     scores: np.ndarray, alpha1: int, alpha2: int, pooling_width: int = 1

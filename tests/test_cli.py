@@ -2,13 +2,15 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from kvsim import cli
 from kvsim.cli import main, run_experiment
-from kvsim.config import ConfigError, load_config, parse_config_text
+from kvsim.config import POLICY_TOKENS, ConfigError, load_config, parse_config_text
 from kvsim.core import InvariantError
 from kvsim.decoding import PolicyKind
+from kvsim.engine import ModelWeights, run_prefill
 from kvsim.prefill import PrefillPolicyKind
 from kvsim.traceio import synthetic_trace, write_trace
 
@@ -177,6 +179,46 @@ class TestRunExperiment:
             _, csv_path, txt_path = run_experiment(cfg)
             outputs.append(csv_path.read_bytes() + txt_path.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_closed_loop_prompt_pass_shared_per_seed(self, tmp_path, monkeypatch):
+        # every token, both seeds, 2 layers; pyramid_infer widens the observed
+        # rows from alpha2 = 2 to alpha2 + beta2 = 4, full, h2o (column sums)
+        # and streaming observe none. No checkpoints: the dense reference
+        # would embed the prompt too.
+        text = (
+            SMOKE_CONFIG.replace("n_layers = 1", "n_layers = 2")
+            .replace("policies = full, scope_slide", f"policies = {', '.join(POLICY_TOKENS)}")
+            .replace("prefill.policy = topk_local", "prefill.policy = window")
+            .replace("metrics.checkpoints = 4, 16\n", "")
+        )
+        cfg = load_config(write_config(tmp_path, text))
+        cfg.output_dir = str(tmp_path / "out")
+        assert {cfg.pipeline(t)[0].observed_rows(cfg.M) for t in cfg.policies} == {0, 2, 4}
+        passes, prefills = [], []
+        embeddings, shared_prefill = ModelWeights.embeddings, cli.run_prefill
+
+        def counted_embeddings(weights, m):
+            passes.append(weights.model.seed)
+            return embeddings(weights, m)
+
+        def recorded_prefill(model, m, policy, prompt):
+            prefills.append((model, m, policy, shared_prefill(model, m, policy, prompt)))
+            return prefills[-1][-1]
+
+        monkeypatch.setattr(ModelWeights, "embeddings", counted_embeddings)
+        monkeypatch.setattr(cli, "run_prefill", recorded_prefill)
+        run_experiment(cfg)
+        assert passes == [1, 2]  # one prompt pass per seed
+        assert len(prefills) == 2 * len(POLICY_TOKENS)
+        for model, m, policy, got in prefills:
+            want = run_prefill(model, m, policy)
+            for a, b in zip(got.pools, want.pools, strict=True):
+                assert np.array_equal(a.prefill_entries, b.prefill_entries)
+            for a, b in zip(got.seed_scores, want.seed_scores, strict=True):
+                assert np.array_equal(a, b)
+            for (ka, va), (kb, vb) in zip(got.prompt_kv, want.prompt_kv, strict=True):
+                assert np.array_equal(ka, kb) and np.array_equal(va, vb)
+            assert np.array_equal(got.next_input, want.next_input)
 
     def test_replay_grid_runs_every_policy(self, tmp_path):
         cfg = load_config(write_config(tmp_path, REPLAY_CONFIG))
@@ -375,6 +417,8 @@ class TestCLI:
             ("decoding.observation_window", "decoding.selector = window\ndecoding.observation_window = 0", 1),
             ("decoding.observation_window", "decoding.observation_window = 0", 0),  # cumulative selector
             ("prefill.observation_rows", "prefill.policy = window\nprefill.observation_rows = -2", 1),
+            # no prompt policy of these tokens reads observation rows
+            ("prefill.observation_rows", "policies = full, h2o, streaming\nprefill.observation_rows = -2", 0),
             ("prefill.taper_ratio", "policies = pyramid_infer\nprefill.taper_ratio = 1.5", 1),
             ("prefill.alpha2", "prefill.alpha2 = 30", 1),
             ("prefill.alpha1", "prefill.alpha1 = 0\nprefill.alpha2 = 0", 1),

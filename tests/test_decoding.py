@@ -335,3 +335,23 @@ def test_observation_window_selector_also_supported():
     record = decode_loop(trace, prefill, policy, 30)
     assert record.final_pools[0].decoding_size == budget.decoding_budget
     assert efficiency(record).selection_ops == 30 - budget.decoding_budget
+
+
+@pytest.mark.parametrize(
+    "selector, window, ok",
+    [
+        (SelectorKind.CUMULATIVE, -1, False),
+        (SelectorKind.CUMULATIVE, 0, True),
+        (SelectorKind.WINDOW, 0, False),
+        (SelectorKind.WINDOW, -1, False),
+        (SelectorKind.WINDOW, 1, True),
+    ],
+)
+def test_observation_window_checked_at_construction(selector, window, ok):
+    budget = BudgetConfig(beta1=3, beta2=2, max_decode_steps=10)
+    if ok:
+        policy = DecodingPolicy(PolicyKind.UNIFIED_H2O, budget, selector=selector, observation_window=window)
+        assert PolicyRunner(policy, 8).policy.observation_window == window
+    else:
+        with pytest.raises(ValueError, match="observation_window"):
+            DecodingPolicy(PolicyKind.UNIFIED_H2O, budget, selector=selector, observation_window=window)

@@ -9,6 +9,7 @@ from kvsim.core import BudgetConfig
 from kvsim.decoding import DecodingPolicy, PolicyKind
 from kvsim.engine import (
     ModelWeights,
+    PromptPass,
     ToyModel,
     _attend,
     decode_loop,
@@ -139,6 +140,75 @@ def test_prefill_fingerprints_pinned(source, score_mode, kind):
     assert fingerprints == PREFILL_FINGERPRINTS[(source, kind.value, score_mode)]
 
 
+# one pass serves policies observing no rows (full, streaming, column
+# sums), 4 (alpha2), 7 (alpha2 widened by beta2, as the pyramid_infer
+# token resolves) and 12 (observation_rows)
+SHARED_PASS_POLICIES = [
+    *(
+        PrefillPolicy(kind=kind, alpha1=6, alpha2=4, pooling_width=3, score_mode=mode)
+        for kind in PrefillPolicyKind
+        for mode in ("window", "sum")
+    ),
+    PrefillPolicy(kind=PrefillPolicyKind.TOPK_LOCAL, alpha1=9, alpha2=7, score_mode="sum"),
+    PrefillPolicy(kind=PrefillPolicyKind.TOPK_LOCAL, alpha1=9, alpha2=7),
+    PrefillPolicy(kind=PrefillPolicyKind.PYRAMID, alpha1=9, alpha2=7, pooling_width=3),
+    PrefillPolicy(kind=PrefillPolicyKind.TOPK_LOCAL, alpha1=6, alpha2=4, observation_rows=12),
+    PrefillPolicy(kind=PrefillPolicyKind.WINDOW, alpha1=6, alpha2=4, pooling_width=3, observation_rows=12),
+]
+
+
+def assert_prefill_equal(got, want):
+    assert got.prompt_len == want.prompt_len
+    for a, b in zip(got.pools, want.pools, strict=True):
+        assert np.array_equal(a.prefill_entries, b.prefill_entries)
+        assert np.array_equal(a.decoding_entries, b.decoding_entries)
+    for a, b in zip(got.seed_scores, want.seed_scores, strict=True):
+        assert np.array_equal(a, b)
+    for (ka, va), (kb, vb) in zip(got.prompt_kv, want.prompt_kv, strict=True):
+        assert np.array_equal(ka, kb) and np.array_equal(va, vb)
+    assert np.array_equal(got.next_input, want.next_input)
+
+
+class TestSharedPromptPass:
+    model = ToyModel(seed=5, d_model=8, n_heads=2, n_layers=2, recency_bias=0.02)
+
+    def test_observed_rows_differ_across_policies(self):
+        assert {p.observed_rows(32) for p in SHARED_PASS_POLICIES} == {0, 4, 7, 12}
+
+    def test_shared_pass_equals_fresh_prefill(self):
+        m = 32
+        shared = PromptPass(self.model, m, max(p.observed_rows(m) for p in SHARED_PASS_POLICIES))
+        for policy in SHARED_PASS_POLICIES:
+            assert_prefill_equal(run_prefill(self.model, m, policy, shared), run_prefill(self.model, m, policy))
+
+    def test_pass_computed_once_and_read_only(self, monkeypatch):
+        calls = []
+        embeddings = ModelWeights.embeddings
+        monkeypatch.setattr(ModelWeights, "embeddings", lambda w, m: calls.append(m) or embeddings(w, m))
+        shared = PromptPass(self.model, 32, 12)
+        assert calls == []  # nothing runs before the first prefill
+        results = [run_prefill(self.model, 32, policy, shared) for policy in SHARED_PASS_POLICIES]
+        assert calls == [32]
+        with pytest.raises(ValueError, match="read-only"):
+            results[0].seed_scores[0][0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            results[0].prompt_kv[1][0][0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "model, m, rows",
+        [
+            (ToyModel(seed=6, d_model=8, n_heads=2, n_layers=2, recency_bias=0.02), 32, 12),
+            (model, 31, 12),
+            (model, 32, 11),
+        ],
+        ids=["other_seed", "other_m", "too_few_rows"],
+    )
+    def test_mismatched_pass_rejected(self, model, m, rows):
+        policy = PrefillPolicy(kind=PrefillPolicyKind.WINDOW, alpha1=6, alpha2=4, observation_rows=12)
+        with pytest.raises(ValueError, match="does not serve"):
+            run_prefill(self.model, 32, policy, PromptPass(model, m, rows))
+
+
 class TestDecodeLoop:
     def policy(self, **kw):
         budget = BudgetConfig(**{"beta1": 3, "beta2": 2, "max_decode_steps": 15, **kw})
@@ -160,6 +230,22 @@ class TestDecodeLoop:
         prefill = prefill_result_from_positions(trace, range(6))
         with pytest.raises(TraceError, match="holds 4 steps"):
             decode_loop(trace, prefill, self.policy(), 10)
+
+    def test_non_finite_replay_row_rejected(self):
+        trace = synthetic_trace(6, 4, seed=0)
+        trace.rows[1] = np.full(8, np.nan)
+        prefill = prefill_result_from_positions(trace, range(6))
+        policy = DecodingPolicy(PolicyKind.UNIFIED_H2O, BudgetConfig(alpha1=2, alpha2=2, max_decode_steps=4))
+        with pytest.raises(TraceError, match="step 2 has non-finite mass"):
+            decode_loop(trace, prefill, policy, 4)
+
+    def test_zero_mass_replay_row_is_uniform(self):
+        trace = synthetic_trace(6, 4, seed=0)
+        trace.rows[1] = np.zeros(8)
+        prefill = prefill_result_from_positions(trace, range(6))
+        policy = DecodingPolicy(PolicyKind.PREFILL_ONLY, BudgetConfig(max_decode_steps=4))
+        record = decode_loop(trace, prefill, policy, 4, capture_rows=True)
+        assert np.array_equal(record.rows[1].scores, np.full(8, 1 / 8))
 
     def test_rows_normalized_and_causal(self):
         model = ToyModel(seed=7, d_model=16, n_heads=2)

@@ -1,5 +1,7 @@
 """Brute-force references and naive/optimized cross-checks."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,6 +40,32 @@ class TestFullCacheReference:
         with pytest.raises(ValueError, match="guard"):
             full_cache_reference(model, 4000, 2000)
         full_cache_reference(model, 30, 2, max_total=16, allow_large=True)
+
+
+# sha256 over full_cache_reference's prompt scores, outputs and rows as
+# little-endian float64: any changed bit of the oracle's forward pass shows
+# here (the golden reports print 4 decimals and cannot). The bits come from
+# this numpy build's float64 arithmetic; another BLAS may round differently.
+ORACLE_DIGESTS = {
+    "1layer": "ab0544ba986aecbffb92d46b907269b877bce72ffdcd6c4875937405ec56630f",
+    "2layer_recency": "b3ef4f33ea7a2ec3a96a0e532162c6683b2fce33b8eaf78570537d0644e50b3e",
+    "3layer_4head": "726e565133dc44af6f663939a59cc065f26965e43fe291ce568a45b16b721fd0",
+}
+ORACLE_CASES = {
+    "1layer": (ToyModel(seed=1, d_model=8, n_heads=1), 12, 10),
+    "2layer_recency": (ToyModel(seed=9, d_model=16, n_heads=2, n_layers=2, recency_bias=0.05), 16, 12),
+    "3layer_4head": (ToyModel(seed=4, d_model=16, n_heads=4, n_layers=3), 10, 10),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_full_cache_reference_bits_pinned(case):
+    model, m, t_steps = ORACLE_CASES[case]
+    reference = full_cache_reference(model, m, t_steps)
+    digest = hashlib.sha256()
+    for array in (reference.prompt_scores, reference.outputs, *reference.rows):
+        digest.update(np.ascontiguousarray(array, dtype="<f8").tobytes())
+    assert digest.hexdigest() == ORACLE_DIGESTS[case]
 
 
 class TestHeavyHitterSet:
