@@ -104,6 +104,15 @@ class ExperimentConfig:
             raise ConfigError(f"prefill.score_mode: expected window or sum, got {self.score_mode!r}")
         if self.mode == "trace_replay" and not self.trace_synthetic and not self.trace_path:
             raise ConfigError("trace: trace_replay mode needs a trace path or trace.synthetic = true")
+        # keys the mode never reads would otherwise be ignored without a word
+        if self.mode == "closed_loop" and self.trace_path:
+            raise ConfigError("trace: closed_loop mode runs the toy model and reads no trace file")
+        if self.mode == "closed_loop" and self.trace_synthetic:
+            raise ConfigError("trace.synthetic: closed_loop mode runs the toy model and reads no trace")
+        if self.mode == "trace_replay" and self.n_layers != 1:
+            raise ConfigError(
+                f"n_layers: trace_replay runs one layer-aggregated lane, got n_layers = {self.n_layers}"
+            )
         if self.d_model < 1 or self.n_heads < 1 or self.n_layers < 1:
             raise ConfigError("d_model / n_heads / n_layers: all must be >= 1")
         if self.d_model % self.n_heads:
@@ -112,9 +121,11 @@ class ExperimentConfig:
             raise ConfigError(f"recency_bias: must be nonnegative, got {self.recency_bias}")
         if not 0.0 < self.hh_fraction <= 1.0:
             raise ConfigError(f"metrics.hh_fraction: must be in (0, 1], got {self.hh_fraction}")
-        for t in self.checkpoints:
+        for i, t in enumerate(self.checkpoints):
             if not 1 <= t <= self.T:
                 raise ConfigError(f"metrics.checkpoints: checkpoint {t} outside 1..{self.T}")
+            if t in self.checkpoints[:i]:
+                raise ConfigError(f"metrics.checkpoints: checkpoint {t} is listed twice")
         # closed-loop checkpoint metrics need the dense full-cache reference
         if self.mode == "closed_loop" and self.checkpoints and self.M + self.T > DEFAULT_SIZE_GUARD:
             raise ConfigError(
@@ -133,7 +144,17 @@ class ExperimentConfig:
                 f"(>= 0 otherwise), got {self.observation_window}"
             )
         for token in self.policies:
-            self._check_prompt_policy(token, self.pipeline(token)[0])
+            prompt, decoding = self.pipeline(token)
+            self._check_prompt_policy(token, prompt)
+            # a pyramid taper can leave the last layers no share of the budget;
+            # per_layer returns every other policy as is
+            shares = [p.budget for p in prompt.per_layer(self.n_layers) if p is not prompt]
+            shares += [d.budget.total_budget for d in decoding.per_layer(self.n_layers) if d is not decoding]
+            if 0 in shares:
+                raise ConfigError(
+                    f"prefill.taper_ratio: {self.taper_ratio} leaves a layer of policy {token!r} "
+                    f"no budget over n_layers = {self.n_layers}"
+                )
         # T <= beta2 never reaches a discontinuous selection and must still run
         if "scope_discontinuous" in self.policies and self.T > self.beta2:
             try:

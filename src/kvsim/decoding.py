@@ -21,6 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .core import BudgetConfig, CachePool, evict_decoding
+from .prefill import allocate_layer_budgets
 from .selection import (
     AttentionRow,
     ScoreAccumulator,
@@ -58,8 +59,8 @@ class DecodingPolicy:
 
     ``seed_prefill_scores`` controls whether unified cumulative selectors
     start from the prompt-phase attention mass of the retained entries.
-    ``layer_budget`` overrides the total per-layer budget for the pyramid
-    baseline; ``taper_ratio`` shapes its per-layer allocation.
+    ``taper_ratio`` shapes the pyramid baseline's split of the budget over
+    layers; :meth:`per_layer` gives the policy each layer runs.
     """
 
     kind: PolicyKind
@@ -67,7 +68,6 @@ class DecodingPolicy:
     selector: SelectorKind = SelectorKind.CUMULATIVE
     observation_window: int = 8
     seed_prefill_scores: bool = True
-    layer_budget: int | None = None
     taper_ratio: float = 0.5
 
     def __post_init__(self) -> None:
@@ -78,8 +78,21 @@ class DecodingPolicy:
                 f"got {self.observation_window}"
             )
 
-    def for_layer(self, layer_budget: int) -> "DecodingPolicy":
-        return replace(self, layer_budget=layer_budget)
+    def per_layer(self, n_layers: int) -> list["DecodingPolicy"]:
+        """The policy each of ``n_layers`` layers runs: this one, except
+        that pyramid_infer over several layers splits ``n_layers *
+        total_budget`` over them (:func:`allocate_layer_budgets`); share
+        ``s`` runs ``BudgetConfig(alpha1=s - w, alpha2=w)``, local window
+        ``w = min(alpha2 + beta2, s)``."""
+        if self.kind is not PolicyKind.PYRAMID_INFER or n_layers == 1:
+            return [self] * n_layers
+        b = self.budget
+        shares = allocate_layer_budgets(n_layers * b.total_budget, n_layers, self.taper_ratio)
+        windows = [min(b.alpha2 + b.beta2, s) for s in shares]
+        return [
+            replace(self, budget=BudgetConfig(alpha1=s - w, alpha2=w, max_decode_steps=b.max_decode_steps))
+            for s, w in zip(shares, windows)
+        ]
 
 
 @dataclass(frozen=True)
@@ -158,13 +171,9 @@ class PolicyRunner:
         b = policy.budget
         self._acc = ScoreAccumulator(prompt_len + b.max_decode_steps)
         self._recent_rows: deque[ScoreVector] = deque(maxlen=policy.observation_window)
-        if policy.kind is PolicyKind.PYRAMID_INFER and policy.layer_budget is not None:
-            total = policy.layer_budget
-        else:
-            total = b.total_budget
-        self._unified_local = min(b.alpha2 + b.beta2, total)
-        self._unified_history = total - self._unified_local
-        self._unified_total = total
+        self._unified_total = b.total_budget
+        self._unified_local = min(b.alpha2 + b.beta2, b.total_budget)
+        self._unified_history = b.total_budget - self._unified_local
 
     def seed_scores(self, positions: np.ndarray, colsums: np.ndarray) -> None:
         """Give unified cumulative selectors the prompt-phase attention mass

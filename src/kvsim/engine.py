@@ -27,8 +27,8 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .core import CachePool, append_decoding_entry, new_pool
-from .decoding import DecodingPolicy, PolicyKind, PolicyRunner, StepDecision
-from .prefill import PrefillPolicy, PrefillPolicyKind, allocate_layer_budgets, apply_prefill_policy
+from .decoding import DecodingPolicy, PolicyRunner, StepDecision
+from .prefill import PrefillPolicy, apply_prefill_policy
 from .selection import AttentionRow
 from .traceio import Trace, TraceError
 
@@ -193,8 +193,9 @@ def run_prefill(
     Each layer contributes its dense prompt column sums and its trailing
     observation rows: closed loop takes them from a :class:`PromptPass`
     of full causal attention over all M positions, trace replay uses the
-    stored prompt row for both. Budget allocation, compression and seeding
-    are the same for both modes.
+    stored prompt row for both. Layer ``i`` compresses under
+    ``policy.per_layer(n_layers)[i]`` over the last
+    ``policy.observed_rows(m)`` rows (a layer's share may clip alpha2).
 
     In closed loop, ``prompt`` passes a pass shared with other calls for
     the same model and M (computed by the first of them), so each call
@@ -208,7 +209,7 @@ def run_prefill(
         if source.M != m:
             raise TraceError(f"trace was recorded with M={source.M}, run requested M={m}")
         result = PrefillResult(prompt_len=m, pools=[], seed_scores=[])
-        n_layers, layers = 1, [(source.prefill_scores, source.prefill_scores[None, :])]
+        layers = [(source.prefill_scores, source.prefill_scores[None, :])]
     else:
         window = policy.observed_rows(m)
         prompt = prompt or PromptPass(source, m, window)
@@ -222,14 +223,9 @@ def run_prefill(
             prompt_len=m, pools=[], seed_scores=[],
             prompt_kv=list(prompt.prompt_kv), next_input=prompt.next_input,
         )
-        n_layers = source.n_layers
-        layers = zip(prompt.colsums, [rows[len(rows) - window:] for rows in prompt.obs_rows])
-    if policy.kind is PrefillPolicyKind.PYRAMID:
-        budgets = allocate_layer_budgets(n_layers * policy.budget, n_layers, policy.taper_ratio)
-    else:
-        budgets = [None] * n_layers
-    for layer, (colsums, obs_rows) in enumerate(layers):
-        result.pools.append(apply_prefill_policy(policy, m, colsums, obs_rows, budgets[layer]))
+        layers = list(zip(prompt.colsums, [rows[len(rows) - window:] for rows in prompt.obs_rows]))
+    for layer_policy, (colsums, obs_rows) in zip(policy.per_layer(len(layers)), layers):
+        result.pools.append(apply_prefill_policy(layer_policy, m, colsums, obs_rows))
         result.seed_scores.append(colsums)
     return result
 
@@ -260,7 +256,8 @@ class LayerLog:
     ``t - 1`` holds step ``t``. ``peak_entries`` is the pool size after the
     step's append and before its eviction, the two section sizes are after
     the eviction. ``captured`` keeps the (immutable) pool of each captured
-    step."""
+    step, and ``rows`` the layer's attention row of every step when the
+    run captures rows."""
 
     def __init__(self, layer: int, initial_prefill_size: int, steps: int) -> None:
         self.layer = layer
@@ -271,6 +268,7 @@ class LayerLog:
         self.ran_selection = np.zeros(steps, dtype=bool)
         self.evicted = np.zeros(steps, dtype=np.int64)
         self.captured: dict[int, CachePool] = {}
+        self.rows: list[AttentionRow] = []
 
     @property
     def steps(self) -> list[StepRow]:
@@ -301,7 +299,6 @@ class RunRecord:
     layers: list[LayerLog]
     final_pools: list[CachePool]
     outputs: np.ndarray | None = None
-    rows: list[AttentionRow] | None = None
 
     def positions_at(self, t: int, layer: int = 0) -> tuple[frozenset[int], frozenset[int]]:
         """The (prompt-side, decode-side) positions retained after step ``t``,
@@ -320,15 +317,16 @@ def decode_loop(
     capture_rows: bool = False,
 ) -> RunRecord:
     """Run ``t_steps`` decode steps (default: the budget's horizon, which
-    is also their upper bound) and return the audit record. Each step
-    appends the new position to every layer's pool, takes that layer's
-    attention row over the retained positions from the mode's source, and
-    lets the layer's policy runner evict. Closed loop threads hidden states
-    through the layers so eviction feeds back into later outputs; trace
-    replay drives a single policy lane (trace rows are already
-    layer-aggregated). The record keeps the retained positions of the
-    steps in ``capture_positions`` (``True``: every step) and, with
-    ``capture_rows``, layer 0's attention rows."""
+    is also their upper bound) and return the audit record. Layer ``i``
+    runs ``policy.per_layer(n_layers)[i]``. Each step appends the new
+    position to every layer's pool, takes that layer's attention row over
+    the retained positions from the mode's source, and lets the layer's
+    policy runner evict. Closed loop threads hidden states through the
+    layers so eviction feeds back into later outputs; trace replay drives
+    a single policy lane (trace rows are already layer-aggregated). The
+    record keeps the retained positions of the steps in
+    ``capture_positions`` (``True``: every step) and, with
+    ``capture_rows``, every layer's attention rows in its log."""
     horizon = policy.budget.max_decode_steps
     steps = t_steps if t_steps is not None else horizon
     if steps < 1:
@@ -342,36 +340,30 @@ def decode_loop(
     m = prefill.prompt_len
     capture = set(range(1, steps + 1)) if capture_positions is True else {int(t) for t in capture_positions}
     pools = list(prefill.pools)
-    n_layers = len(pools)
-    layer_policies = [policy] * n_layers
-    if policy.kind is PolicyKind.PYRAMID_INFER and n_layers > 1:
-        budgets = allocate_layer_budgets(n_layers * policy.budget.total_budget, n_layers, policy.taper_ratio)
-        layer_policies = [policy.for_layer(b) for b in budgets]
     runners = []
-    for layer, layer_policy in enumerate(layer_policies):
+    for pool, colsums, layer_policy in zip(pools, prefill.seed_scores, policy.per_layer(len(pools))):
         runner = PolicyRunner(layer_policy, m)
-        runner.seed_scores(pools[layer].prefill_entries, prefill.seed_scores[layer])
+        runner.seed_scores(pool.prefill_entries, colsums)
         runners.append(runner)
     logs = [LayerLog(i, pool.prefill_size, steps) for i, pool in enumerate(pools)]
     hidden = prefill.next_input  # None in trace replay
     outputs = None if hidden is None else np.zeros((steps, len(hidden)))
-    rows_out: list[AttentionRow] | None = [] if capture_rows else None
 
     for t in range(1, steps + 1):
         for layer, runner in enumerate(runners):
             pools[layer] = append_decoding_entry(pools[layer], m + t - 1)
             pre_total = pools[layer].total_size
             row, hidden = attend(layer, t, pools[layer].all_positions(), hidden)
-            if rows_out is not None and layer == 0:
-                rows_out.append(row)
+            if capture_rows:
+                logs[layer].rows.append(row)
             pools[layer], decision = runner.step(pools[layer], row, t)
             logs[layer].record(t, pools[layer], pre_total, decision, capture)
         if outputs is not None:
             outputs[t - 1] = hidden
 
     return RunRecord(
-        prompt_len=m, num_steps=steps, num_layers=n_layers,
-        layers=logs, final_pools=pools, outputs=outputs, rows=rows_out,
+        prompt_len=m, num_steps=steps, num_layers=len(pools),
+        layers=logs, final_pools=pools, outputs=outputs,
     )
 
 

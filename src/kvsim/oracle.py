@@ -162,10 +162,7 @@ def naive_policy_simulator(
     recent: deque[dict[int, float]] = deque(maxlen=policy.observation_window)
     kind, selector = policy.kind, policy.selector
 
-    if kind is PolicyKind.PYRAMID_INFER and policy.layer_budget is not None:
-        unified_total = policy.layer_budget
-    else:
-        unified_total = b.total_budget
+    unified_total = b.total_budget
     unified_local = min(b.alpha2 + b.beta2, unified_total)
     unified_history = unified_total - unified_local
 

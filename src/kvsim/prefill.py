@@ -10,7 +10,7 @@ so budget sweeps need no special cases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -59,6 +59,16 @@ class PrefillPolicy:
         ):
             return 0
         return min(self.observation_rows or max(self.alpha2, 1), m)
+
+    def per_layer(self, n_layers: int) -> list["PrefillPolicy"]:
+        """The policy each of ``n_layers`` layers compresses with: this one,
+        except that pyramid splits ``n_layers * budget`` over the layers
+        (:func:`allocate_layer_budgets`) and a layer with share ``s`` keeps
+        a local window of ``min(alpha2, s)`` and the rest as history."""
+        if self.kind is not PrefillPolicyKind.PYRAMID:
+            return [self] * n_layers
+        shares = allocate_layer_budgets(n_layers * self.budget, n_layers, self.taper_ratio)
+        return [replace(self, alpha1=s - min(self.alpha2, s), alpha2=min(self.alpha2, s)) for s in shares]
 
 
 def compress_prefill_topk(
@@ -133,21 +143,14 @@ def allocate_layer_budgets(total_budget: int, num_layers: int, taper_ratio: floa
     return budgets
 
 
-def apply_prefill_policy(
-    policy: PrefillPolicy,
-    m: int,
-    colsums: np.ndarray,
-    obs_rows: np.ndarray,
-    layer_budget_override: int | None = None,
-) -> CachePool:
-    """Dispatch one layer's prompt compression over prompt length ``m``.
+def apply_prefill_policy(policy: PrefillPolicy, m: int, colsums: np.ndarray, obs_rows: np.ndarray) -> CachePool:
+    """Compress one layer's prompt of length ``m`` under that layer's
+    policy (one entry of :meth:`PrefillPolicy.per_layer`).
 
     ``colsums`` is the layer's dense prompt column-sum vector and
     ``obs_rows`` its trailing observation rows, one dense row of length
     ``m`` each; the window mean over them is computed only for the kinds
-    that score by it. ``layer_budget_override`` replaces the policy's total
-    budget for the pyramid variant (the per-layer share); the local window
-    stays alpha2.
+    that score by it.
     """
     kind = policy.kind
     if kind is PrefillPolicyKind.FULL:
@@ -162,7 +165,4 @@ def apply_prefill_policy(
     window_mean = observation_window_scores(rows, len(rows))
     if kind is PrefillPolicyKind.TOPK_LOCAL:
         return compress_prefill_topk(window_mean, alpha1, alpha2)
-    if layer_budget_override is not None:
-        alpha2 = min(policy.alpha2, layer_budget_override)
-        alpha1 = layer_budget_override - alpha2
     return compress_prefill_topk(window_mean, alpha1, alpha2, policy.pooling_width)

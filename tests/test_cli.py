@@ -420,6 +420,14 @@ class TestCLI:
             # no prompt policy of these tokens reads observation rows
             ("prefill.observation_rows", "policies = full, h2o, streaming\nprefill.observation_rows = -2", 0),
             ("prefill.taper_ratio", "policies = pyramid_infer\nprefill.taper_ratio = 1.5", 1),
+            # a zero taper gives the last of several layers no budget
+            ("prefill.taper_ratio", "policies = pyramid_infer\nn_layers = 3\nprefill.taper_ratio = 0", 1),
+            ("prefill.taper_ratio", "prefill.policy = pyramid\nn_layers = 3\nprefill.taper_ratio = 0", 1),
+            ("prefill.taper_ratio", "policies = pyramid_infer\nprefill.taper_ratio = 0", 0),
+            # closed loop reads no trace
+            ("trace", "trace = /nonexistent.trace", 1),
+            ("trace.synthetic", "trace.synthetic = true", 1),
+            ("metrics.checkpoints", "metrics.checkpoints = 6, 6", 1),
             ("prefill.alpha2", "prefill.alpha2 = 30", 1),
             ("prefill.alpha1", "prefill.alpha1 = 0\nprefill.alpha2 = 0", 1),
             ("seeds", "seeds = -1", 1),
@@ -434,6 +442,14 @@ class TestCLI:
         if exit_code:
             assert f"config error: {key}" in capsys.readouterr().err
             assert not out_dir.exists()
+
+    def test_replay_with_several_layers_exit_one(self, tmp_path, capsys):
+        # replay runs one layer-aggregated lane, whatever n_layers says
+        out_dir = tmp_path / "out"
+        path = write_config(tmp_path, REPLAY_CONFIG + f"n_layers = 3\noutput_dir = {out_dir}\n")
+        assert main(["run", str(path)]) == 1
+        assert "config error: n_layers" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_unrunnable_sweep_value_exit_one(self, tmp_path, capsys):
         out_dir = tmp_path / "out"

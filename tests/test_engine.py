@@ -1,12 +1,15 @@
 """Toy engine: attention math, determinism, prefill, and trace replay."""
 
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kvsim.core import BudgetConfig
-from kvsim.decoding import DecodingPolicy, PolicyKind
+from kvsim.decoding import DecodingPolicy, PolicyKind, SelectorKind
 from kvsim.engine import (
     ModelWeights,
     PromptPass,
@@ -16,7 +19,7 @@ from kvsim.engine import (
     prefill_result_from_positions,
     run_prefill,
 )
-from kvsim.prefill import PrefillPolicy, PrefillPolicyKind
+from kvsim.prefill import PrefillPolicy, PrefillPolicyKind, allocate_layer_budgets
 from kvsim.traceio import TraceError, synthetic_trace
 
 
@@ -245,13 +248,13 @@ class TestDecodeLoop:
         prefill = prefill_result_from_positions(trace, range(6))
         policy = DecodingPolicy(PolicyKind.PREFILL_ONLY, BudgetConfig(max_decode_steps=4))
         record = decode_loop(trace, prefill, policy, 4, capture_rows=True)
-        assert np.array_equal(record.rows[1].scores, np.full(8, 1 / 8))
+        assert np.array_equal(record.layers[0].rows[1].scores, np.full(8, 1 / 8))
 
     def test_rows_normalized_and_causal(self):
         model = ToyModel(seed=7, d_model=16, n_heads=2)
         prefill = run_prefill(model, 9, PrefillPolicy(kind=PrefillPolicyKind.FULL))
         record = decode_loop(model, prefill, self.policy(), 12, capture_rows=True)
-        for t, row in enumerate(record.rows, start=1):
+        for t, row in enumerate(record.layers[0].rows, start=1):
             assert abs(float(row.scores.sum()) - 1.0) < 1e-9
             assert row.positions.max() < 9 + t
 
@@ -287,10 +290,49 @@ class TestDecodeLoop:
     def test_multi_layer_runs_have_per_layer_logs(self):
         model = ToyModel(seed=2, d_model=12, n_heads=2, n_layers=3)
         prefill = run_prefill(model, 8, PrefillPolicy(kind=PrefillPolicyKind.FULL))
-        record = decode_loop(model, prefill, self.policy(), 10)
+        record = decode_loop(model, prefill, self.policy(), 10, capture_rows=True)
         assert record.num_layers == 3
         assert len(record.layers) == 3
         assert all(len(log.steps) == 10 for log in record.layers)
+        # each layer records its own rows, over its own retained positions
+        for log in record.layers:
+            assert [row.positions[-1] for row in log.rows] == list(range(8, 18))
+        assert not np.array_equal(record.layers[0].rows[0].scores, record.layers[1].rows[0].scores)
+
+
+# sha256 over every layer's retained (prompt, decode) positions after every
+# step and the outputs (little-endian float64) of closed-loop pyramid_infer
+# runs, both phases tapered over the layers: 2-4 layers x 3 budgets x both
+# selectors x 3 tapers. The smaller budgets give some layers a share below
+# the local window alpha2 + beta2, which then fills the whole share.
+PYRAMID_DIGEST = "50fcfb74bd402964730e6846288fc730757ad0a7729d0553e4bd3071a737bb2e"
+
+
+def test_multi_layer_pyramid_runs_pinned():
+    digest = hashlib.sha256()
+    clipped = 0
+    m, t_steps = 20, 24
+    budgets = [(1, 2, 1, 1), (2, 2, 2, 2), (6, 4, 4, 4)]  # (alpha1, alpha2, beta1, beta2)
+    for n_layers, (a1, a2, b1, b2), selector, taper in itertools.product(
+        (2, 3, 4), budgets, list(SelectorKind), (0.25, 0.5, 1.0)
+    ):
+        model = ToyModel(seed=n_layers, d_model=16, n_heads=2, n_layers=n_layers, recency_bias=0.02)
+        budget = BudgetConfig(a1, a2, b1, b2, t_steps)
+        shares = allocate_layer_budgets(n_layers * budget.total_budget, n_layers, taper)
+        clipped += sum(share < a2 + b2 for share in shares)
+        prompt = PrefillPolicy(
+            kind=PrefillPolicyKind.PYRAMID, alpha1=a1 + b1, alpha2=a2 + b2, pooling_width=3, taper_ratio=taper
+        )
+        policy = DecodingPolicy(
+            PolicyKind.PYRAMID_INFER, budget, selector=selector, observation_window=4, taper_ratio=taper
+        )
+        record = decode_loop(model, run_prefill(model, m, prompt), policy, capture_positions=True)
+        for t, layer in itertools.product(range(1, t_steps + 1), range(n_layers)):
+            for side in record.positions_at(t, layer):
+                digest.update(np.array([len(side), *sorted(side)], dtype="<i8").tobytes())
+        digest.update(record.outputs.astype("<f8").tobytes())
+    assert clipped > 0
+    assert digest.hexdigest() == PYRAMID_DIGEST
 
 
 class TestModelWeights:

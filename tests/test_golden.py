@@ -44,3 +44,23 @@ def test_sweep_beta1_matches_golden(tmp_path, monkeypatch):
     # the same preset, phase-separated policies over four beta1 values
     run_script("sweep_beta1", tmp_path, monkeypatch)
     assert_reports_match(tmp_path, "sweep_test")
+
+
+def test_smoke_seeds_run_independently(tmp_path):
+    # the smoke golden's two seeds give identical rows, so it cannot show one
+    # seed's state leaking into the other's cells; at recency_bias = 0 the
+    # seed sets the heavy hitters and every policy's rows differ by seed
+    text = (ROOT / "configs" / "smoke_closed_loop.cfg").read_text()
+    assert "recency_bias = 0.05\n" in text and "seeds = 1, 2\n" in text
+    rows = {}
+    for seeds in ("1, 2", "1", "2"):
+        config = tmp_path / f"seeds {seeds}.cfg"
+        config.write_text(
+            text.replace("recency_bias = 0.05", "recency_bias = 0").replace("seeds = 1, 2", f"seeds = {seeds}")
+        )
+        assert main(["run", str(config), "--output-dir", str(tmp_path / seeds)]) == 0
+        rows[seeds] = (tmp_path / seeds / "report.csv").read_text().splitlines()[1:]
+    assert rows["1, 2"][0::2] == rows["1"]
+    assert rows["1, 2"][1::2] == rows["2"]
+    for seed1, seed2 in zip(rows["1"], rows["2"], strict=True):
+        assert seed1.split(",")[2:] != seed2.split(",")[2:]

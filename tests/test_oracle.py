@@ -31,7 +31,7 @@ class TestFullCacheReference:
         record = decode_loop(
             model, prefill, DecodingPolicy(PolicyKind.PREFILL_ONLY, budget), t_steps, capture_rows=True
         )
-        for ref_row, row in zip(reference.rows, record.rows):
+        for ref_row, row in zip(reference.rows, record.layers[0].rows, strict=True):
             assert np.allclose(ref_row, row.scores, rtol=1e-9, atol=1e-12)
         assert np.allclose(reference.outputs, record.outputs, rtol=1e-9, atol=1e-12)
 
@@ -135,10 +135,15 @@ class TestNaiveSimulator:
 
     def test_pyramid_layer_budget_equivalence(self):
         budget = BudgetConfig(alpha1=4, alpha2=2, beta1=3, beta2=2, max_decode_steps=20)
-        policy = DecodingPolicy(PolicyKind.PYRAMID_INFER, budget, layer_budget=8)
-        for seed in range(5):
-            trace = synthetic_trace(10, 20, seed=seed)
-            assert check_policy_equivalence(policy, trace, range(10), 20) is None
+        policy = DecodingPolicy(PolicyKind.PYRAMID_INFER, budget, taper_ratio=0.1)
+        layers = policy.per_layer(4)
+        # the last share is below the local window alpha2 + beta2 = 4
+        assert [p.budget.total_budget for p in layers] == [20, 14, 8, 2]
+        assert [p.budget.alpha2 for p in layers] == [4, 4, 4, 2]
+        for layer_policy in layers:
+            for seed in range(5):
+                trace = synthetic_trace(10, 20, seed=seed)
+                assert check_policy_equivalence(layer_policy, trace, range(10), 20) is None
 
 
 def coarse_trace(m, t_steps, rng):
@@ -172,20 +177,23 @@ def test_every_policy_and_selector_matches_naive_simulator(kind, selector, coars
         kind, budget, selector=selector,
         observation_window=int(rng.integers(1, 6)),
         seed_prefill_scores=bool(rng.integers(2)),
-        layer_budget=int(rng.integers(3, 12)) if kind is PolicyKind.PYRAMID_INFER else None,
+        taper_ratio=float(rng.uniform(0, 1)),
     )
     trace = coarse_trace(m, t_steps, rng) if coarse else synthetic_trace(m, t_steps, seed=seed % 1000)
     prefill = sorted(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False).tolist())
-    assert check_policy_equivalence(policy, trace, prefill, t_steps) is None
+    # each distinct layer policy; pyramid_infer shares fall below and above the local window
+    for layer_policy in dict.fromkeys(policy.per_layer(int(rng.integers(1, 5)))):
+        assert check_policy_equivalence(layer_policy, trace, prefill, t_steps) is None
 
-    # the record's columns are the sizes of the naive simulator's sets
-    log = decode_loop(trace, prefill_result_from_positions(trace, prefill), policy, t_steps).layers[0]
-    naive = naive_policy_simulator(policy, trace, prefill, t_steps)
-    prefill_sizes = np.array([len(kept_prefill) for kept_prefill, _ in naive])
-    decoding_sizes = np.array([len(kept_decoding) for _, kept_decoding in naive])
-    totals = prefill_sizes + decoding_sizes
-    assert np.array_equal(log.prefill_size, prefill_sizes)
-    assert np.array_equal(log.decoding_size, decoding_sizes)
-    assert np.array_equal(log.peak_entries, np.concatenate(([len(prefill)], totals[:-1])) + 1)
-    assert np.array_equal(log.evicted, log.peak_entries - totals)
-    assert np.array_equal(log.ran_selection, log.evicted > 0)
+        # the record's columns are the sizes of the naive simulator's sets
+        record = decode_loop(trace, prefill_result_from_positions(trace, prefill), layer_policy, t_steps)
+        log = record.layers[0]
+        naive = naive_policy_simulator(layer_policy, trace, prefill, t_steps)
+        prefill_sizes = np.array([len(kept_prefill) for kept_prefill, _ in naive])
+        decoding_sizes = np.array([len(kept_decoding) for _, kept_decoding in naive])
+        totals = prefill_sizes + decoding_sizes
+        assert np.array_equal(log.prefill_size, prefill_sizes)
+        assert np.array_equal(log.decoding_size, decoding_sizes)
+        assert np.array_equal(log.peak_entries, np.concatenate(([len(prefill)], totals[:-1])) + 1)
+        assert np.array_equal(log.evicted, log.peak_entries - totals)
+        assert np.array_equal(log.ran_selection, log.evicted > 0)

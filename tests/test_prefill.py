@@ -186,8 +186,14 @@ class TestDispatch:
         assert positions(pool) == list(range(9))
 
     def test_pyramid_layer_override_shrinks_budget(self):
-        policy = PrefillPolicy(kind=PrefillPolicyKind.PYRAMID, alpha1=6, alpha2=2)
+        policy = PrefillPolicy(kind=PrefillPolicyKind.PYRAMID, alpha1=6, alpha2=2, taper_ratio=0.1)
+        layers = policy.per_layer(4)
+        # shares 15, 10, 6 and 1; the last clips the local window to 1
+        assert [(p.alpha1, p.alpha2) for p in layers] == [(13, 2), (8, 2), (4, 2), (0, 1)]
         row = np.random.default_rng(1).random(20)
-        pool = apply_prefill_policy(policy, 20, row, row[None, :], layer_budget_override=5)
-        assert pool.prefill_size == 5
-        assert {18, 19} <= set(positions(pool))
+        for layer_policy in layers:
+            pool = apply_prefill_policy(layer_policy, 20, row, row[None, :])
+            assert pool.prefill_size == layer_policy.budget
+            assert set(range(20 - layer_policy.alpha2, 20)) <= set(positions(pool))
+        window = PrefillPolicy(kind=PrefillPolicyKind.WINDOW, alpha1=6, alpha2=2)
+        assert window.per_layer(3) == [window] * 3
