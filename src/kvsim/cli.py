@@ -29,6 +29,10 @@ from .oracle import check_policy_equivalence, full_cache_reference
 from .traceio import Trace, TraceError, read_trace, synthetic_trace, write_trace
 
 
+# report.txt's display-only byte figures assume 16-bit keys and values
+SCALAR_BYTES = 2
+
+
 @dataclass
 class CellResult:
     policy: str
@@ -40,71 +44,63 @@ class CellResult:
     axis_value: int | float | None = None
 
 
-def _trace_for(cfg: ExperimentConfig, seed: int, cache: dict) -> Trace:
-    if cfg.trace_path:
-        if "file" not in cache:
-            cache["file"] = read_trace(cfg.trace_path)
-        trace = cache["file"]
-        if trace.M != cfg.M or trace.T < cfg.T:
-            raise TraceError(
-                f"trace shape (M={trace.M}, T={trace.T}) does not cover the configured "
-                f"run (M={cfg.M}, T={cfg.T})"
-            )
-        return trace
-    key = ("synthetic", seed, cfg.M, cfg.T)
-    if key not in cache:
-        cache[key] = synthetic_trace(cfg.M, cfg.T, seed)
-    return cache[key]
+@dataclass
+class SeedInputs:
+    """What every policy of one seed compresses and is measured against:
+    the attention source, the closed-loop prompt pass (None in trace
+    replay; computed by the seed's first prefill) and, per checkpoint, the
+    full-cache run's prompt-origin heavy-hitter fraction and heavy-hitter
+    set (empty without checkpoints)."""
+
+    seed: int
+    source: ToyModel | Trace
+    prompt: PromptPass | None
+    hh_prefill: dict[int, float]
+    heavy_hitters: dict[int, set[int]]
 
 
-def _reference_rows(cfg: ExperimentConfig, seed: int, cache: dict):
-    """Dense full-prefix rows for checkpoint metrics, or None when no
-    checkpoints are configured."""
-    if not cfg.checkpoints:
-        return None
+def _seed_inputs(cfg: ExperimentConfig, seed: int, file_trace: Trace | None) -> SeedInputs:
     if cfg.mode == "trace_replay":
-        return _trace_for(cfg, seed, cache).rows
-    key = ("reference", seed)
-    if key not in cache:
-        model = ToyModel(seed, cfg.d_model, cfg.n_heads, cfg.n_layers, cfg.recency_bias)
-        cache[key] = full_cache_reference(model, cfg.M, cfg.T).rows
-    return cache[key]
-
-
-def _prompt_pass(cfg: ExperimentConfig, model: ToyModel, cache: dict) -> PromptPass:
-    """The closed-loop prompt pass that every policy of ``model``'s seed
-    compresses. It keeps the rows of the widest observation window among
-    the grid's policies and is computed by the first run_prefill given it."""
-    key = ("prompt", model.seed)
-    if key not in cache:
-        rows = max(cfg.pipeline(token)[0].observed_rows(cfg.M) for token in cfg.policies)
-        cache[key] = PromptPass(model, cfg.M, rows)
-    return cache[key]
-
-
-def _run_cell(cfg: ExperimentConfig, token: str, seed: int, cache: dict) -> CellResult:
-    prefill_policy, decoding_policy = cfg.pipeline(token)
-    if cfg.mode == "trace_replay":
-        source: ToyModel | Trace = _trace_for(cfg, seed, cache)
+        source: ToyModel | Trace = file_trace or synthetic_trace(cfg.M, cfg.T, seed)
         prompt = None
     else:
         source = ToyModel(seed, cfg.d_model, cfg.n_heads, cfg.n_layers, cfg.recency_bias)
-        prompt = _prompt_pass(cfg, source, cache)
-    prefill = run_prefill(source, cfg.M, prefill_policy, prompt)
-    record = decode_loop(source, prefill, decoding_policy, cfg.T, capture_positions=cfg.checkpoints)
-    report = efficiency(record)
-
-    hh_prefill: dict[int, float] = {}
-    recall: dict[int, float] = {}
-    rows = _reference_rows(cfg, seed, cache)
-    if rows is not None:
+        # the widest observation window among the grid's policies
+        prompt = PromptPass(source, cfg.M, max(cfg.pipeline(t)[0].observed_rows(cfg.M) for t in cfg.policies))
+    inputs = SeedInputs(seed, source, prompt, {}, {})
+    if cfg.checkpoints:
+        # dense full-prefix rows: the trace's own, or a full-cache reference run
+        rows = source.rows if prompt is None else full_cache_reference(source, cfg.M, cfg.T).rows
         hh_report = hh_origin_distribution(rows, cfg.M, cfg.checkpoints, cfg.hh_fraction)
-        hh_prefill = {cp.t: cp.prefill_fraction for cp in hh_report.checkpoints}
-        for t in cfg.checkpoints:
-            oracle_hh = heavy_hitter_set(rows[t - 1], cfg.hh_fraction)
-            kept_prefill, kept_decoding = record.positions_at(t)
-            recall[t] = retained_recall(kept_prefill | kept_decoding, oracle_hh)
-    return CellResult(policy=token, seed=seed, report=report, hh_prefill=hh_prefill, recall=recall)
+        for cp in hh_report.checkpoints:
+            inputs.hh_prefill[cp.t] = cp.prefill_fraction
+            inputs.heavy_hitters[cp.t] = heavy_hitter_set(rows[cp.t - 1], cfg.hh_fraction)
+    return inputs
+
+
+def _run_cell(cfg: ExperimentConfig, token: str, inputs: SeedInputs) -> CellResult:
+    prefill_policy, decoding_policy = cfg.pipeline(token)
+    prefill = run_prefill(inputs.source, cfg.M, prefill_policy, inputs.prompt)
+    record = decode_loop(inputs.source, prefill, decoding_policy, cfg.T, capture_positions=cfg.checkpoints)
+    report = efficiency(record)
+    recall: dict[int, float] = {}
+    for t, oracle_hh in inputs.heavy_hitters.items():
+        kept_prefill, kept_decoding = record.positions_at(t)
+        recall[t] = retained_recall(kept_prefill | kept_decoding, oracle_hh)
+    return CellResult(policy=token, seed=inputs.seed, report=report, hh_prefill=inputs.hh_prefill, recall=recall)
+
+
+def _run_grid(cfg: ExperimentConfig, file_trace: Trace | None) -> list[CellResult]:
+    """Every (policy, seed) cell of one config, token-major, on inputs
+    built once per seed before the cells run. The inputs go when it
+    returns, before the next sweep value builds its own."""
+    if file_trace is not None and (file_trace.M != cfg.M or file_trace.T < cfg.T):
+        raise TraceError(
+            f"trace shape (M={file_trace.M}, T={file_trace.T}) does not cover the configured "
+            f"run (M={cfg.M}, T={cfg.T})"
+        )
+    inputs = [_seed_inputs(cfg, seed, file_trace) for seed in cfg.seeds]
+    return [_run_cell(cfg, token, seed_inputs) for token in cfg.policies for seed_inputs in inputs]
 
 
 def _csv_lines(cfg: ExperimentConfig, cells: list[CellResult], stamped: bool) -> list[str]:
@@ -140,7 +136,7 @@ def _summary_lines(cfg: ExperimentConfig, cells: list[CellResult], stamped: bool
     if stamped:
         lines.append(f"generated_at: {time.strftime('%Y-%m-%dT%H:%M:%S')}")
     lines.append(f"mode={cfg.mode} M={cfg.M} T={cfg.T} d_model={cfg.d_model} layers={cfg.n_layers}")
-    entry_bytes = 2 * cfg.d_model * cfg.bytes_per_scalar
+    entry_bytes = 2 * cfg.d_model * SCALAR_BYTES
     lines.append(f"bytes per entry (display only): {entry_bytes}")
     for c in cells:
         axis = f" {c.axis}={c.axis_value}" if c.axis else ""
@@ -176,17 +172,14 @@ def run_experiment(
             sub.validate()
             grids.append((sub, axis, value))
 
+    # a trace file is read once; every other per-seed input depends on the
+    # axis value and is rebuilt per grid
+    file_trace = read_trace(cfg.trace_path) if cfg.trace_path else None
     cells = []
-    cache: dict = {}
     for sub, ax, value in grids:
-        # a trace file is read once; synthetic traces, prompt passes and
-        # reference rows depend on the axis value and are rebuilt per grid
-        cache = {"file": cache["file"]} if "file" in cache else {}
-        for token in sub.policies:
-            for seed in sub.seeds:
-                cell = _run_cell(sub, token, seed, cache)
-                cell.axis, cell.axis_value = ax, value
-                cells.append(cell)
+        for cell in _run_grid(sub, file_trace):
+            cell.axis, cell.axis_value = ax, value
+            cells.append(cell)
 
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -224,17 +217,17 @@ def oracle_check(cfg: ExperimentConfig, n_traces: int = 3, out=None) -> int:
     number of mismatches (0 = all equal)."""
     out = out if out is not None else sys.stdout
     sub = _scaled_for_check(cfg)
+    traces = {seed: synthetic_trace(sub.M, sub.T, seed) for seed in range(10_000, 10_000 + n_traces)}
     failures = 0
     for token in sub.policies:
         prefill_policy, decoding_policy = sub.pipeline(token)
-        for seed in range(n_traces):
-            trace = synthetic_trace(sub.M, sub.T, seed=10_000 + seed)
+        for seed, trace in traces.items():
             prefill = run_prefill(trace, sub.M, prefill_policy)
             positions = prefill.pools[0].prefill_entries.tolist()
             message = check_policy_equivalence(decoding_policy, trace, positions, sub.T)
             if message:
                 failures += 1
-                print(f"MISMATCH {token} (trace seed {10_000 + seed}): {message}", file=out)
+                print(f"MISMATCH {token} (trace seed {seed}): {message}", file=out)
     status = "all policies match the naive simulator" if not failures else f"{failures} mismatch(es)"
     print(
         f"oracle-check: {len(sub.policies)} policies x {n_traces} traces at M={sub.M}, T={sub.T}: {status}",

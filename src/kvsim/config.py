@@ -76,7 +76,6 @@ class ExperimentConfig:
     observation_window: int = 8
     hh_fraction: float = 0.15
     checkpoints: list[int] = field(default_factory=list)
-    bytes_per_scalar: int = 2
     output_dir: str = "out"
     trace_path: str | None = None
     trace_synthetic: bool = False
@@ -96,6 +95,12 @@ class ExperimentConfig:
         for token in self.policies:
             if token not in POLICY_TOKENS:
                 raise ConfigError(f"policies: unknown policy {token!r} (known: {', '.join(POLICY_TOKENS)})")
+        # a repeated seed or token would write duplicate rows, a repeated checkpoint duplicate columns
+        lists = {"seeds": self.seeds, "policies": self.policies, "metrics.checkpoints": self.checkpoints}
+        for key, values in lists.items():
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ConfigError(f"{key}: {repeated[0]!r} is listed twice")
         if self.prefill_policy not in _PREFILL_KINDS:
             raise ConfigError(f"prefill.policy: unknown policy {self.prefill_policy!r}")
         if self.selector not in _SELECTORS:
@@ -121,11 +126,9 @@ class ExperimentConfig:
             raise ConfigError(f"recency_bias: must be nonnegative, got {self.recency_bias}")
         if not 0.0 < self.hh_fraction <= 1.0:
             raise ConfigError(f"metrics.hh_fraction: must be in (0, 1], got {self.hh_fraction}")
-        for i, t in enumerate(self.checkpoints):
+        for t in self.checkpoints:
             if not 1 <= t <= self.T:
                 raise ConfigError(f"metrics.checkpoints: checkpoint {t} outside 1..{self.T}")
-            if t in self.checkpoints[:i]:
-                raise ConfigError(f"metrics.checkpoints: checkpoint {t} is listed twice")
         # closed-loop checkpoint metrics need the dense full-cache reference
         if self.mode == "closed_loop" and self.checkpoints and self.M + self.T > DEFAULT_SIZE_GUARD:
             raise ConfigError(
@@ -276,7 +279,6 @@ _KEYMAP: dict[str, tuple[str, str]] = {
     "decoding.observation_window": ("observation_window", "int"),
     "metrics.hh_fraction": ("hh_fraction", "float"),
     "metrics.checkpoints": ("checkpoints", "int_list"),
-    "metrics.bytes_per_scalar": ("bytes_per_scalar", "int"),
     "output_dir": ("output_dir", "str"),
     "trace": ("trace_path", "str"),
     "trace.synthetic": ("trace_synthetic", "bool"),

@@ -118,23 +118,23 @@ def _attend(
 class PrefillResult:
     """Everything the decode loop needs from the prompt phase: per-layer
     pools, each layer's dense prompt column sums (for cumulative-selector
-    seeding), and in closed-loop mode each layer's prompt (keys, values),
-    shape M x d_model, and the first decode input."""
+    seeding), and in closed-loop mode the :class:`PromptPass` they were
+    compressed from, whose model, weights, prompt keys and values and first
+    decode input the decode loop continues with."""
 
     prompt_len: int
     pools: list[CachePool]
     seed_scores: list[np.ndarray]
-    prompt_kv: list[tuple[np.ndarray, np.ndarray]] | None = None
-    next_input: np.ndarray | None = None
+    prompt: PromptPass | None = None
 
 
 class PromptPass:
     """The policy-independent part of a closed-loop prefill: full causal
     attention over the ``m`` prompt positions, layer by layer. Keeps what
-    compression and decoding read: each layer's prompt (keys, values),
-    dense column sums and last ``rows`` head-averaged attention rows, and
-    the first decode input. Its arrays are read-only, since every policy
-    compressing this pass shares them.
+    compression and decoding read: the model's weights, each layer's
+    prompt (keys, values), dense column sums and last ``rows``
+    head-averaged attention rows, and the first decode input. Its arrays
+    are read-only, since every policy compressing this pass shares them.
 
     Nothing is computed until the first :func:`run_prefill` given this
     pass, so one instance shared by every policy of a seed runs the
@@ -145,6 +145,7 @@ class PromptPass:
         if not 0 <= rows <= m:
             raise ValueError(f"observation rows must be in 0..{m}, got {rows}")
         self.model, self.m, self.rows = model, m, rows
+        self.weights: ModelWeights | None = None
         self.colsums: list[np.ndarray] = []
         self.obs_rows: list[np.ndarray] = []
         self.prompt_kv: list[tuple[np.ndarray, np.ndarray]] = []
@@ -155,7 +156,7 @@ class PromptPass:
         if self.next_input is not None:
             return
         model, m = self.model, self.m
-        weights = ModelWeights(model)
+        self.weights = weights = ModelWeights(model)
         heads, d = model.n_heads, model.d_model
         dh = d // heads
         hidden = weights.embeddings(m)
@@ -176,7 +177,7 @@ class PromptPass:
             context = np.einsum("hij,jhd->ihd", att, v.reshape(m, heads, dh)).reshape(m, d)
             hidden = _rmsnorm_rows(hidden + context)
             colsums, observed = rows.sum(axis=0), rows[m - self.rows:].copy()
-            for array in (colsums, observed, k, v):
+            for array in (colsums, observed, k, v, weights.w_k[layer], weights.w_v[layer]):
                 array.flags.writeable = False
             self.colsums.append(colsums)
             self.obs_rows.append(observed)
@@ -219,10 +220,7 @@ def run_prefill(
                 f"serve seed {source.seed}, M={m}, {window} observation rows"
             )
         prompt.run()
-        result = PrefillResult(
-            prompt_len=m, pools=[], seed_scores=[],
-            prompt_kv=list(prompt.prompt_kv), next_input=prompt.next_input,
-        )
+        result = PrefillResult(prompt_len=m, pools=[], seed_scores=[], prompt=prompt)
         layers = list(zip(prompt.colsums, [rows[len(rows) - window:] for rows in prompt.obs_rows]))
     for layer_policy, (colsums, obs_rows) in zip(policy.per_layer(len(layers)), layers):
         result.pools.append(apply_prefill_policy(layer_policy, m, colsums, obs_rows))
@@ -346,7 +344,7 @@ def decode_loop(
         runner.seed_scores(pool.prefill_entries, colsums)
         runners.append(runner)
     logs = [LayerLog(i, pool.prefill_size, steps) for i, pool in enumerate(pools)]
-    hidden = prefill.next_input  # None in trace replay
+    hidden = None if prefill.prompt is None else prefill.prompt.next_input
     outputs = None if hidden is None else np.zeros((steps, len(hidden)))
 
     for t in range(1, steps + 1):
@@ -390,13 +388,15 @@ def _closed_loop_attention(model: ToyModel, prefill: PrefillResult, steps: int):
     """Closed loop's ``attend(layer, t, pos, h) -> (row, h)``: writes the
     new position ``pos[-1]``'s key and value into the layer's buffers,
     attends over the retained rows and returns the layer's output
-    ``rmsnorm(h + context)``."""
-    if prefill.next_input is None or len(prefill.pools) != model.n_layers:
-        raise ValueError("prefill result does not match closed-loop model shape")
-    weights = ModelWeights(model)
+    ``rmsnorm(h + context)``. ``prefill`` must come from a pass of
+    ``model`` itself."""
+    prompt = prefill.prompt
+    if prompt is None or prompt.model != model:
+        raise ValueError(f"closed loop needs a prefill computed by the same model, {model}")
+    weights = prompt.weights
     room = np.empty((steps, model.d_model))
-    keys = [np.concatenate((k, room)) for k, _ in prefill.prompt_kv]
-    values = [np.concatenate((v, room)) for _, v in prefill.prompt_kv]
+    keys = [np.concatenate((k, room)) for k, _ in prompt.prompt_kv]
+    values = [np.concatenate((v, room)) for _, v in prompt.prompt_kv]
 
     def attend(layer: int, t: int, pos: np.ndarray, h: np.ndarray) -> tuple[AttentionRow, np.ndarray]:
         keys[layer][pos[-1]] = h @ weights.w_k[layer]

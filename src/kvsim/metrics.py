@@ -1,8 +1,9 @@
 """Efficiency and diagnostic quantities derived from run records.
 
-Memory is counted in cache entries; conversion to bytes
-(2 * d_model * bytes_per_scalar per entry) is display-only. "Transfer" is
-operationalized as entries moved: every insertion plus every eviction.
+Memory is counted in cache entries; conversion to bytes (2 * d_model * 2
+per entry, 16-bit keys and values: ``cli.SCALAR_BYTES``) is display-only
+and happens only in ``report.txt``. "Transfer" is operationalized as
+entries moved: every insertion plus every eviction.
 Top-level counters are whole-model sums except ``selection_ops``, which is
 the per-layer maximum so that the "at most one selection per step" reading
 survives multi-layer runs; the per-layer breakdown carries exact values.

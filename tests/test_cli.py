@@ -216,9 +216,37 @@ class TestRunExperiment:
                 assert np.array_equal(a.prefill_entries, b.prefill_entries)
             for a, b in zip(got.seed_scores, want.seed_scores, strict=True):
                 assert np.array_equal(a, b)
-            for (ka, va), (kb, vb) in zip(got.prompt_kv, want.prompt_kv, strict=True):
+            for (ka, va), (kb, vb) in zip(got.prompt.prompt_kv, want.prompt.prompt_kv, strict=True):
                 assert np.array_equal(ka, kb) and np.array_equal(va, vb)
-            assert np.array_equal(got.next_input, want.next_input)
+            assert np.array_equal(got.prompt.next_input, want.prompt.next_input)
+
+    @pytest.mark.parametrize("mode", ["closed_loop", "trace_replay"])
+    def test_seed_inputs_built_once_per_axis_value_and_seed(self, tmp_path, monkeypatch, mode):
+        # 3 tokens x 2 seeds x 2 values of M, checkpoints 4 and 16
+        text = SMOKE_CONFIG.replace("policies = full, scope_slide", "policies = full, h2o, scope_slide")
+        if mode == "trace_replay":
+            text = text.replace("mode = closed_loop", "mode = trace_replay\ntrace.synthetic = true")
+        names = ("full_cache_reference", "synthetic_trace", "hh_origin_distribution", "heavy_hitter_set")
+        calls = {name: [] for name in names}
+        for name in names:
+            def counted(*args, _fn=getattr(cli, name), _calls=calls[name], **kwargs):
+                _calls.append(args)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, counted)
+        path = write_config(tmp_path, text + f"output_dir = {tmp_path / 'out'}\n")
+        assert main(["sweep", str(path), "--axis", "m=20,24"]) == 0
+        assert len((tmp_path / "out" / "report.csv").read_text().splitlines()) == 1 + 2 * 3 * 2
+        # one dense source of reference rows per (M, seed)
+        if mode == "closed_loop":
+            built = sorted((model.seed, m) for model, m, _ in calls["full_cache_reference"])
+            assert calls["synthetic_trace"] == []
+        else:
+            built = sorted((seed, m) for m, _, seed in calls["synthetic_trace"])
+            assert calls["full_cache_reference"] == []
+        assert built == [(1, 20), (1, 24), (2, 20), (2, 24)]
+        assert sorted(args[1] for args in calls["hh_origin_distribution"]) == [20, 20, 24, 24]
+        assert len(calls["heavy_hitter_set"]) == 4 * 2  # once per checkpoint
 
     def test_replay_grid_runs_every_policy(self, tmp_path):
         cfg = load_config(write_config(tmp_path, REPLAY_CONFIG))
@@ -428,6 +456,9 @@ class TestCLI:
             ("trace", "trace = /nonexistent.trace", 1),
             ("trace.synthetic", "trace.synthetic = true", 1),
             ("metrics.checkpoints", "metrics.checkpoints = 6, 6", 1),
+            # a repeated seed or token would write duplicate report rows
+            ("seeds", "seeds = 3, 3", 1),
+            ("policies", "policies = h2o, scope_slide, h2o", 1),
             ("prefill.alpha2", "prefill.alpha2 = 30", 1),
             ("prefill.alpha1", "prefill.alpha1 = 0\nprefill.alpha2 = 0", 1),
             ("seeds", "seeds = -1", 1),
@@ -475,3 +506,12 @@ class TestCLI:
         path = write_config(tmp_path, REPLAY_CONFIG)
         assert main(["oracle-check", str(path), "--traces", "2"]) == 0
         assert "match the naive simulator" in capsys.readouterr().out
+
+    def test_oracle_check_builds_each_trace_once(self, tmp_path, monkeypatch, capsys):
+        seeds = []
+        synthetic = cli.synthetic_trace
+        monkeypatch.setattr(cli, "synthetic_trace", lambda m, t, seed: seeds.append(seed) or synthetic(m, t, seed))
+        path = write_config(tmp_path, REPLAY_CONFIG)
+        assert main(["oracle-check", str(path), "--traces", "3"]) == 0
+        assert seeds == [10_000, 10_001, 10_002]  # not once per policy
+        assert "7 policies x 3 traces" in capsys.readouterr().out

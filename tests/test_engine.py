@@ -84,7 +84,7 @@ class TestRunPrefill:
         b = run_prefill(model, 24, policy)
         for pa, pb in zip(a.pools, b.pools):
             assert pa.prefill_entries.tolist() == pb.prefill_entries.tolist()
-        assert np.array_equal(a.next_input, b.next_input)
+        assert np.array_equal(a.prompt.next_input, b.prompt.next_input)
 
     def test_trace_prompt_length_mismatch_rejected(self):
         trace = synthetic_trace(10, 5, seed=0)
@@ -167,9 +167,9 @@ def assert_prefill_equal(got, want):
         assert np.array_equal(a.decoding_entries, b.decoding_entries)
     for a, b in zip(got.seed_scores, want.seed_scores, strict=True):
         assert np.array_equal(a, b)
-    for (ka, va), (kb, vb) in zip(got.prompt_kv, want.prompt_kv, strict=True):
+    for (ka, va), (kb, vb) in zip(got.prompt.prompt_kv, want.prompt.prompt_kv, strict=True):
         assert np.array_equal(ka, kb) and np.array_equal(va, vb)
-    assert np.array_equal(got.next_input, want.next_input)
+    assert np.array_equal(got.prompt.next_input, want.prompt.next_input)
 
 
 class TestSharedPromptPass:
@@ -195,7 +195,9 @@ class TestSharedPromptPass:
         with pytest.raises(ValueError, match="read-only"):
             results[0].seed_scores[0][0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
-            results[0].prompt_kv[1][0][0, 0] = 1.0
+            results[0].prompt.prompt_kv[1][0][0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            results[0].prompt.weights.w_v[1][0, 0] = 1.0
 
     @pytest.mark.parametrize(
         "model, m, rows",
@@ -227,6 +229,17 @@ class TestDecodeLoop:
         assert np.array_equal(runs[0].outputs, runs[1].outputs)
         for t in range(1, 16):
             assert runs[0].positions_at(t) == runs[1].positions_at(t)
+
+    @pytest.mark.parametrize(
+        "other",
+        [ToyModel(seed=2, d_model=16, n_heads=2), ToyModel(seed=1, d_model=16, n_heads=2, recency_bias=0.1)],
+        ids=["other_seed", "other_bias"],
+    )
+    def test_prefill_of_another_model_rejected(self, other):
+        # decoding would mix the other model's prompt keys and values with this one's weights
+        prefill = run_prefill(other, 10, PrefillPolicy(kind=PrefillPolicyKind.FULL))
+        with pytest.raises(ValueError, match="same model"):
+            decode_loop(ToyModel(seed=1, d_model=16, n_heads=2), prefill, self.policy(), 15)
 
     def test_trace_shorter_than_requested_steps_rejected(self):
         trace = synthetic_trace(6, 4, seed=0)
