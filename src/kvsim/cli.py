@@ -4,7 +4,7 @@ Subcommands:
 
 * ``run <config>`` — execute every (policy, seed) cell and write reports;
 * ``trace export <config> <out>`` — record a full-cache run as a trace file;
-* ``trace import-check <file>`` — validate a trace file;
+* ``trace import-check <file>`` — validate a trace file and print its format version;
 * ``sweep <config> --axis key=v1,v2,...`` — run the cell grid per axis value;
 * ``oracle-check <config>`` — naive-simulator equivalence suite.
 
@@ -293,8 +293,8 @@ def main(argv: list[str] | None = None) -> int:
             if args.trace_command == "import-check":
                 trace = read_trace(args.file)
                 print(
-                    f"ok: M={trace.M} T={trace.T} layers={trace.layers} heads={trace.heads} "
-                    f"aggregation={trace.aggregation}"
+                    f"ok: M={trace.M} T={trace.T} version={trace.version} layers={trace.layers} "
+                    f"heads={trace.heads} aggregation={trace.aggregation}"
                 )
                 return 0
             cfg = _load(args)
@@ -323,6 +323,9 @@ def main(argv: list[str] | None = None) -> int:
             except ValueError as exc:
                 kind = "integers" if parse is int else "numbers"
                 raise ConfigError(f"--axis: {key} values must be {kind}: {raw_values!r}") from exc
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ConfigError(f"--axis: {key} value {repeated[0]!r} is listed twice")
             cells, csv_path, txt_path = run_experiment(cfg, axis=key, axis_values=values)
             print(f"{len(cells)} cell(s) across {key} in {values} -> {csv_path}")
             return 0

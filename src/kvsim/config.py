@@ -114,6 +114,10 @@ class ExperimentConfig:
             raise ConfigError("trace: closed_loop mode runs the toy model and reads no trace file")
         if self.mode == "closed_loop" and self.trace_synthetic:
             raise ConfigError("trace.synthetic: closed_loop mode runs the toy model and reads no trace")
+        if self.trace_path and len(self.seeds) > 1:
+            raise ConfigError(
+                f"seeds: a trace file replays the same rows for every seed, so give one seed, got {self.seeds}"
+            )
         if self.mode == "trace_replay" and self.n_layers != 1:
             raise ConfigError(
                 f"n_layers: trace_replay runs one layer-aggregated lane, got n_layers = {self.n_layers}"

@@ -55,6 +55,14 @@ def write_config(tmp_path, text, name="exp.cfg"):
     return path
 
 
+def write_trace_v1(trace, path):
+    """The line-delimited JSON format (version 1) that kvsim still reads."""
+    header = {"version": 1, "M": trace.M, "T": trace.T, "layers": trace.layers, "heads": trace.heads,
+              "aggregation": trace.aggregation}
+    records = [{"t": t, "scores": row.tolist()} for t, row in enumerate([trace.prefill_scores, *trace.rows])]
+    path.write_text("".join(json.dumps(r) + "\n" for r in [header, *records]))
+
+
 def export_trace(tmp_path):
     """Record the smoke model at M=12, T=8 as a trace file; return its path."""
     cfg_text = (
@@ -288,11 +296,24 @@ class TestCLI:
         assert main(["trace", "import-check", str(bad)]) == 2
         assert "trace error" in capsys.readouterr().err
 
+    def test_corrupt_trace_exit_two_v2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.trace"
+        bad.write_text('{"version": 2, "M": 2, "T": 1, "layers": 1, "heads": 1, "aggregation": "x"}\n')
+        assert main(["trace", "import-check", str(bad)]) == 2
+        assert "trace error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_import_check_prints_version(self, tmp_path, capsys, version):
+        path = tmp_path / "run.trace"
+        (write_trace_v1 if version == 1 else write_trace)(synthetic_trace(4, 3, seed=0), path)
+        assert main(["trace", "import-check", str(path)]) == 0
+        assert f"ok: M=4 T=3 version={version} " in capsys.readouterr().out
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.25], ids=["nan", "inf", "negative"])
     @pytest.mark.parametrize("line_no", [2, 4], ids=["prompt_row", "step_row"])
     def test_bad_trace_score_exit_two(self, tmp_path, capsys, line_no, value):
         path = tmp_path / "bad.trace"
-        write_trace(synthetic_trace(4, 3, seed=0), path)
+        write_trace_v1(synthetic_trace(4, 3, seed=0), path)
         lines = path.read_text().splitlines()
         record = json.loads(lines[line_no - 1])
         record["scores"][1] = value
@@ -300,6 +321,26 @@ class TestCLI:
         path.write_text("\n".join(lines) + "\n")
         assert main(["trace", "import-check", str(path)]) == 2
         assert f"line {line_no}: score" in capsys.readouterr().err
+        cfg_text = (
+            f"mode = trace_replay\ntrace = {path}\nM = 4\nT = 3\npolicies = h2o, scope_slide\n"
+            f"prefill.alpha1 = 1\nprefill.alpha2 = 1\ndecoding.beta2 = 1\noutput_dir = {tmp_path / 'out'}\n"
+        )
+        cfg = write_config(tmp_path, cfg_text)
+        assert main(["run", str(cfg)]) == 2
+        assert "not finite and nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.25], ids=["nan", "inf", "negative"])
+    @pytest.mark.parametrize("t", [0, 2], ids=["prompt_row", "step_row"])
+    def test_bad_trace_score_exit_two_v2(self, tmp_path, capsys, t, value):
+        path = tmp_path / "bad.trace"
+        write_trace(synthetic_trace(4, 3, seed=0), path)
+        head, _, payload = path.read_bytes().partition(b"\n")
+        values = np.frombuffer(payload, dtype="<f8").copy()
+        values[4 * t + t * (t - 1) // 2 + 1] = value  # position 1 of row t
+        path.write_bytes(head + b"\n" + values.tobytes())
+        assert main(["trace", "import-check", str(path)]) == 2
+        assert f"row t={t}, position 1: score" in capsys.readouterr().err
         cfg_text = (
             f"mode = trace_replay\ntrace = {path}\nM = 4\nT = 3\npolicies = h2o, scope_slide\n"
             f"prefill.alpha1 = 1\nprefill.alpha2 = 1\ndecoding.beta2 = 1\noutput_dir = {tmp_path / 'out'}\n"
@@ -462,14 +503,23 @@ class TestCLI:
             ("prefill.alpha2", "prefill.alpha2 = 30", 1),
             ("prefill.alpha1", "prefill.alpha1 = 0\nprefill.alpha2 = 0", 1),
             ("seeds", "seeds = -1", 1),
+            # a trace file ignores the seed; a synthetic trace is drawn per seed
+            ("seeds", "mode = trace_replay\ntrace = /nonexistent.trace\nseeds = 1, 2", 1),
+            ("seeds", "mode = trace_replay\ntrace.synthetic = true\nseeds = 1, 2", 0),
+            # a sweep value given twice would write duplicate rows; checked before any cell runs
+            ("--axis", "beta1=2,2", 1),
         ],
     )
     def test_unrunnable_value_checked_at_load(self, tmp_path, capsys, key, lines, exit_code):
         out_dir = tmp_path / "out"
-        cfg_text = f"mode = closed_loop\nM = 24\nT = 8\nd_model = 8\n{lines}\noutput_dir = {out_dir}\n"
+        sweep = key == "--axis"  # the sweep values come from the flag, not the config
+        cfg_text = f"M = 24\nT = 8\nd_model = 8\n{'' if sweep else lines}\noutput_dir = {out_dir}\n"
+        if "mode =" not in lines:
+            cfg_text = "mode = closed_loop\n" + cfg_text
         if "policies" not in lines:
             cfg_text += "policies = scope_slide\n"
-        assert main(["run", str(write_config(tmp_path, cfg_text))]) == exit_code
+        path = str(write_config(tmp_path, cfg_text))
+        assert main(["sweep", path, "--axis", lines] if sweep else ["run", path]) == exit_code
         if exit_code:
             assert f"config error: {key}" in capsys.readouterr().err
             assert not out_dir.exists()

@@ -1,6 +1,7 @@
 """Trace file round-trips and malformed-input diagnostics."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -10,6 +11,22 @@ from kvsim.traceio import Trace, TraceError, read_trace, synthetic_trace, write_
 
 def file_sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def write_trace_v1(trace, path):
+    """The line-delimited JSON format (version 1) that kvsim still reads."""
+    header = {"version": 1, "M": trace.M, "T": trace.T, "layers": trace.layers, "heads": trace.heads,
+              "aggregation": trace.aggregation}
+    records = [{"t": t, "scores": row.tolist()} for t, row in enumerate([trace.prefill_scores, *trace.rows])]
+    path.write_text("".join(json.dumps(r) + "\n" for r in [header, *records]))
+
+
+def assert_same_rows(a, b):
+    assert (a.M, a.T) == (b.M, b.T)
+    assert np.array_equal(a.prefill_scores, b.prefill_scores)
+    assert len(a.rows) == len(b.rows)
+    for ra, rb in zip(a.rows, b.rows):
+        assert np.array_equal(ra, rb)
 
 
 class TestRoundTrip:
@@ -31,6 +48,51 @@ class TestRoundTrip:
         write_trace(read_trace(first), second)
         assert file_sha256(first) == file_sha256(second)
 
+    @pytest.mark.parametrize("m, t_steps", [(5, 0), (1, 6), (1, 0)])
+    def test_edge_shapes(self, tmp_path, m, t_steps):
+        trace = synthetic_trace(m, t_steps, seed=2)
+        path = tmp_path / "edge.trace"
+        write_trace(trace, path)
+        assert_same_rows(read_trace(path), trace)
+
+    def test_version_2_layout(self, tmp_path):
+        # header line, then row t at element M*t + t*(t-1)/2 of one <f8 payload
+        trace = synthetic_trace(3, 4, seed=5)
+        path = tmp_path / "layout.trace"
+        write_trace(trace, path)
+        head, _, payload = path.read_bytes().partition(b"\n")
+        assert json.loads(head) == {
+            "version": 2, "M": 3, "T": 4, "layers": 1, "heads": 1, "aggregation": "synthetic=exponential",
+        }
+        values = np.frombuffer(payload, dtype="<f8")
+        assert len(values) == 3 * 5 + 4 * 5 // 2
+        assert np.array_equal(values[:3], trace.prefill_scores)
+        for t, row in enumerate(trace.rows, start=1):
+            start = 3 * t + t * (t - 1) // 2
+            assert np.array_equal(values[start:start + 3 + t], row)
+
+    def test_rows_are_read_only_views_of_one_buffer(self, tmp_path):
+        path = tmp_path / "shared.trace"
+        write_trace(synthetic_trace(4, 5, seed=0), path)
+        trace = read_trace(path)
+        base = trace.prefill_scores.base
+        assert base is not None and all(row.base is base for row in trace.rows)
+        for array in (trace.prefill_scores, trace.rows[2]):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    def test_version_1_still_read_and_converted(self, tmp_path):
+        trace = synthetic_trace(4, 6, seed=4)
+        old, new, direct = tmp_path / "old.trace", tmp_path / "new.trace", tmp_path / "direct.trace"
+        write_trace_v1(trace, old)
+        back = read_trace(old)
+        assert back.version == 1
+        assert_same_rows(back, trace)
+        write_trace(back, new)
+        write_trace(trace, direct)
+        assert read_trace(new).version == 2
+        assert file_sha256(new) == file_sha256(direct)
+
     def test_synthetic_traces_deterministic(self):
         a = synthetic_trace(6, 9, seed=3)
         b = synthetic_trace(6, 9, seed=3)
@@ -40,9 +102,11 @@ class TestRoundTrip:
 
 
 class TestErrors:
+    """Malformed version 1 (JSON text) files."""
+
     def write_good(self, tmp_path):
         path = tmp_path / "good.trace"
-        write_trace(synthetic_trace(4, 3, seed=0), path)
+        write_trace_v1(synthetic_trace(4, 3, seed=0), path)
         return path
 
     def test_corrupt_last_line_names_line_number(self, tmp_path):
@@ -92,3 +156,60 @@ class TestErrors:
         trace = synthetic_trace(4, 3, seed=1)
         with pytest.raises(TraceError, match="outside"):
             trace.row(4)
+
+
+class TestErrorsV2:
+    """Malformed version 2 (binary) files: the twins of TestErrors."""
+
+    M, T = 4, 3
+    PAYLOAD_BYTES = 8 * (M * (T + 1) + T * (T + 1) // 2)
+
+    def write_good(self, tmp_path):
+        path = tmp_path / "good.trace"
+        write_trace(synthetic_trace(self.M, self.T, seed=0), path)
+        assert len(path.read_bytes().partition(b"\n")[2]) == self.PAYLOAD_BYTES
+        return path
+
+    def edit_header(self, path, **fields):
+        head, _, payload = path.read_bytes().partition(b"\n")
+        path.write_bytes(json.dumps({**json.loads(head), **fields}).encode() + b"\n" + payload)
+
+    @pytest.mark.parametrize("cut", [8, 3, PAYLOAD_BYTES], ids=["last_float", "partial_float", "whole_payload"])
+    def test_truncated_payload(self, tmp_path, cut):
+        path = self.write_good(tmp_path)
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(TraceError, match=f"truncated trace: payload of {self.PAYLOAD_BYTES - cut} bytes"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("extra", [b"\0" * 8, b"\0" * 3], ids=["whole_float", "partial_float"])
+    def test_trailing_bytes(self, tmp_path, extra):
+        path = self.write_good(tmp_path)
+        path.write_bytes(path.read_bytes() + extra)
+        with pytest.raises(TraceError, match="trailing bytes"):
+            read_trace(path)
+
+    def test_version_mismatch(self, tmp_path):
+        path = self.write_good(tmp_path)
+        self.edit_header(path, version=9)
+        with pytest.raises(TraceError, match="version 9"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("fields", [{"T": 2}, {"M": 5}], ids=["T", "M"])
+    def test_header_shape_inconsistent_with_payload(self, tmp_path, fields):
+        path = self.write_good(tmp_path)
+        self.edit_header(path, **fields)
+        with pytest.raises(TraceError, match="payload of"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("fields", [{"M": 0}, {"M": -1}, {"T": -1}], ids=["M0", "M-1", "T-1"])
+    def test_header_shape_out_of_range(self, tmp_path, fields):
+        path = self.write_good(tmp_path)
+        self.edit_header(path, **fields)
+        with pytest.raises(TraceError, match="M >= 1 and T >= 0"):
+            read_trace(path)
+
+    def test_binary_header_line(self, tmp_path):
+        path = tmp_path / "garbage.trace"
+        path.write_bytes(np.arange(4, dtype="<f8").tobytes())
+        with pytest.raises(TraceError, match="line 1"):
+            read_trace(path)
