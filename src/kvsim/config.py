@@ -12,11 +12,13 @@ every pipeline works against the same total.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import re
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .core import BudgetConfig
-from .decoding import DecodingPolicy, PolicyKind, SelectorKind, selection_interval
+from .decoding import DecodingPolicy, PolicyKind, SelectorKind
+from .engine import ToyModel
 from .oracle import DEFAULT_SIZE_GUARD
 from .prefill import PrefillPolicy, PrefillPolicyKind
 
@@ -45,6 +47,14 @@ _DECODING_KIND = {
     "scope_slide": PolicyKind.SCOPE_SLIDE,
     "scope_adaptive": PolicyKind.SCOPE_ADAPTIVE,
     "scope_discontinuous": PolicyKind.SCOPE_DISCONTINUOUS,
+}
+
+# the prompt compression a unified or full token brings; the others use prefill.policy
+_PROMPT_KIND = {
+    "full": PrefillPolicyKind.FULL,
+    "h2o": PrefillPolicyKind.TOPK_LOCAL,
+    "streaming": PrefillPolicyKind.STREAMING,
+    "pyramid_infer": PrefillPolicyKind.PYRAMID,
 }
 
 _PREFILL_KINDS = {k.value: k for k in PrefillPolicyKind}
@@ -82,6 +92,11 @@ class ExperimentConfig:
     timestamp: bool = True
 
     def validate(self) -> None:
+        """Check the rules no single run object owns, then build what a run
+        builds: the toy model and each token's prompt and decode policies,
+        per layer. Those objects check the knobs they read; the field name
+        that leads their ``ValueError`` picks the key the ``ConfigError``
+        names."""
         if self.mode not in ("closed_loop", "trace_replay"):
             raise ConfigError(f"mode: expected closed_loop or trace_replay, got {self.mode!r}")
         if self.M is None or self.M < 1:
@@ -114,6 +129,8 @@ class ExperimentConfig:
             raise ConfigError("trace: closed_loop mode runs the toy model and reads no trace file")
         if self.mode == "closed_loop" and self.trace_synthetic:
             raise ConfigError("trace.synthetic: closed_loop mode runs the toy model and reads no trace")
+        if self.trace_path and self.trace_synthetic:
+            raise ConfigError("trace.synthetic: a trace file replays its own rows; set trace or trace.synthetic")
         if self.trace_path and len(self.seeds) > 1:
             raise ConfigError(
                 f"seeds: a trace file replays the same rows for every seed, so give one seed, got {self.seeds}"
@@ -122,12 +139,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"n_layers: trace_replay runs one layer-aggregated lane, got n_layers = {self.n_layers}"
             )
-        if self.d_model < 1 or self.n_heads < 1 or self.n_layers < 1:
-            raise ConfigError("d_model / n_heads / n_layers: all must be >= 1")
-        if self.d_model % self.n_heads:
-            raise ConfigError(f"d_model: {self.d_model} is not divisible by n_heads={self.n_heads}")
-        if self.recency_bias < 0:
-            raise ConfigError(f"recency_bias: must be nonnegative, got {self.recency_bias}")
         if not 0.0 < self.hh_fraction <= 1.0:
             raise ConfigError(f"metrics.hh_fraction: must be in (0, 1], got {self.hh_fraction}")
         for t in self.checkpoints:
@@ -139,81 +150,33 @@ class ExperimentConfig:
                 f"metrics.checkpoints: closed loop needs a dense reference over M + T = "
                 f"{self.M + self.T} positions, above the limit of {DEFAULT_SIZE_GUARD}"
             )
-        for name in ("alpha1", "alpha2", "beta1", "beta2"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name}: must be nonnegative")
         if min(self.seeds) < 0 and (self.mode == "closed_loop" or self.trace_synthetic):
             raise ConfigError(f"seeds: must be nonnegative, got {min(self.seeds)}")
-        # every policy runner sizes its row buffer by it; the window selector reads those rows
-        if self.observation_window < (1 if self.selector == "window" else 0):
-            raise ConfigError(
-                f"decoding.observation_window: must be >= 1 with the window selector "
-                f"(>= 0 otherwise), got {self.observation_window}"
-            )
-        for token in self.policies:
-            prompt, decoding = self.pipeline(token)
-            self._check_prompt_policy(token, prompt)
-            # a pyramid taper can leave the last layers no share of the budget;
-            # per_layer returns every other policy as is
-            shares = [p.budget for p in prompt.per_layer(self.n_layers) if p is not prompt]
-            shares += [d.budget.total_budget for d in decoding.per_layer(self.n_layers) if d is not decoding]
-            if 0 in shares:
-                raise ConfigError(
-                    f"prefill.taper_ratio: {self.taper_ratio} leaves a layer of policy {token!r} "
-                    f"no budget over n_layers = {self.n_layers}"
-                )
-        # T <= beta2 never reaches a discontinuous selection and must still run
-        if "scope_discontinuous" in self.policies and self.T > self.beta2:
-            try:
-                selection_interval(self.T, self.beta1, self.beta2)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"decoding.beta1: scope_discontinuous needs 1 <= beta1 <= T - beta2 ({exc})"
-                ) from exc
-
-    def _check_prompt_policy(self, token: str, prompt: PrefillPolicy) -> None:
-        """Reject what the prompt policy ``token`` resolves to if its
-        compression could not run."""
-        kind = prompt.kind
-        if kind is PrefillPolicyKind.FULL:
-            return
-        floor = 2 if kind is PrefillPolicyKind.STREAMING else 1
-        if prompt.budget < floor:
-            raise ConfigError(
-                f"prefill.alpha1: policy {token!r} keeps alpha1 + alpha2 = {prompt.budget} "
-                f"prompt positions, fewer than {floor}"
-            )
-        if kind is PrefillPolicyKind.STREAMING:
-            return
-        if prompt.alpha2 > self.M:
-            raise ConfigError(
-                f"prefill.alpha2: policy {token!r} keeps a local window of {prompt.alpha2}, more than M={self.M}"
-            )
-        if self.mode == "closed_loop" and prompt.observed_rows(self.M) < 0:
-            raise ConfigError(f"prefill.observation_rows: must be nonnegative, got {prompt.observation_rows}")
-        if kind is PrefillPolicyKind.TOPK_LOCAL:
-            return
-        if prompt.pooling_width < 1 or prompt.pooling_width % 2 == 0:
-            raise ConfigError(f"prefill.pooling_width: must be a positive odd number, got {prompt.pooling_width}")
-        if kind is PrefillPolicyKind.PYRAMID and not 0.0 <= prompt.taper_ratio <= 1.0:
-            raise ConfigError(f"prefill.taper_ratio: must be in [0, 1], got {prompt.taper_ratio}")
+        where = ""
+        try:
+            ToyModel(0, self.d_model, self.n_heads, self.n_layers, self.recency_bias)
+            self.budget()
+            for token in self.policies:
+                where = f"policy {token!r}: "
+                prompt, decoding = self.pipeline(token)
+                prompt.per_layer(self.n_layers)
+                decoding.per_layer(self.n_layers)
+                windowed = prompt.kind not in (PrefillPolicyKind.FULL, PrefillPolicyKind.STREAMING)
+                if windowed and prompt.alpha2 > self.M:
+                    raise ConfigError(
+                        f"prefill.alpha2: policy {token!r} keeps a local window of {prompt.alpha2}, more than M={self.M}"
+                    )
+        except ValueError as exc:
+            name = re.match(r"\w*", str(exc)).group()
+            if name not in _KEY_OF:
+                raise
+            raise ConfigError(f"{_KEY_OF[name]}: {where}{exc}") from exc
 
     def budget(self) -> BudgetConfig:
         return BudgetConfig(
             alpha1=self.alpha1, alpha2=self.alpha2,
             beta1=self.beta1, beta2=self.beta2,
             max_decode_steps=self.T,
-        )
-
-    def base_prefill_policy(self) -> PrefillPolicy:
-        return PrefillPolicy(
-            kind=_PREFILL_KINDS[self.prefill_policy],
-            alpha1=self.alpha1,
-            alpha2=self.alpha2,
-            pooling_width=self.pooling_width,
-            taper_ratio=self.taper_ratio,
-            score_mode=self.score_mode,
-            observation_rows=self.observation_rows,
         )
 
     def pipeline(self, token: str) -> tuple[PrefillPolicy, DecodingPolicy]:
@@ -229,30 +192,20 @@ class ExperimentConfig:
             seed_prefill_scores=self.seed_prefill_scores,
             taper_ratio=self.taper_ratio,
         )
-        prefill = self.base_prefill_policy()
-        if token == "full":
-            prefill = replace(prefill, kind=PrefillPolicyKind.FULL)
-        elif token == "h2o":
-            prefill = replace(
-                prefill,
-                kind=PrefillPolicyKind.TOPK_LOCAL,
-                alpha1=self.alpha1 + self.beta1,
-                alpha2=self.alpha2 + self.beta2,
-                score_mode="sum",
-            )
+        alpha1, alpha2 = self.alpha1, self.alpha2
+        if token in ("h2o", "pyramid_infer"):
+            alpha1, alpha2 = self.alpha1 + self.beta1, self.alpha2 + self.beta2
         elif token == "streaming":
-            prefill = replace(
-                prefill,
-                kind=PrefillPolicyKind.STREAMING,
-                alpha1=budget.total_budget - prefill.alpha2,
-            )
-        elif token == "pyramid_infer":
-            prefill = replace(
-                prefill,
-                kind=PrefillPolicyKind.PYRAMID,
-                alpha1=self.alpha1 + self.beta1,
-                alpha2=self.alpha2 + self.beta2,
-            )
+            alpha1 = budget.total_budget - alpha2
+        prefill = PrefillPolicy(
+            kind=_PROMPT_KIND.get(token, _PREFILL_KINDS[self.prefill_policy]),
+            alpha1=alpha1,
+            alpha2=alpha2,
+            pooling_width=self.pooling_width,
+            taper_ratio=self.taper_ratio,
+            score_mode="sum" if token == "h2o" else self.score_mode,
+            observation_rows=self.observation_rows,
+        )
         return prefill, decoding
 
 
@@ -288,6 +241,9 @@ _KEYMAP: dict[str, tuple[str, str]] = {
     "trace.synthetic": ("trace_synthetic", "bool"),
     "timestamp": ("timestamp", "bool"),
 }
+
+# attribute -> key: the key a run object's ValueError names by its leading field
+_KEY_OF = {attr: key for key, (attr, _) in _KEYMAP.items()}
 
 # sweep axes the CLI can override per cell: key -> (attribute, value type)
 SWEEP_AXES = {

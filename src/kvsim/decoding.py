@@ -61,6 +61,10 @@ class DecodingPolicy:
     start from the prompt-phase attention mass of the retained entries.
     ``taper_ratio`` shapes the pyramid baseline's split of the budget over
     layers; :meth:`per_layer` gives the policy each layer runs.
+
+    Construction rejects an ``observation_window`` the selector cannot
+    read and, for scope_discontinuous over a horizon past beta2, a budget
+    with no selection interval (:func:`selection_interval`).
     """
 
     kind: PolicyKind
@@ -77,6 +81,10 @@ class DecodingPolicy:
                 f"observation_window must be >= 1 with the window selector (>= 0 otherwise), "
                 f"got {self.observation_window}"
             )
+        # a horizon within beta2 never reaches a discontinuous selection and still runs
+        b = self.budget
+        if self.kind is PolicyKind.SCOPE_DISCONTINUOUS and b.max_decode_steps > b.beta2:
+            selection_interval(b.max_decode_steps, b.beta1, b.beta2)
 
     def per_layer(self, n_layers: int) -> list["DecodingPolicy"]:
         """The policy each of ``n_layers`` layers runs: this one, except

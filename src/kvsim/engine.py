@@ -46,8 +46,9 @@ class ToyModel:
     recency_bias: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.d_model < 1 or self.n_heads < 1 or self.n_layers < 1:
-            raise ValueError("d_model, n_heads, and n_layers must all be >= 1")
+        for name in ("d_model", "n_heads", "n_layers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model={self.d_model} not divisible by n_heads={self.n_heads}")
         if self.recency_bias < 0:

@@ -4,9 +4,9 @@ Memory is counted in cache entries; conversion to bytes (2 * d_model * 2
 per entry, 16-bit keys and values: ``cli.SCALAR_BYTES``) is display-only
 and happens only in ``report.txt``. "Transfer" is operationalized as
 entries moved: every insertion plus every eviction.
-Top-level counters are whole-model sums except ``selection_ops``, which is
-the per-layer maximum so that the "at most one selection per step" reading
-survives multi-layer runs; the per-layer breakdown carries exact values.
+Counters are whole-model sums except ``selection_ops``, which is the
+per-layer maximum so that the "at most one selection per step" reading
+survives multi-layer runs.
 """
 
 from __future__ import annotations
@@ -22,20 +22,11 @@ from .selection import top_k_mask
 
 
 @dataclass(frozen=True)
-class LayerEfficiency:
-    layer: int
-    peak_entries: int
-    selection_ops: int
-    transfer_entries: int
-
-
-@dataclass(frozen=True)
 class EfficiencyReport:
     peak_entries: int
     peak_ratio: float
     selection_ops: int
     transfer_entries: int
-    per_layer: tuple[LayerEfficiency, ...]
 
 
 def efficiency(run: RunRecord) -> EfficiencyReport:
@@ -44,23 +35,13 @@ def efficiency(run: RunRecord) -> EfficiencyReport:
     it by what a full cache would hold (num_layers * (M+T)), transient
     within-step overshoot included. Every step inserts one entry per layer,
     so a layer moves ``num_steps`` entries plus its evictions."""
-    per_layer = tuple(
-        LayerEfficiency(
-            layer=log.layer,
-            peak_entries=max(log.initial_prefill_size, int(log.peak_entries.max())),
-            selection_ops=int(np.count_nonzero(log.ran_selection)),
-            transfer_entries=run.num_steps + int(log.evicted.sum()),
-        )
-        for log in run.layers
-    )
     whole_model = np.sum([log.peak_entries for log in run.layers], axis=0)
     peak_total = max(sum(log.initial_prefill_size for log in run.layers), int(whole_model.max()))
     return EfficiencyReport(
         peak_entries=peak_total,
         peak_ratio=peak_total / (run.num_layers * (run.prompt_len + run.num_steps)),
-        selection_ops=max(le.selection_ops for le in per_layer),
-        transfer_entries=sum(le.transfer_entries for le in per_layer),
-        per_layer=per_layer,
+        selection_ops=max(int(np.count_nonzero(log.ran_selection)) for log in run.layers),
+        transfer_entries=sum(run.num_steps + int(log.evicted.sum()) for log in run.layers),
     )
 
 

@@ -36,6 +36,14 @@ class PrefillPolicy:
     all prompt rows (in trace replay both are the stored prompt row).
     ``observation_rows`` overrides how many trailing rows closed-loop
     prefill observes (defaults to alpha2).
+
+    Construction checks the knobs the kind reads and raises
+    ``ValueError`` with a message that starts with the knob's name: every
+    kind but full keeps ``alpha1 + alpha2 >= 1`` positions (>= 2 for
+    streaming); window and pyramid smooth over a positive odd
+    ``pooling_width``; pyramid tapers by a ``taper_ratio`` in [0, 1]; a
+    kind that observes rows (:meth:`observed_rows`) takes an
+    ``observation_rows`` of at least 1 when it is set.
     """
 
     kind: PrefillPolicyKind = PrefillPolicyKind.FULL
@@ -46,28 +54,53 @@ class PrefillPolicy:
     score_mode: str = "window"
     observation_rows: int | None = None
 
+    def __post_init__(self) -> None:
+        kind = self.kind
+        if kind is PrefillPolicyKind.FULL:
+            return
+        floor = 2 if kind is PrefillPolicyKind.STREAMING else 1
+        if self.budget < floor:
+            raise ValueError(f"alpha1 + alpha2 = {self.budget} keeps fewer than {floor} prompt positions")
+        if kind in (PrefillPolicyKind.WINDOW, PrefillPolicyKind.PYRAMID) and (
+            self.pooling_width < 1 or self.pooling_width % 2 == 0
+        ):
+            raise ValueError(f"pooling_width must be a positive odd number, got {self.pooling_width}")
+        if kind is PrefillPolicyKind.PYRAMID and not 0.0 <= self.taper_ratio <= 1.0:
+            raise ValueError(f"taper_ratio must be in [0, 1], got {self.taper_ratio}")
+        if self.observation_rows is not None and self.observation_rows < 1 and self._observes:
+            raise ValueError(f"observation_rows must be >= 1 when set, got {self.observation_rows}")
+
     @property
     def budget(self) -> int:
         return self.alpha1 + self.alpha2
+
+    @property
+    def _observes(self) -> bool:
+        """Whether compression scores by the mean of trailing prompt rows."""
+        return self.kind not in (PrefillPolicyKind.FULL, PrefillPolicyKind.STREAMING) and not (
+            self.kind is PrefillPolicyKind.TOPK_LOCAL and self.score_mode == "sum"
+        )
 
     def observed_rows(self, m: int) -> int:
         """How many trailing prompt rows closed-loop compression of an
         m-token prompt reads: none unless it scores by the window mean,
         else ``observation_rows`` or alpha2 (at least 1), at most m."""
-        if self.kind in (PrefillPolicyKind.FULL, PrefillPolicyKind.STREAMING) or (
-            self.kind is PrefillPolicyKind.TOPK_LOCAL and self.score_mode == "sum"
-        ):
+        if not self._observes:
             return 0
-        return min(self.observation_rows or max(self.alpha2, 1), m)
+        rows = self.observation_rows if self.observation_rows is not None else max(self.alpha2, 1)
+        return min(rows, m)
 
     def per_layer(self, n_layers: int) -> list["PrefillPolicy"]:
         """The policy each of ``n_layers`` layers compresses with: this one,
         except that pyramid splits ``n_layers * budget`` over the layers
         (:func:`allocate_layer_budgets`) and a layer with share ``s`` keeps
-        a local window of ``min(alpha2, s)`` and the rest as history."""
+        a local window of ``min(alpha2, s)`` and the rest as history.
+        Raises ``ValueError`` if the taper leaves a layer no share."""
         if self.kind is not PrefillPolicyKind.PYRAMID:
             return [self] * n_layers
         shares = allocate_layer_budgets(n_layers * self.budget, n_layers, self.taper_ratio)
+        if 0 in shares:
+            raise ValueError(f"taper_ratio={self.taper_ratio} leaves {shares.count(0)} of {n_layers} layers no share")
         return [replace(self, alpha1=s - min(self.alpha2, s), alpha2=min(self.alpha2, s)) for s in shares]
 
 

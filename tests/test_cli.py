@@ -1,13 +1,17 @@
 """Config parsing, pipeline resolution, CLI subcommands, and exit codes."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kvsim import cli
 from kvsim.cli import main, run_experiment
-from kvsim.config import POLICY_TOKENS, ConfigError, load_config, parse_config_text
+from kvsim.config import _KEYMAP, POLICY_TOKENS, ConfigError, load_config, parse_config_text
 from kvsim.core import InvariantError
 from kvsim.decoding import PolicyKind
 from kvsim.engine import ModelWeights, run_prefill
@@ -486,6 +490,8 @@ class TestCLI:
             ("decoding.observation_window", "decoding.selector = window\ndecoding.observation_window = 0", 1),
             ("decoding.observation_window", "decoding.observation_window = 0", 0),  # cumulative selector
             ("prefill.observation_rows", "prefill.policy = window\nprefill.observation_rows = -2", 1),
+            # 0 would silently observe alpha2 rows
+            ("prefill.observation_rows", "prefill.policy = window\nprefill.observation_rows = 0", 1),
             # no prompt policy of these tokens reads observation rows
             ("prefill.observation_rows", "policies = full, h2o, streaming\nprefill.observation_rows = -2", 0),
             ("prefill.taper_ratio", "policies = pyramid_infer\nprefill.taper_ratio = 1.5", 1),
@@ -496,12 +502,22 @@ class TestCLI:
             # closed loop reads no trace
             ("trace", "trace = /nonexistent.trace", 1),
             ("trace.synthetic", "trace.synthetic = true", 1),
+            # a trace file would be replayed and trace.synthetic ignored; rejected before the file is opened
+            ("trace.synthetic", "mode = trace_replay\ntrace = /nonexistent.trace\ntrace.synthetic = true", 1),
             ("metrics.checkpoints", "metrics.checkpoints = 6, 6", 1),
             # a repeated seed or token would write duplicate report rows
             ("seeds", "seeds = 3, 3", 1),
             ("policies", "policies = h2o, scope_slide, h2o", 1),
             ("prefill.alpha2", "prefill.alpha2 = 30", 1),
             ("prefill.alpha1", "prefill.alpha1 = 0\nprefill.alpha2 = 0", 1),
+            # each rejection names the key that was set, not the attribute behind it
+            ("prefill.alpha1", "prefill.alpha1 = -1", 1),
+            ("prefill.alpha2", "prefill.alpha2 = -1", 1),
+            ("decoding.beta1", "decoding.beta1 = -1", 1),
+            ("decoding.beta2", "decoding.beta2 = -1", 1),
+            ("d_model", "d_model = 6\nn_heads = 4", 1),
+            ("n_heads", "n_heads = 0", 1),
+            ("n_layers", "n_layers = 0", 1),
             ("seeds", "seeds = -1", 1),
             # a trace file ignores the seed; a synthetic trace is drawn per seed
             ("seeds", "mode = trace_replay\ntrace = /nonexistent.trace\nseeds = 1, 2", 1),
@@ -513,7 +529,9 @@ class TestCLI:
     def test_unrunnable_value_checked_at_load(self, tmp_path, capsys, key, lines, exit_code):
         out_dir = tmp_path / "out"
         sweep = key == "--axis"  # the sweep values come from the flag, not the config
-        cfg_text = f"M = 24\nT = 8\nd_model = 8\n{'' if sweep else lines}\noutput_dir = {out_dir}\n"
+        cfg_text = f"M = 24\nT = 8\n{'' if sweep else lines}\noutput_dir = {out_dir}\n"
+        if "d_model =" not in lines:
+            cfg_text = "d_model = 8\n" + cfg_text
         if "mode =" not in lines:
             cfg_text = "mode = closed_loop\n" + cfg_text
         if "policies" not in lines:
@@ -565,3 +583,59 @@ class TestCLI:
         assert main(["oracle-check", str(path), "--traces", "3"]) == 0
         assert seeds == [10_000, 10_001, 10_002]  # not once per policy
         assert "7 policies x 3 traces" in capsys.readouterr().out
+
+
+# knob -> (values a run can use alone, values it cannot use alone or in some combinations); None leaves it unset
+KNOB_VALUES = {
+    "d_model": ([4, 8], [0, 6]),
+    "n_heads": ([1, 2], [0, 3]),
+    "recency_bias": ([0.0, 0.05], [-0.1]),
+    "prefill.alpha1": ([0, 1, 4, 8], [-1]),
+    "prefill.alpha2": ([0, 1, 2, 4], [-1, 30]),
+    "prefill.pooling_width": ([1, 3, 7], [-1, 0, 4]),
+    "prefill.taper_ratio": ([0.25, 0.5, 1.0], [-0.5, 0.0, 1.5]),
+    "prefill.observation_rows": ([None, 1, 3, 30], [-2, 0]),
+    "decoding.beta1": ([0, 1, 4, 12], [-1, 40]),
+    "decoding.beta2": ([0, 1, 4, 12], [-1, 40]),
+    "decoding.observation_window": ([1, 4], [-1, 0]),
+}
+
+
+@st.composite
+def small_configs(draw):
+    """Config text over both modes and 1-3 tokens, with at most one knob
+    drawn from its unusable values."""
+    bad = draw(st.sampled_from([None, "n_layers", *KNOB_VALUES]))
+    mode = draw(st.sampled_from(["closed_loop", "trace_replay"]))
+    knobs = {
+        "mode": mode,
+        "trace.synthetic": "true" if mode == "trace_replay" else None,
+        "seeds": draw(st.sampled_from(["0", "1, 2"])),
+        "M": draw(st.integers(1, 24)),
+        "T": (t := draw(st.integers(1, 40))),
+        "n_layers": draw(st.sampled_from([0, 2] if bad == "n_layers" else [1] if mode == "trace_replay" else [1, 2, 3])),
+        "policies": ", ".join(draw(st.lists(st.sampled_from(POLICY_TOKENS), min_size=1, max_size=3, unique=True))),
+        "prefill.policy": draw(st.sampled_from(["full", "topk_local", "window", "streaming", "pyramid"])),
+        "prefill.score_mode": draw(st.sampled_from(["window", "sum"])),
+        "decoding.selector": draw(st.sampled_from(["cumulative", "window"])),
+        "metrics.checkpoints": draw(st.sampled_from([None, 1, t])),
+    }
+    for key, (usable, unusable) in KNOB_VALUES.items():
+        knobs[key] = draw(st.sampled_from(unusable if key == bad else usable))
+    return "".join(f"{key} = {value}\n" for key, value in knobs.items() if value is not None)
+
+
+@given(text=small_configs())
+@example(text="mode = trace_replay\ntrace.synthetic = true\nM = 16\nT = 12\nprefill.alpha1 = -1\n")
+@settings(max_examples=60, deadline=None)
+def test_load_and_run_agree(text):
+    """A config either fails at load naming one of its keys, or runs."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "exp.cfg"
+        path.write_text(text + f"timestamp = false\noutput_dir = {tmp}/out\n")
+        try:
+            load_config(path)
+        except ConfigError as exc:
+            assert str(exc).split(":")[0].lower() in _KEYMAP, str(exc)
+            return
+        assert main(["run", str(path)]) == 0

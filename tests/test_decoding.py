@@ -355,3 +355,15 @@ def test_observation_window_checked_at_construction(selector, window, ok):
     else:
         with pytest.raises(ValueError, match="observation_window"):
             DecodingPolicy(PolicyKind.UNIFIED_H2O, budget, selector=selector, observation_window=window)
+
+
+@pytest.mark.parametrize("beta1, horizon, ok", [(0, 10, False), (9, 10, False), (4, 10, True), (0, 2, True)])
+def test_discontinuous_interval_checked_at_construction(beta1, horizon, ok):
+    # beta2 = 2: a horizon within it never selects, so any beta1 runs
+    budget = BudgetConfig(beta1=beta1, beta2=2, max_decode_steps=horizon)
+    if ok:
+        DecodingPolicy(PolicyKind.SCOPE_DISCONTINUOUS, budget)
+    else:
+        with pytest.raises(ValueError, match="^beta1="):
+            DecodingPolicy(PolicyKind.SCOPE_DISCONTINUOUS, budget)
+    DecodingPolicy(PolicyKind.SCOPE_ADAPTIVE, budget)  # the other schedules have no interval

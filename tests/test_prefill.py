@@ -197,3 +197,35 @@ class TestDispatch:
             assert set(range(20 - layer_policy.alpha2, 20)) <= set(positions(pool))
         window = PrefillPolicy(kind=PrefillPolicyKind.WINDOW, alpha1=6, alpha2=2)
         assert window.per_layer(3) == [window] * 3
+
+
+@pytest.mark.parametrize(
+    "knobs, field",
+    [
+        ({"kind": PrefillPolicyKind.TOPK_LOCAL}, "alpha1"),
+        ({"kind": PrefillPolicyKind.STREAMING, "alpha1": 1}, "alpha1"),
+        ({"kind": PrefillPolicyKind.WINDOW, "alpha1": 4, "pooling_width": 4}, "pooling_width"),
+        ({"kind": PrefillPolicyKind.PYRAMID, "alpha1": 4, "pooling_width": 0}, "pooling_width"),
+        ({"kind": PrefillPolicyKind.PYRAMID, "alpha1": 4, "taper_ratio": 1.5}, "taper_ratio"),
+        ({"kind": PrefillPolicyKind.WINDOW, "alpha1": 4, "observation_rows": 0}, "observation_rows"),
+        ({"kind": PrefillPolicyKind.TOPK_LOCAL, "alpha1": 4, "observation_rows": -1}, "observation_rows"),
+        # knobs a kind never reads are not checked
+        ({"kind": PrefillPolicyKind.FULL, "pooling_width": 4, "taper_ratio": 2.0, "observation_rows": 0}, None),
+        ({"kind": PrefillPolicyKind.TOPK_LOCAL, "alpha1": 4, "pooling_width": 4, "taper_ratio": 2.0}, None),
+        ({"kind": PrefillPolicyKind.TOPK_LOCAL, "alpha1": 4, "score_mode": "sum", "observation_rows": 0}, None),
+        ({"kind": PrefillPolicyKind.STREAMING, "alpha1": 2, "observation_rows": 0}, None),
+    ],
+)
+def test_construction_checks_the_knobs_a_kind_reads(knobs, field):
+    if field is None:
+        PrefillPolicy(**knobs)
+    else:
+        with pytest.raises(ValueError, match=f"^{field}"):
+            PrefillPolicy(**knobs)
+
+
+def test_taper_leaving_a_layer_no_share_rejected():
+    policy = PrefillPolicy(kind=PrefillPolicyKind.PYRAMID, alpha1=1, alpha2=1, taper_ratio=0.0)
+    assert [p.budget for p in policy.per_layer(1)] == [2]
+    with pytest.raises(ValueError, match="^taper_ratio=0.0 leaves 1 of 2 layers no share"):
+        policy.per_layer(2)  # shares 4 and 0
