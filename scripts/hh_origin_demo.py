@@ -10,12 +10,10 @@ Usage: python scripts/hh_origin_demo.py
 
 import sys
 
-from kvsim.core import BudgetConfig
-from kvsim.decoding import DecodingPolicy, PolicyKind
+from kvsim.config import ExperimentConfig
 from kvsim.engine import ToyModel, decode_loop, run_prefill
 from kvsim.metrics import hh_origin_distribution
 from kvsim.oracle import full_cache_reference
-from kvsim.prefill import PrefillPolicy, PrefillPolicyKind
 
 M, T = 256, 512
 CHECKPOINTS = [1, 100, 300, 500]
@@ -32,32 +30,16 @@ def main() -> int:
             f" {cp.decoding_fraction:.1%} decoding-origin"
         )
 
-    budget = BudgetConfig(alpha1=128, alpha2=8, beta1=64, beta2=32, max_decode_steps=T)
-    pipelines = {
-        "unified_h2o": (
-            PrefillPolicy(kind=PrefillPolicyKind.TOPK_LOCAL, alpha1=192, alpha2=40, score_mode="sum"),
-            PolicyKind.UNIFIED_H2O,
-        ),
-        "scope_slide": (
-            PrefillPolicy(kind=PrefillPolicyKind.TOPK_LOCAL, alpha1=128, alpha2=8),
-            PolicyKind.SCOPE_SLIDE,
-        ),
-        "scope_adaptive": (
-            PrefillPolicy(kind=PrefillPolicyKind.TOPK_LOCAL, alpha1=128, alpha2=8),
-            PolicyKind.SCOPE_ADAPTIVE,
-        ),
-        "scope_discontinuous": (
-            PrefillPolicy(kind=PrefillPolicyKind.TOPK_LOCAL, alpha1=128, alpha2=8),
-            PolicyKind.SCOPE_DISCONTINUOUS,
-        ),
-    }
+    # the budgets of configs/hh_bias_demo.cfg; h2o folds its decode budget into the prompt
+    cfg = ExperimentConfig(M=M, T=T, alpha1=128, alpha2=8, beta1=64, beta2=32)
     print("prompt-side retention across decoding:")
-    for name, (prefill_policy, kind) in pipelines.items():
+    for token in ("h2o", "scope_slide", "scope_adaptive", "scope_discontinuous"):
+        prefill_policy, decoding_policy = cfg.pipeline(token)
         prefill = run_prefill(model, M, prefill_policy)
-        record = decode_loop(model, prefill, DecodingPolicy(kind, budget), T)
+        record = decode_loop(model, prefill, decoding_policy, T)
         initial = record.layers[0].initial_prefill_size
         final = record.layers[0].steps[-1].prefill_size
-        print(f"  {name:>22}: {initial} -> {final} prompt-origin entries")
+        print(f"  {decoding_policy.kind.value:>22}: {initial} -> {final} prompt-origin entries")
     return 0
 
 

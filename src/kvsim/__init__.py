@@ -39,7 +39,6 @@ from .prefill import (
     PrefillPolicy,
     PrefillPolicyKind,
     allocate_layer_budgets,
-    compress_prefill_streaming,
     compress_prefill_topk,
 )
 from .selection import (

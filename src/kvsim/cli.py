@@ -194,20 +194,35 @@ def run_experiment(
 # oracle-check
 
 
-def _scaled_for_check(cfg: ExperimentConfig) -> ExperimentConfig:
+def _scaled_for_check(cfg: ExperimentConfig, n_traces: int) -> ExperimentConfig:
+    """``cfg`` shrunk to at most M=48, T=64 as a one-layer synthetic replay
+    over the check's trace seeds. Each nonzero budget shrinks with M and T
+    but keeps at least ``min(x, 2)``, the largest floor a policy sets.
+    Raises ``ConfigError`` if the shrunk config cannot run."""
     scale = max(cfg.M / 48.0, cfg.T / 64.0, 1.0)
+
+    def shrink(x: int) -> int:
+        return max(min(x, 2), int(x / scale))
+
     sub = replace(
         cfg,
         M=max(4, int(cfg.M / scale)),
         T=max(4, int(cfg.T / scale)),
-        alpha1=max(1, int(cfg.alpha1 / scale)) if cfg.alpha1 else 0,
-        alpha2=max(1, int(cfg.alpha2 / scale)) if cfg.alpha2 else 0,
-        beta1=max(1, int(cfg.beta1 / scale)) if cfg.beta1 else 0,
-        beta2=max(1, int(cfg.beta2 / scale)) if cfg.beta2 else 0,
+        alpha1=shrink(cfg.alpha1),
+        alpha2=shrink(cfg.alpha2),
+        beta1=shrink(cfg.beta1),
+        beta2=shrink(cfg.beta2),
         mode="trace_replay",
         trace_path=None,
         trace_synthetic=True,
+        seeds=list(range(10_000, 10_000 + n_traces)),
+        n_layers=1,
+        checkpoints=[],
     )
+    try:
+        sub.validate()
+    except ConfigError as exc:
+        raise ConfigError(f"{exc} (oracle-check scales the run to M={sub.M}, T={sub.T})") from exc
     return sub
 
 
@@ -216,8 +231,8 @@ def oracle_check(cfg: ExperimentConfig, n_traces: int = 3, out=None) -> int:
     for every configured policy over fresh synthetic traces. Returns the
     number of mismatches (0 = all equal)."""
     out = out if out is not None else sys.stdout
-    sub = _scaled_for_check(cfg)
-    traces = {seed: synthetic_trace(sub.M, sub.T, seed) for seed in range(10_000, 10_000 + n_traces)}
+    sub = _scaled_for_check(cfg, n_traces)
+    traces = {seed: synthetic_trace(sub.M, sub.T, seed) for seed in sub.seeds}
     failures = 0
     for token in sub.policies:
         prefill_policy, decoding_policy = sub.pipeline(token)

@@ -1,15 +1,29 @@
 """Decode-phase eviction policies.
 
-The three phase-separated strategies (slide, adaptive, discontinuous) plus
-the unified and append-only baselines, expressed as per-step state machines
-over (pool, attention row, step counter). The three strategies share one
-budget rule and differ only in its schedule (:func:`scope_target`).
+Every policy but the append-only one keeps by one rule. Once its region
+holds more than the step's target, it keeps the region's first ``sink``
+entries, its last ``local`` entries and the ``target - sink - local``
+best-scored entries in between (:func:`~kvsim.selection.top_k_mask`,
+earliest position winning ties), and evicts the rest:
+
+* scope_slide, scope_adaptive, scope_discontinuous: the decode side,
+  sink 0, local ``beta2``, target :func:`scope_target` (None: no
+  selection is due at step t);
+* unified_h2o, pyramid_infer: the whole pool, sink 0, local
+  ``min(alpha2 + beta2, total)``, target ``total``;
+* unified_streaming: the whole pool, sink ``total - total // 2``, local
+  ``total // 2``, target ``total``;
+
+with ``total = total_budget``. The three phase-separated strategies differ
+only in their target's schedule. Streaming's sink and local fill its
+target, so it never scores. Only the SCOPE region leaves the prompt side
+whole.
 
 Step indices are decoding-relative: t = 1 is the first generated token, so
 a policy's trigger conditions read off t directly instead of absolute
 sequence positions. The engine appends the new entry before calling the
-policy, which means the decoding pool may exceed its budget by one entry
-inside a step; budgets are enforced at step end.
+policy, which means the pool may exceed its budget by one entry inside a
+step; budgets are enforced at step end.
 """
 
 from __future__ import annotations
@@ -166,22 +180,31 @@ def scope_target(kind: PolicyKind, t: int, budget: BudgetConfig) -> int | None:
 
 
 class PolicyRunner:
-    """Per-(sequence, layer) policy state machine.
-
-    Call :meth:`step` once per decode step, after the new entry has been
-    appended to the pool and the attention row over the retained entries
-    (including the new one) has been computed.
+    """Per-(sequence, layer) policy state machine. Construction fixes the
+    region, sink, local and target of the module docstring's one rule from
+    the policy's kind and budget. Call :meth:`step` once per decode step,
+    after the new entry has been appended to the pool and the attention
+    row over the retained entries (including the new one) is computed.
     """
 
     def __init__(self, policy: DecodingPolicy, prompt_len: int) -> None:
         self.policy = policy
         self.prompt_len = prompt_len
         b = policy.budget
+        total = b.total_budget
+        self._scope = policy.kind in SCOPE_KINDS
+        if self._scope:
+            self._sink, self._local = 0, b.beta2
+        elif policy.kind is PolicyKind.UNIFIED_STREAMING:
+            self._sink, self._local = total - total // 2, total // 2
+        else:
+            self._sink, self._local = 0, min(b.alpha2 + b.beta2, total)
+        self._total = total
+        # streaming's sink and local fill its target: it never scores, so it keeps no scores
+        self._observes = policy.kind is not PolicyKind.UNIFIED_STREAMING
+        self._cumulative = self._observes and policy.selector is SelectorKind.CUMULATIVE
         self._acc = ScoreAccumulator(prompt_len + b.max_decode_steps)
         self._recent_rows: deque[ScoreVector] = deque(maxlen=policy.observation_window)
-        self._unified_total = b.total_budget
-        self._unified_local = min(b.alpha2 + b.beta2, b.total_budget)
-        self._unified_history = b.total_budget - self._unified_local
 
     def seed_scores(self, positions: np.ndarray, colsums: np.ndarray) -> None:
         """Give unified cumulative selectors the prompt-phase attention mass
@@ -195,84 +218,34 @@ class PolicyRunner:
             self._acc.add_row(ScoreVector(positions, colsums[positions], validate=False))
 
     def step(self, pool: CachePool, row: AttentionRow, t: int) -> tuple[CachePool, StepDecision]:
-        kind = self.policy.kind
-        if kind is PolicyKind.PREFILL_ONLY:
+        policy = self.policy
+        if policy.kind is PolicyKind.PREFILL_ONLY:
             return pool, _APPEND_ONLY
-        self._observe(row)
-        if kind in SCOPE_KINDS:
-            return self._step_scope(pool, t)
-        if kind is PolicyKind.UNIFIED_STREAMING:
-            return self._step_streaming(pool)
-        # unified_h2o and pyramid_infer share the scored unified update
-        return self._step_unified_scored(pool)
-
-    # ------------------------------------------------------------------
-    # selector state
-
-    def _observe(self, row: AttentionRow) -> None:
-        if self.policy.kind in SCOPE_KINDS:
-            row = row.restrict_from(self.prompt_len)
-        if self.policy.kind is PolicyKind.UNIFIED_STREAMING:
-            return
-        if self.policy.selector is SelectorKind.CUMULATIVE:
-            self._acc.add_row(row)
+        if self._observes:
+            row = row.restrict_from(self.prompt_len) if self._scope else row
+            if self._cumulative:
+                self._acc.add_row(row)
+            else:
+                self._recent_rows.append(row)
+        target = scope_target(policy.kind, t, policy.budget) if self._scope else self._total
+        if target is None or (pool.decoding_size if self._scope else pool.total_size) <= target:
+            return pool, _APPEND_ONLY
+        region = pool.decoding_entries if self._scope else pool.all_positions()
+        sink, end, k = self._sink, len(region) - self._local, target - self._sink - self._local
+        keep = np.ones(len(region), dtype=bool)
+        keep[sink:end] = top_k_mask(self._selector_scores(region[sink:end]), k) if k > 0 else False
+        if self._cumulative:
+            self._acc.drop(region[~keep])
+        if self._scope:
+            new_pool = evict_decoding(pool, region[keep])
         else:
-            self._recent_rows.append(row)
+            # keep is a mask over pool.all_positions(): prompt side, then decoding side
+            split = pool.prefill_size
+            new_pool = CachePool(pool.prefill_entries[keep[:split]], pool.decoding_entries[keep[split:]])
+        return new_pool, StepDecision(True, pool.total_size - new_pool.total_size)
 
     def _selector_scores(self, candidates: np.ndarray) -> np.ndarray:
         if self.policy.selector is SelectorKind.CUMULATIVE:
             return self._acc.scores_for(candidates).scores
         window = observation_window_scores(list(self._recent_rows), self.policy.observation_window)
         return window[candidates]
-
-    def _keep_mask(self, positions: np.ndarray, history_k: int, local: int) -> np.ndarray:
-        """Keep the last ``local`` positions plus the ``history_k``
-        best-scored of the rest."""
-        split = len(positions) - local
-        keep = np.ones(len(positions), dtype=bool)
-        keep[:split] = top_k_mask(self._selector_scores(positions[:split]), history_k)
-        return keep
-
-    def _drop(self, positions: np.ndarray, keep: np.ndarray) -> None:
-        if self.policy.selector is SelectorKind.CUMULATIVE:
-            self._acc.drop(positions[~keep])
-
-    # ------------------------------------------------------------------
-    # phase-separated strategies
-
-    def _step_scope(self, pool: CachePool, t: int) -> tuple[CachePool, StepDecision]:
-        b = self.policy.budget
-        target = scope_target(self.policy.kind, t, b)
-        if target is None or pool.decoding_size <= target:
-            return pool, _APPEND_ONLY
-        dec = pool.decoding_entries
-        keep = self._keep_mask(dec, target - b.beta2, b.beta2)
-        new_pool = evict_decoding(pool, dec[keep])
-        self._drop(dec, keep)
-        return new_pool, StepDecision(True, pool.decoding_size - new_pool.decoding_size)
-
-    # ------------------------------------------------------------------
-    # unified baselines (may evict prompt-side entries)
-
-    def _filter_unified(self, pool: CachePool, keep: np.ndarray) -> tuple[CachePool, StepDecision]:
-        # keep is a mask over pool.all_positions(): prompt side, then decoding side
-        split = pool.prefill_size
-        new_pool = CachePool(pool.prefill_entries[keep[:split]], pool.decoding_entries[keep[split:]])
-        return new_pool, StepDecision(True, pool.total_size - new_pool.total_size)
-
-    def _step_unified_scored(self, pool: CachePool) -> tuple[CachePool, StepDecision]:
-        if pool.total_size <= self._unified_total:
-            return pool, _APPEND_ONLY
-        positions = pool.all_positions()
-        keep = self._keep_mask(positions, self._unified_history, self._unified_local)
-        self._drop(positions, keep)
-        return self._filter_unified(pool, keep)
-
-    def _step_streaming(self, pool: CachePool) -> tuple[CachePool, StepDecision]:
-        total = self._unified_total
-        if pool.total_size <= total:
-            return pool, _APPEND_ONLY
-        head = total // 2 + total % 2
-        tail = total // 2
-        index = np.arange(pool.total_size)
-        return self._filter_unified(pool, (index < head) | (index >= pool.total_size - tail))

@@ -333,7 +333,7 @@ def decode_loop(
     if steps > horizon:
         raise ValueError(f"t_steps={steps} exceeds the budget's horizon max_decode_steps={horizon}")
     if isinstance(source, Trace):
-        attend = _replay_attention(source, steps)
+        attend = _replay_attention(source, prefill, steps)
     else:
         attend = _closed_loop_attention(source, prefill, steps)
     m = prefill.prompt_len
@@ -366,11 +366,15 @@ def decode_loop(
     )
 
 
-def _replay_attention(trace: Trace, steps: int):
+def _replay_attention(trace: Trace, prefill: PrefillResult, steps: int):
     """Trace replay's ``attend(layer, t, pos, h) -> (row, h)``: step t's
     recorded full-prefix row sliced to ``pos`` and renormalized (uniform
     when the slice has no mass, a ``TraceError`` when its mass is NaN or
-    infinite); ``h`` passes through."""
+    infinite); ``h`` passes through. ``prefill`` must be a replay prefill
+    of the trace's own prompt length."""
+    if prefill.prompt is not None or prefill.prompt_len != trace.M:
+        kind = "closed-loop prefill" if prefill.prompt is not None else f"prefill of M={prefill.prompt_len}"
+        raise TraceError(f"replay of a trace recorded with M={trace.M} was given a {kind}")
     if steps > trace.T:
         raise TraceError(f"trace holds {trace.T} steps, run requested {steps}")
 

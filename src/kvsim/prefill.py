@@ -125,17 +125,6 @@ def compress_prefill_topk(
     return new_pool([*sorted(kept), *range(m - alpha2, m)])
 
 
-def compress_prefill_streaming(m: int, total_budget: int) -> CachePool:
-    """Keep the first ceil(budget/2) and last floor(budget/2) positions."""
-    if total_budget < 2:
-        raise ValueError(f"total_budget must be >= 2, got {total_budget}")
-    if total_budget >= m:
-        return new_pool(range(m))
-    head = total_budget // 2 + total_budget % 2
-    tail = total_budget // 2
-    return new_pool([*range(head), *range(m - tail, m)])
-
-
 def smooth_scores(scores: np.ndarray, pooling_width: int) -> np.ndarray:
     """Centered moving average over positions. The divisor at each point is
     the number of in-bounds neighbors, so edges are not zero-padded down."""
@@ -189,7 +178,10 @@ def apply_prefill_policy(policy: PrefillPolicy, m: int, colsums: np.ndarray, obs
     if kind is PrefillPolicyKind.FULL:
         return new_pool(range(m))
     if kind is PrefillPolicyKind.STREAMING:
-        return compress_prefill_streaming(m, policy.budget)
+        # uniform scores: the earliest positions win every tie, so this keeps
+        # the first ceil(b/2) and the last floor(b/2) positions
+        b = min(policy.budget, m)
+        return compress_prefill_topk(np.zeros(m), b - b // 2, b // 2)
     alpha1, alpha2 = policy.alpha1, policy.alpha2
     if kind is PrefillPolicyKind.TOPK_LOCAL and policy.score_mode == "sum":
         return compress_prefill_topk(colsums, alpha1, alpha2)

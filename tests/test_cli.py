@@ -584,6 +584,31 @@ class TestCLI:
         assert seeds == [10_000, 10_001, 10_002]  # not once per policy
         assert "7 policies x 3 traces" in capsys.readouterr().out
 
+    def test_oracle_check_keeps_the_prompt_floor(self, tmp_path, capsys):
+        # run exits 0; scaling alpha1 = 2 to 1 would leave streaming fewer than 2 prompt positions
+        text = (
+            "mode = closed_loop\nM = 96\nT = 128\npolicies = streaming\n"
+            "prefill.alpha1 = 2\nprefill.alpha2 = 0\n"
+        )
+        path = write_config(tmp_path, text + f"output_dir = {tmp_path / 'out'}\n")
+        assert main(["run", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["oracle-check", str(path)]) == 0
+        assert "1 policies x 3 traces at M=48, T=64: all policies match" in capsys.readouterr().out
+
+    def test_oracle_check_of_unrunnable_scaled_config_exit_one(self, tmp_path, capsys):
+        # T = 4 is within beta2, so the run never selects; scaled to T' = 4 > beta2' = 2 it would
+        text = (
+            "mode = trace_replay\ntrace.synthetic = true\nM = 200\nT = 4\npolicies = scope_discontinuous\n"
+            "prefill.alpha1 = 20\nprefill.alpha2 = 20\ndecoding.beta1 = 20\ndecoding.beta2 = 5\n"
+        )
+        path = write_config(tmp_path, text)
+        load_config(path)
+        assert main(["oracle-check", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: decoding.beta1:")
+        assert "M=48, T=4" in err
+
 
 # knob -> (values a run can use alone, values it cannot use alone or in some combinations); None leaves it unset
 KNOB_VALUES = {

@@ -241,6 +241,19 @@ class TestDecodeLoop:
         with pytest.raises(ValueError, match="same model"):
             decode_loop(ToyModel(seed=1, d_model=16, n_heads=2), prefill, self.policy(), 15)
 
+    def test_replay_prefill_of_another_prompt_rejected(self):
+        # positions 8 and 9 of the longer trace would count as decode-side entries
+        prefill = run_prefill(synthetic_trace(8, 20, seed=0), 8, PrefillPolicy(kind=PrefillPolicyKind.FULL))
+        policy = DecodingPolicy(PolicyKind.SCOPE_SLIDE, BudgetConfig(beta1=2, beta2=2, max_decode_steps=10))
+        with pytest.raises(TraceError, match="recorded with M=10 was given a prefill of M=8"):
+            decode_loop(synthetic_trace(10, 20, seed=0), prefill, policy)
+
+    def test_closed_loop_prefill_replayed_rejected(self):
+        model = ToyModel(seed=1, d_model=16, n_heads=2)
+        prefill = run_prefill(model, 10, PrefillPolicy(kind=PrefillPolicyKind.FULL))
+        with pytest.raises(TraceError, match="given a closed-loop prefill"):
+            decode_loop(synthetic_trace(10, 20, seed=0), prefill, self.policy(), 15)
+
     def test_trace_shorter_than_requested_steps_rejected(self):
         trace = synthetic_trace(6, 4, seed=0)
         prefill = prefill_result_from_positions(trace, range(6))

@@ -1,5 +1,7 @@
 """The shipped closed-loop configs and the two 4K trace-replay scripts
-still write their golden reports under ``out/`` byte for byte."""
+still write their golden reports under ``out/`` byte for byte, and the
+heavy-hitter demo and ``kvsim oracle-check`` on each shipped config still
+print their golden output."""
 
 import importlib.util
 import sys
@@ -44,6 +46,17 @@ def test_sweep_beta1_matches_golden(tmp_path, monkeypatch):
     # the same preset, phase-separated policies over four beta1 values
     run_script("sweep_beta1", tmp_path, monkeypatch)
     assert_reports_match(tmp_path, "sweep_test")
+
+
+def test_hh_origin_demo_matches_golden(tmp_path, monkeypatch, capsys):
+    run_script("hh_origin_demo", tmp_path, monkeypatch)
+    assert capsys.readouterr().out == (ROOT / "out" / "hh_origin_demo" / "stdout.txt").read_text()
+
+
+@pytest.mark.parametrize("config", ["smoke_closed_loop", "hh_bias_demo", "preset_4k_replay"])
+def test_oracle_check_summary_matches_golden(capsys, config):
+    assert main(["oracle-check", str(ROOT / "configs" / f"{config}.cfg")]) == 0
+    assert capsys.readouterr().out == (ROOT / "out" / "oracle_check" / f"{config}.txt").read_text()
 
 
 def test_smoke_seeds_run_independently(tmp_path):

@@ -12,7 +12,6 @@ from kvsim.prefill import (
     PrefillPolicyKind,
     allocate_layer_budgets,
     apply_prefill_policy,
-    compress_prefill_streaming,
     compress_prefill_topk,
     smooth_scores,
 )
@@ -72,27 +71,33 @@ class TestTopKLocal:
 
 
 class TestStreaming:
+    """Streaming goes through the policy: top-k over uniform scores."""
+
+    def streaming(self, m, budget):
+        policy = PrefillPolicy(kind=PrefillPolicyKind.STREAMING, alpha1=budget)
+        return positions(apply_prefill_policy(policy, m, np.zeros(m), np.zeros((0, m))))
+
     def test_split_example(self):
-        pool = compress_prefill_streaming(10, 4)
-        assert positions(pool) == [0, 1, 8, 9]
+        assert self.streaming(10, 4) == [0, 1, 8, 9]
 
     def test_budget_covering_prompt(self):
-        pool = compress_prefill_streaming(6, 10)
-        assert positions(pool) == list(range(6))
+        assert self.streaming(6, 10) == list(range(6))
+
+    def test_budget_above_twice_prompt_keeps_all(self):
+        # a local window of budget // 2 = 10 would not fit a 6-token prompt
+        assert self.streaming(6, 20) == list(range(6))
 
     def test_production_scale_blocks(self):
-        pool = compress_prefill_streaming(5000, 2560)
-        kept = positions(pool)
+        kept = self.streaming(5000, 2560)
         assert kept[:1280] == list(range(1280))
         assert kept[1280:] == list(range(3720, 5000))
 
     def test_odd_budget_ceil_head(self):
-        pool = compress_prefill_streaming(10, 5)
-        assert positions(pool) == [0, 1, 2, 8, 9]
+        assert self.streaming(10, 5) == [0, 1, 2, 8, 9]
 
     def test_tiny_budget_rejected(self):
-        with pytest.raises(ValueError, match="total_budget"):
-            compress_prefill_streaming(10, 1)
+        with pytest.raises(ValueError, match="alpha1"):
+            self.streaming(10, 1)
 
 
 class TestWindow:
