@@ -25,7 +25,7 @@ from .config import SWEEP_AXES, ConfigError, ExperimentConfig, load_config
 from .core import InvariantError
 from .engine import PromptPass, ToyModel, decode_loop, run_prefill
 from .metrics import EfficiencyReport, efficiency, heavy_hitter_set, hh_origin_distribution, retained_recall
-from .oracle import check_policy_equivalence, full_cache_reference
+from .oracle import check_policy_equivalence, full_cache_reference, naive_prompt_compressor
 from .traceio import Trace, TraceError, read_trace, synthetic_trace, write_trace
 
 
@@ -197,21 +197,23 @@ def run_experiment(
 def _scaled_for_check(cfg: ExperimentConfig, n_traces: int) -> ExperimentConfig:
     """``cfg`` shrunk to at most M=48, T=64 as a one-layer synthetic replay
     over the check's trace seeds. Each nonzero budget shrinks with M and T
-    but keeps at least ``min(x, 2)``, the largest floor a policy sets.
-    Raises ``ConfigError`` if the shrunk config cannot run."""
+    but keeps at least ``min(x, 2)``, the largest floor a policy sets; a
+    horizon within beta2 stays within it. Raises ``ConfigError`` if the
+    shrunk config cannot run."""
     scale = max(cfg.M / 48.0, cfg.T / 64.0, 1.0)
 
     def shrink(x: int) -> int:
         return max(min(x, 2), int(x / scale))
 
+    t = max(4, int(cfg.T / scale))
     sub = replace(
         cfg,
         M=max(4, int(cfg.M / scale)),
-        T=max(4, int(cfg.T / scale)),
+        T=t,
         alpha1=shrink(cfg.alpha1),
         alpha2=shrink(cfg.alpha2),
         beta1=shrink(cfg.beta1),
-        beta2=shrink(cfg.beta2),
+        beta2=max(shrink(cfg.beta2), t) if cfg.T <= cfg.beta2 else shrink(cfg.beta2),
         mode="trace_replay",
         trace_path=None,
         trace_synthetic=True,
@@ -227,9 +229,11 @@ def _scaled_for_check(cfg: ExperimentConfig, n_traces: int) -> ExperimentConfig:
 
 
 def oracle_check(cfg: ExperimentConfig, n_traces: int = 3, out=None) -> int:
-    """Compare the optimized replay path against the naive re-simulation
-    for every configured policy over fresh synthetic traces. Returns the
-    number of mismatches (0 = all equal)."""
+    """Compare the optimized replay path against the naive re-simulations
+    for every configured policy over fresh synthetic traces: each prompt
+    pool against the naive prompt compressor, then the decode steps
+    against the naive policy simulator. Returns the number of mismatches
+    (0 = all equal)."""
     out = out if out is not None else sys.stdout
     sub = _scaled_for_check(cfg, n_traces)
     traces = {seed: synthetic_trace(sub.M, sub.T, seed) for seed in sub.seeds}
@@ -239,10 +243,13 @@ def oracle_check(cfg: ExperimentConfig, n_traces: int = 3, out=None) -> int:
         for seed, trace in traces.items():
             prefill = run_prefill(trace, sub.M, prefill_policy)
             positions = prefill.pools[0].prefill_entries.tolist()
-            message = check_policy_equivalence(decoding_policy, trace, positions, sub.T)
-            if message:
-                failures += 1
-                print(f"MISMATCH {token} (trace seed {seed}): {message}", file=out)
+            scores = trace.prefill_scores
+            naive = naive_prompt_compressor(prefill_policy, sub.M, [scores], [scores[None, :]], 1)[0]
+            prompt = None if positions == naive else f"prompt pool of {len(positions)} differs from naive {len(naive)}"
+            for message in (prompt, check_policy_equivalence(decoding_policy, trace, positions, sub.T)):
+                if message:
+                    failures += 1
+                    print(f"MISMATCH {token} (trace seed {seed}): {message}", file=out)
     status = "all policies match the naive simulator" if not failures else f"{failures} mismatch(es)"
     print(
         f"oracle-check: {len(sub.policies)} policies x {n_traces} traces at M={sub.M}, T={sub.T}: {status}",

@@ -4,10 +4,10 @@ Dotted keys group the prompt-phase, decode-phase, and metrics settings.
 Comma-separated values make a list. Comments start with ``#``. Unknown,
 ill-typed or repeated keys fail with a diagnostic naming the key.
 
-Policy tokens map to whole pipelines. The phase-separated and append-only
-tokens use the configured prompt compression; the unified baselines
-compress the prompt with their own scheme at the full combined budget so
-every pipeline works against the same total.
+Policy tokens map to whole pipelines (``_TOKENS``). Full and the unified
+baselines bring their own prompt compression and run it at the full
+combined budget, so every pipeline works against the same total; the
+other tokens use the configured prompt compression.
 """
 
 from __future__ import annotations
@@ -27,36 +27,19 @@ class ConfigError(Exception):
     """Invalid experiment configuration."""
 
 
-POLICY_TOKENS = (
-    "full",
-    "prefill_only",
-    "h2o",
-    "streaming",
-    "pyramid_infer",
-    "scope_slide",
-    "scope_adaptive",
-    "scope_discontinuous",
-)
-
-_DECODING_KIND = {
-    "full": PolicyKind.PREFILL_ONLY,
-    "prefill_only": PolicyKind.PREFILL_ONLY,
-    "h2o": PolicyKind.UNIFIED_H2O,
-    "streaming": PolicyKind.UNIFIED_STREAMING,
-    "pyramid_infer": PolicyKind.PYRAMID_INFER,
-    "scope_slide": PolicyKind.SCOPE_SLIDE,
-    "scope_adaptive": PolicyKind.SCOPE_ADAPTIVE,
-    "scope_discontinuous": PolicyKind.SCOPE_DISCONTINUOUS,
+# token -> (decode kind, the prompt kind it brings or None for prefill.policy);
+# a token that brings its own prompt kind compresses at alpha + beta
+_TOKENS = {
+    "full": (PolicyKind.PREFILL_ONLY, PrefillPolicyKind.FULL),
+    "prefill_only": (PolicyKind.PREFILL_ONLY, None),
+    "h2o": (PolicyKind.UNIFIED_H2O, PrefillPolicyKind.TOPK_LOCAL),
+    "streaming": (PolicyKind.UNIFIED_STREAMING, PrefillPolicyKind.STREAMING),
+    "pyramid_infer": (PolicyKind.PYRAMID_INFER, PrefillPolicyKind.PYRAMID),
+    "scope_slide": (PolicyKind.SCOPE_SLIDE, None),
+    "scope_adaptive": (PolicyKind.SCOPE_ADAPTIVE, None),
+    "scope_discontinuous": (PolicyKind.SCOPE_DISCONTINUOUS, None),
 }
-
-# the prompt compression a unified or full token brings; the others use prefill.policy
-_PROMPT_KIND = {
-    "full": PrefillPolicyKind.FULL,
-    "h2o": PrefillPolicyKind.TOPK_LOCAL,
-    "streaming": PrefillPolicyKind.STREAMING,
-    "pyramid_infer": PrefillPolicyKind.PYRAMID,
-}
-
+POLICY_TOKENS = tuple(_TOKENS)
 _PREFILL_KINDS = {k.value: k for k in PrefillPolicyKind}
 _SELECTORS = {s.value: s for s in SelectorKind}
 
@@ -181,26 +164,23 @@ class ExperimentConfig:
 
     def pipeline(self, token: str) -> tuple[PrefillPolicy, DecodingPolicy]:
         """Resolve a policy token into its (prompt policy, decode policy)
-        pair. Unified baselines fold the decode budget into their prompt
-        compression so the totals match the phase-separated pipelines."""
-        budget = self.budget()
+        pair (``_TOKENS``). A token with its own prompt kind folds the
+        decode budget into its prompt compression, so the totals match the
+        phase-separated pipelines."""
+        decode_kind, prompt_kind = _TOKENS[token]
         decoding = DecodingPolicy(
-            kind=_DECODING_KIND[token],
-            budget=budget,
+            kind=decode_kind,
+            budget=self.budget(),
             selector=_SELECTORS[self.selector],
             observation_window=self.observation_window,
             seed_prefill_scores=self.seed_prefill_scores,
             taper_ratio=self.taper_ratio,
         )
-        alpha1, alpha2 = self.alpha1, self.alpha2
-        if token in ("h2o", "pyramid_infer"):
-            alpha1, alpha2 = self.alpha1 + self.beta1, self.alpha2 + self.beta2
-        elif token == "streaming":
-            alpha1 = budget.total_budget - alpha2
+        fold = prompt_kind is not None
         prefill = PrefillPolicy(
-            kind=_PROMPT_KIND.get(token, _PREFILL_KINDS[self.prefill_policy]),
-            alpha1=alpha1,
-            alpha2=alpha2,
+            kind=prompt_kind or _PREFILL_KINDS[self.prefill_policy],
+            alpha1=self.alpha1 + (self.beta1 if fold else 0),
+            alpha2=self.alpha2 + (self.beta2 if fold else 0),
             pooling_width=self.pooling_width,
             taper_ratio=self.taper_ratio,
             score_mode="sum" if token == "h2o" else self.score_mode,

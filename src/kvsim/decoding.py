@@ -35,7 +35,7 @@ from enum import Enum
 import numpy as np
 
 from .core import BudgetConfig, CachePool, evict_decoding
-from .prefill import allocate_layer_budgets
+from .prefill import layer_splits
 from .selection import (
     AttentionRow,
     ScoreAccumulator,
@@ -102,19 +102,13 @@ class DecodingPolicy:
 
     def per_layer(self, n_layers: int) -> list["DecodingPolicy"]:
         """The policy each of ``n_layers`` layers runs: this one, except
-        that pyramid_infer over several layers splits ``n_layers *
-        total_budget`` over them (:func:`allocate_layer_budgets`); share
-        ``s`` runs ``BudgetConfig(alpha1=s - w, alpha2=w)``, local window
-        ``w = min(alpha2 + beta2, s)``."""
+        that pyramid_infer over several layers runs ``BudgetConfig(history,
+        local)`` from :func:`layer_splits` of total_budget, alpha2 + beta2."""
         if self.kind is not PolicyKind.PYRAMID_INFER or n_layers == 1:
             return [self] * n_layers
         b = self.budget
-        shares = allocate_layer_budgets(n_layers * b.total_budget, n_layers, self.taper_ratio)
-        windows = [min(b.alpha2 + b.beta2, s) for s in shares]
-        return [
-            replace(self, budget=BudgetConfig(alpha1=s - w, alpha2=w, max_decode_steps=b.max_decode_steps))
-            for s, w in zip(shares, windows)
-        ]
+        splits = layer_splits(b.total_budget, b.alpha2 + b.beta2, n_layers, self.taper_ratio)
+        return [replace(self, budget=BudgetConfig(h, w, max_decode_steps=b.max_decode_steps)) for h, w in splits]
 
 
 @dataclass(frozen=True)

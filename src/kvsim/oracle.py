@@ -16,6 +16,7 @@ import numpy as np
 
 from .decoding import DecodingPolicy, PolicyKind, SelectorKind
 from .engine import ModelWeights, ToyModel, decode_loop, prefill_result_from_positions
+from .prefill import PrefillPolicy, PrefillPolicyKind
 from .traceio import Trace
 
 DEFAULT_SIZE_GUARD = 4096
@@ -253,6 +254,81 @@ def naive_policy_simulator(
 
         history.append((frozenset(prefill), frozenset(decoding)))
     return history
+
+
+def _naive_layer_shares(total: int, n_layers: int, taper_ratio: float) -> list[int]:
+    """The pyramid taper's exact shares (a line from the first layer down
+    to ``taper_ratio`` times it), rounded down, then one extra entry per
+    layer in order of largest dropped fraction, earlier layer first."""
+    if n_layers == 1:
+        return [total]
+    first = 2.0 * total / (n_layers * (1.0 + taper_ratio))
+    step = first * (1.0 - taper_ratio) / (n_layers - 1)
+    exact = [first - i * step for i in range(n_layers)]
+    shares = [math.floor(x) for x in exact]
+    fraction = [x - math.floor(x) for x in exact]
+    waiting = list(range(n_layers))
+    while sum(shares) < total:
+        i = max(waiting, key=lambda j: fraction[j])  # max returns the first of equals
+        waiting.remove(i)
+        shares[i] += 1
+    return shares
+
+
+def naive_prompt_compressor(
+    policy: PrefillPolicy,
+    m: int,
+    colsums: Sequence[np.ndarray],
+    obs_rows: Sequence[np.ndarray],
+    n_layers: int,
+) -> list[list[int]]:
+    """Compress an ``m``-token prompt under ``policy`` with the most literal
+    data structures possible and return each of ``n_layers`` layers'
+    retained prompt positions, ascending. ``colsums[i]`` is layer i's dense
+    prompt column-sum vector and ``obs_rows[i]`` its trailing observation
+    rows (the last ones are read). Raises ``ValueError`` when a pyramid
+    taper leaves a layer no share. Shares no code with the prompt
+    compressors."""
+    kind = policy.kind
+    budget = policy.alpha1 + policy.alpha2
+    if kind is PrefillPolicyKind.PYRAMID:
+        shares = _naive_layer_shares(n_layers * budget, n_layers, policy.taper_ratio)
+        if 0 in shares:
+            raise ValueError(f"pyramid shares {shares} leave a layer nothing")
+        splits = [(s - min(policy.alpha2, s), min(policy.alpha2, s)) for s in shares]
+    else:
+        splits = [(policy.alpha1, policy.alpha2)] * n_layers
+
+    pools: list[list[int]] = []
+    for layer, (history, local) in enumerate(splits):
+        if kind is PrefillPolicyKind.FULL:
+            pools.append(list(range(m)))
+            continue
+        if kind is PrefillPolicyKind.STREAMING:
+            b = min(budget, m)
+            head, tail = list(range((b + 1) // 2)), list(range(m - b // 2, m))
+            pools.append(sorted(set(head) | set(tail)))
+            continue
+        if kind is PrefillPolicyKind.TOPK_LOCAL and policy.score_mode == "sum":
+            scores = [float(v) for v in colsums[layer]]
+        else:
+            wanted = policy.observation_rows if policy.observation_rows is not None else max(policy.alpha2, 1)
+            rows = list(obs_rows[layer])[-min(wanted, m):]
+            scores = []
+            for p in range(m):
+                total = 0.0
+                for row in rows:
+                    total += float(row[p])
+                scores.append(total / len(rows))
+        width = policy.pooling_width if kind in (PrefillPolicyKind.WINDOW, PrefillPolicyKind.PYRAMID) else 1
+        smoothed = []
+        for p in range(m):
+            neighbours = [scores[q] for q in range(p - width // 2, p + width // 2 + 1) if 0 <= q < m]
+            smoothed.append(sum(neighbours) / len(neighbours))
+        candidates = list(range(m - local))
+        ranked = sorted(candidates, key=lambda p: (-smoothed[p], p))
+        pools.append(sorted(ranked[:history] + list(range(m - local, m))))
+    return pools
 
 
 def check_policy_equivalence(

@@ -1,10 +1,13 @@
 """Prompt-phase compression policies.
 
-Every policy produces the initial prompt-side pool from the prompt length
-m (the prompt is exactly positions 0..m-1) plus some view of the prompt
-attention. Compression runs exactly once, at the end of prefill; if a
-policy's budget covers the whole prompt it degrades to keeping everything,
-so budget sweeps need no special cases.
+Every policy compresses by one rule, once, at the end of prefill
+(:func:`compress_prefill_topk`): rank the prompt positions 0..m-1 before
+the last ``local`` ones by a score averaged over ``pooling`` neighbours,
+and keep the ``history`` best (earliest position winning ties) plus those
+``local``. A kind fixes only what it ranks by
+(:attr:`PrefillPolicy.ranks_by`), its pooling and its (history, local)
+split (:func:`apply_prefill_policy`; pyramid per layer, :func:`layer_splits`).
+A budget that covers the whole prompt keeps everything.
 """
 
 from __future__ import annotations
@@ -27,23 +30,26 @@ class PrefillPolicyKind(Enum):
     PYRAMID = "pyramid"
 
 
+_POOLED = frozenset({PrefillPolicyKind.WINDOW, PrefillPolicyKind.PYRAMID})
+
+
 @dataclass(frozen=True)
 class PrefillPolicy:
     """Prompt-compression choice plus its knobs.
 
-    ``score_mode`` picks what the topk_local policy ranks by: "window"
-    the mean of the trailing observation rows, "sum" the column sums over
-    all prompt rows (in trace replay both are the stored prompt row).
+    ``score_mode`` picks what topk_local ranks by: "window" the mean of the
+    trailing observation rows, "sum" the column sums over all prompt rows
+    (in trace replay both are the stored prompt row).
     ``observation_rows`` overrides how many trailing rows closed-loop
     prefill observes (defaults to alpha2).
 
     Construction checks the knobs the kind reads and raises
     ``ValueError`` with a message that starts with the knob's name: every
-    kind but full keeps ``alpha1 + alpha2 >= 1`` positions (>= 2 for
-    streaming); window and pyramid smooth over a positive odd
-    ``pooling_width``; pyramid tapers by a ``taper_ratio`` in [0, 1]; a
-    kind that observes rows (:meth:`observed_rows`) takes an
-    ``observation_rows`` of at least 1 when it is set.
+    kind takes a ``score_mode`` of window or sum; every kind but full keeps
+    ``alpha1 + alpha2 >= 1`` positions (>= 2 for streaming); window and
+    pyramid pool over a positive odd ``pooling_width``; pyramid tapers by a
+    ``taper_ratio`` in [0, 1]; a kind that ranks by the window mean takes
+    an ``observation_rows`` of at least 1 when it is set.
     """
 
     kind: PrefillPolicyKind = PrefillPolicyKind.FULL
@@ -55,19 +61,19 @@ class PrefillPolicy:
     observation_rows: int | None = None
 
     def __post_init__(self) -> None:
+        if self.score_mode not in ("window", "sum"):
+            raise ValueError(f"score_mode must be window or sum, got {self.score_mode!r}")
         kind = self.kind
         if kind is PrefillPolicyKind.FULL:
             return
         floor = 2 if kind is PrefillPolicyKind.STREAMING else 1
         if self.budget < floor:
             raise ValueError(f"alpha1 + alpha2 = {self.budget} keeps fewer than {floor} prompt positions")
-        if kind in (PrefillPolicyKind.WINDOW, PrefillPolicyKind.PYRAMID) and (
-            self.pooling_width < 1 or self.pooling_width % 2 == 0
-        ):
+        if kind in _POOLED and (self.pooling_width < 1 or self.pooling_width % 2 == 0):
             raise ValueError(f"pooling_width must be a positive odd number, got {self.pooling_width}")
         if kind is PrefillPolicyKind.PYRAMID and not 0.0 <= self.taper_ratio <= 1.0:
             raise ValueError(f"taper_ratio must be in [0, 1], got {self.taper_ratio}")
-        if self.observation_rows is not None and self.observation_rows < 1 and self._observes:
+        if self.observation_rows is not None and self.observation_rows < 1 and self.ranks_by == "window_mean":
             raise ValueError(f"observation_rows must be >= 1 when set, got {self.observation_rows}")
 
     @property
@@ -75,33 +81,38 @@ class PrefillPolicy:
         return self.alpha1 + self.alpha2
 
     @property
-    def _observes(self) -> bool:
-        """Whether compression scores by the mean of trailing prompt rows."""
-        return self.kind not in (PrefillPolicyKind.FULL, PrefillPolicyKind.STREAMING) and not (
-            self.kind is PrefillPolicyKind.TOPK_LOCAL and self.score_mode == "sum"
-        )
+    def ranks_by(self) -> str:
+        """What compression ranks prompt positions by: "nothing" (full),
+        "uniform" (streaming), "colsums" or "window_mean"."""
+        if self.kind is PrefillPolicyKind.FULL:
+            return "nothing"
+        if self.kind is PrefillPolicyKind.STREAMING:
+            return "uniform"
+        if self.kind is PrefillPolicyKind.TOPK_LOCAL and self.score_mode == "sum":
+            return "colsums"
+        return "window_mean"
+
+    @property
+    def pooling(self) -> int:
+        return self.pooling_width if self.kind in _POOLED else 1
 
     def observed_rows(self, m: int) -> int:
         """How many trailing prompt rows closed-loop compression of an
-        m-token prompt reads: none unless it scores by the window mean,
+        m-token prompt reads: none unless it ranks by the window mean,
         else ``observation_rows`` or alpha2 (at least 1), at most m."""
-        if not self._observes:
+        if self.ranks_by != "window_mean":
             return 0
         rows = self.observation_rows if self.observation_rows is not None else max(self.alpha2, 1)
         return min(rows, m)
 
     def per_layer(self, n_layers: int) -> list["PrefillPolicy"]:
         """The policy each of ``n_layers`` layers compresses with: this one,
-        except that pyramid splits ``n_layers * budget`` over the layers
-        (:func:`allocate_layer_budgets`) and a layer with share ``s`` keeps
-        a local window of ``min(alpha2, s)`` and the rest as history.
-        Raises ``ValueError`` if the taper leaves a layer no share."""
+        except that pyramid takes each layer's (alpha1, alpha2) from
+        :func:`layer_splits` of its budget and alpha2."""
         if self.kind is not PrefillPolicyKind.PYRAMID:
             return [self] * n_layers
-        shares = allocate_layer_budgets(n_layers * self.budget, n_layers, self.taper_ratio)
-        if 0 in shares:
-            raise ValueError(f"taper_ratio={self.taper_ratio} leaves {shares.count(0)} of {n_layers} layers no share")
-        return [replace(self, alpha1=s - min(self.alpha2, s), alpha2=min(self.alpha2, s)) for s in shares]
+        splits = layer_splits(self.budget, self.alpha2, n_layers, self.taper_ratio)
+        return [replace(self, alpha1=history, alpha2=local) for history, local in splits]
 
 
 def compress_prefill_topk(
@@ -132,9 +143,10 @@ def smooth_scores(scores: np.ndarray, pooling_width: int) -> np.ndarray:
         raise ValueError(f"pooling_width must be odd, got {pooling_width}")
     if pooling_width == 1:
         return np.asarray(scores, dtype=np.float64)
-    kernel = np.ones(pooling_width)
-    sums = np.convolve(scores, kernel, mode="same")
-    counts = np.convolve(np.ones(len(scores)), kernel, mode="same")
+    # "full" and a centred slice: "same" would return max(m, width) values
+    kernel, half, m = np.ones(pooling_width), pooling_width // 2, len(scores)
+    sums = np.convolve(scores, kernel, mode="full")[half : half + m]
+    counts = np.convolve(np.ones(m), kernel, mode="full")[half : half + m]
     return sums / counts
 
 
@@ -165,29 +177,35 @@ def allocate_layer_budgets(total_budget: int, num_layers: int, taper_ratio: floa
     return budgets
 
 
+def layer_splits(budget: int, local: int, n_layers: int, taper_ratio: float) -> list[tuple[int, int]]:
+    """Each layer's (history, local) split of ``n_layers * budget`` under
+    the pyramid taper (:func:`allocate_layer_budgets`): share ``s`` keeps
+    a local window of ``min(local, s)`` and the rest as history. Raises
+    ``ValueError`` if the taper leaves a layer no share."""
+    shares = allocate_layer_budgets(n_layers * budget, n_layers, taper_ratio)
+    if 0 in shares:
+        raise ValueError(f"taper_ratio={taper_ratio} leaves {shares.count(0)} of {n_layers} layers no share")
+    return [(s - min(local, s), min(local, s)) for s in shares]
+
+
 def apply_prefill_policy(policy: PrefillPolicy, m: int, colsums: np.ndarray, obs_rows: np.ndarray) -> CachePool:
     """Compress one layer's prompt of length ``m`` under that layer's
-    policy (one entry of :meth:`PrefillPolicy.per_layer`).
-
-    ``colsums`` is the layer's dense prompt column-sum vector and
-    ``obs_rows`` its trailing observation rows, one dense row of length
-    ``m`` each; the window mean over them is computed only for the kinds
-    that score by it.
-    """
-    kind = policy.kind
-    if kind is PrefillPolicyKind.FULL:
-        return new_pool(range(m))
-    if kind is PrefillPolicyKind.STREAMING:
-        # uniform scores: the earliest positions win every tie, so this keeps
-        # the first ceil(b/2) and the last floor(b/2) positions
-        b = min(policy.budget, m)
-        return compress_prefill_topk(np.zeros(m), b - b // 2, b // 2)
-    alpha1, alpha2 = policy.alpha1, policy.alpha2
-    if kind is PrefillPolicyKind.TOPK_LOCAL and policy.score_mode == "sum":
-        return compress_prefill_topk(colsums, alpha1, alpha2)
-    positions = np.arange(m)
-    rows = [ScoreVector(positions, row, validate=False) for row in obs_rows]
-    window_mean = observation_window_scores(rows, len(rows))
-    if kind is PrefillPolicyKind.TOPK_LOCAL:
-        return compress_prefill_topk(window_mean, alpha1, alpha2)
-    return compress_prefill_topk(window_mean, alpha1, alpha2, policy.pooling_width)
+    policy (one entry of :meth:`PrefillPolicy.per_layer`) by the module's
+    one rule: full keeps all m; streaming splits ``b = min(budget, m)``
+    into ``ceil(b/2)`` history over uniform scores and ``floor(b/2)``
+    local; the others keep alpha1 and alpha2. ``colsums`` is the layer's
+    dense prompt column-sum vector and ``obs_rows`` its trailing
+    observation rows, one dense row of length ``m`` each."""
+    if policy.ranks_by == "window_mean":
+        positions = np.arange(m)
+        rows = [ScoreVector(positions, row, validate=False) for row in obs_rows]
+        scores = observation_window_scores(rows, len(rows))
+    else:
+        scores = colsums if policy.ranks_by == "colsums" else np.zeros(m)
+    history, local = policy.alpha1, policy.alpha2
+    if policy.kind is PrefillPolicyKind.FULL:
+        history, local = m, 0
+    elif policy.kind is PrefillPolicyKind.STREAMING:
+        b = min(policy.budget, m)  # a local window of budget // 2 may not fit the prompt
+        history, local = b - b // 2, b // 2
+    return compress_prefill_topk(scores, history, local, policy.pooling)

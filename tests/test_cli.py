@@ -597,17 +597,41 @@ class TestCLI:
         assert "1 policies x 3 traces at M=48, T=64: all policies match" in capsys.readouterr().out
 
     def test_oracle_check_of_unrunnable_scaled_config_exit_one(self, tmp_path, capsys):
-        # T = 4 is within beta2, so the run never selects; scaled to T' = 4 > beta2' = 2 it would
+        # interval (640 - 5) // 635 = 1; scaled by 10, beta2 keeps its floor of 2 and
+        # (64 - 2) // 63 collapses to zero
         text = (
-            "mode = trace_replay\ntrace.synthetic = true\nM = 200\nT = 4\npolicies = scope_discontinuous\n"
-            "prefill.alpha1 = 20\nprefill.alpha2 = 20\ndecoding.beta1 = 20\ndecoding.beta2 = 5\n"
+            "mode = trace_replay\ntrace.synthetic = true\nM = 48\nT = 640\npolicies = scope_discontinuous\n"
+            "prefill.alpha1 = 20\nprefill.alpha2 = 20\ndecoding.beta1 = 635\ndecoding.beta2 = 5\n"
         )
         path = write_config(tmp_path, text)
         load_config(path)
         assert main(["oracle-check", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: decoding.beta1:")
-        assert "M=48, T=4" in err
+        assert "M=4, T=64" in err
+
+    def test_oracle_check_keeps_a_horizon_within_beta2(self, tmp_path, capsys):
+        # T = 4 is within beta2 = 5, so the run never selects; the scaled run must not either
+        text = (
+            "mode = trace_replay\ntrace.synthetic = true\nM = 200\nT = 4\npolicies = scope_discontinuous\n"
+            "prefill.alpha1 = 20\nprefill.alpha2 = 20\ndecoding.beta1 = 20\ndecoding.beta2 = 5\n"
+        )
+        path = write_config(tmp_path, text + f"output_dir = {tmp_path / 'out'}\n")
+        assert main(["run", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["oracle-check", str(path)]) == 0
+        assert "1 policies x 3 traces at M=48, T=4: all policies match" in capsys.readouterr().out
+
+    def test_oracle_check_reports_a_prompt_pool_mismatch(self, tmp_path, monkeypatch, capsys):
+        naive = cli.naive_prompt_compressor
+        monkeypatch.setattr(cli, "naive_prompt_compressor", lambda *args: [naive(*args)[0][1:]])
+        path = write_config(tmp_path, REPLAY_CONFIG)
+        assert main(["oracle-check", str(path), "--traces", "2"]) == 3
+        out = capsys.readouterr().out.splitlines()
+        mismatches = [line for line in out if line.startswith("MISMATCH")]
+        assert len(mismatches) == 2 * 7  # one per (policy, trace); the decode steps still match
+        assert all("prompt pool" in line for line in mismatches)
+        assert out[-1].endswith(f"{len(mismatches)} mismatch(es)")
 
 
 # knob -> (values a run can use alone, values it cannot use alone or in some combinations); None leaves it unset

@@ -4,14 +4,19 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from kvsim.core import BudgetConfig
 from kvsim.decoding import DecodingPolicy, PolicyKind, SelectorKind
-from kvsim.engine import ToyModel, decode_loop, prefill_result_from_positions, run_prefill
+from kvsim.engine import PromptPass, ToyModel, decode_loop, prefill_result_from_positions, run_prefill
 from kvsim.metrics import heavy_hitter_set
-from kvsim.oracle import check_policy_equivalence, full_cache_reference, naive_policy_simulator
+from kvsim.oracle import (
+    check_policy_equivalence,
+    full_cache_reference,
+    naive_policy_simulator,
+    naive_prompt_compressor,
+)
 from kvsim.prefill import PrefillPolicy, PrefillPolicyKind
 from kvsim.traceio import Trace, synthetic_trace
 
@@ -182,7 +187,12 @@ def test_every_policy_and_selector_matches_naive_simulator(kind, selector, coars
     trace = coarse_trace(m, t_steps, rng) if coarse else synthetic_trace(m, t_steps, seed=seed % 1000)
     prefill = sorted(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False).tolist())
     # each distinct layer policy; pyramid_infer shares fall below and above the local window
-    for layer_policy in dict.fromkeys(policy.per_layer(int(rng.integers(1, 5)))):
+    try:
+        layer_policies = policy.per_layer(int(rng.integers(1, 5)))
+    except ValueError as exc:  # a taper that leaves a layer no share is rejected; run it on one layer
+        assert kind is PolicyKind.PYRAMID_INFER and "no share" in str(exc)
+        layer_policies = policy.per_layer(1)
+    for layer_policy in dict.fromkeys(layer_policies):
         assert check_policy_equivalence(layer_policy, trace, prefill, t_steps) is None
 
         # the record's columns are the sizes of the naive simulator's sets
@@ -197,3 +207,51 @@ def test_every_policy_and_selector_matches_naive_simulator(kind, selector, coars
         assert np.array_equal(log.peak_entries, np.concatenate(([len(prefill)], totals[:-1])) + 1)
         assert np.array_equal(log.evicted, log.peak_entries - totals)
         assert np.array_equal(log.ran_selection, log.evicted > 0)
+
+
+@given(
+    kind=st.sampled_from(list(PrefillPolicyKind)),
+    score_mode=st.sampled_from(["window", "sum"]),
+    pooling_width=st.sampled_from([1, 3, 7]),
+    observation_rows=st.none() | st.integers(1, 32),
+    taper=st.floats(0.0, 1.0),
+    closed_loop=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_prompt_compression_matches_naive_compressor(
+    kind, score_mode, pooling_width, observation_rows, taper, closed_loop, seed
+):
+    """Every prompt kind and knob, both modes: the engine's per-layer prompt
+    pools equal the naive compressor's. M reaches below the pooling width,
+    and the budget from nothing to M + 1."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 31 if rng.integers(2) else 8))  # half the prompts fit in the widest pooling
+    alpha2 = int(rng.integers(0, m + 1))
+    alpha1 = int(rng.integers(0, m - alpha2 + 2))
+    try:
+        policy = PrefillPolicy(
+            kind=kind, alpha1=alpha1, alpha2=alpha2, pooling_width=pooling_width,
+            taper_ratio=taper, score_mode=score_mode, observation_rows=observation_rows,
+        )
+    except ValueError:
+        reject()
+    if closed_loop:
+        n_layers = int(rng.integers(1, 5))
+        source = ToyModel(seed % 1000, d_model=8, n_heads=2, n_layers=n_layers, recency_bias=0.05 * (seed % 2))
+        prompt = PromptPass(source, m, m)  # every row, so the engine picks how many it observes
+        prompt.run()
+        colsums, obs_rows = prompt.colsums, prompt.obs_rows
+    else:
+        # coarse scores make ties at the top-k boundary common
+        source = coarse_trace(m, 1, rng) if rng.integers(2) else synthetic_trace(m, 1, seed % 1000)
+        n_layers, prompt = 1, None
+        colsums, obs_rows = [source.prefill_scores], [source.prefill_scores[None, :]]
+    try:
+        want = naive_prompt_compressor(policy, m, colsums, obs_rows, n_layers)
+    except ValueError:  # the taper leaves a layer no share
+        with pytest.raises(ValueError, match="no share"):
+            run_prefill(source, m, policy, prompt)
+        return
+    got = [pool.prefill_entries.tolist() for pool in run_prefill(source, m, policy, prompt).pools]
+    assert got == want

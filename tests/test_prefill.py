@@ -4,9 +4,11 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kvsim.core import BudgetConfig
+from kvsim.decoding import DecodingPolicy, PolicyKind
 from kvsim.prefill import (
     PrefillPolicy,
     PrefillPolicyKind,
@@ -118,6 +120,9 @@ class TestWindow:
     def test_uniform_scores_tie_break_to_earliest(self):
         pool = compress_prefill_topk(np.ones(10), 3, 2, pooling_width=3)
         assert positions(pool) == [0, 1, 2, 8, 9]
+        # a width above M averages every position over the whole prompt: all means tie
+        pool = compress_prefill_topk(np.array([1.0, 2.0, 3.0, 4.0]), 1, 1, pooling_width=7)
+        assert positions(pool) == [0, 3]
 
     def test_even_pooling_width_rejected(self):
         with pytest.raises(ValueError, match="odd"):
@@ -140,14 +145,17 @@ class TestWindow:
         pool = apply_prefill_policy(policy, m, dense.sum(axis=0), dense)
         assert positions(pool) == expected
 
-    @given(seed=st.integers(0, 2**32 - 1), width=st.sampled_from([1, 3, 5, 7]))
+    @given(seed=st.integers(0, 2**32 - 1), width=st.sampled_from([1, 3, 5, 7]), m=st.integers(1, 20))
+    @example(seed=0, width=7, m=4)
     @settings(max_examples=60)
-    def test_smoothing_matches_windowed_average(self, seed, width):
-        scores = np.random.default_rng(seed).random(20)
+    def test_smoothing_matches_windowed_average(self, seed, width, m):
+        # m reaches below the width, where every position may see the whole prompt
+        scores = np.random.default_rng(seed).random(m)
         smoothed = smooth_scores(scores, width)
+        assert len(smoothed) == m
         half = width // 2
-        for i in range(20):
-            lo, hi = max(0, i - half), min(20, i + half + 1)
+        for i in range(m):
+            lo, hi = max(0, i - half), min(m, i + half + 1)
             assert smoothed[i] == pytest.approx(scores[lo:hi].sum() / (hi - lo), rel=1e-12)
 
 
@@ -219,6 +227,7 @@ class TestDispatch:
         ({"kind": PrefillPolicyKind.TOPK_LOCAL, "alpha1": 4, "pooling_width": 4, "taper_ratio": 2.0}, None),
         ({"kind": PrefillPolicyKind.TOPK_LOCAL, "alpha1": 4, "score_mode": "sum", "observation_rows": 0}, None),
         ({"kind": PrefillPolicyKind.STREAMING, "alpha1": 2, "observation_rows": 0}, None),
+        ({"kind": PrefillPolicyKind.TOPK_LOCAL, "alpha1": 3, "alpha2": 2, "score_mode": "bogus"}, "score_mode"),
     ],
 )
 def test_construction_checks_the_knobs_a_kind_reads(knobs, field):
@@ -234,3 +243,10 @@ def test_taper_leaving_a_layer_no_share_rejected():
     assert [p.budget for p in policy.per_layer(1)] == [2]
     with pytest.raises(ValueError, match="^taper_ratio=0.0 leaves 1 of 2 layers no share"):
         policy.per_layer(2)  # shares 4 and 0
+    # the decode side splits its total budget the same way
+    decoding = DecodingPolicy(
+        PolicyKind.PYRAMID_INFER, BudgetConfig(alpha1=1, alpha2=1, max_decode_steps=10), taper_ratio=0.0
+    )
+    assert [p.budget.total_budget for p in decoding.per_layer(1)] == [2]
+    with pytest.raises(ValueError, match="^taper_ratio=0.0 leaves 1 of 2 layers no share"):
+        decoding.per_layer(2)
