@@ -69,8 +69,11 @@ def _seed_inputs(cfg: ExperimentConfig, seed: int, file_trace: Trace | None) -> 
         prompt = PromptPass(source, cfg.M, max(cfg.pipeline(t)[0].observed_rows(cfg.M) for t in cfg.policies))
     inputs = SeedInputs(seed, source, prompt, {}, {})
     if cfg.checkpoints:
-        # dense full-prefix rows: the trace's own, or a full-cache reference run
-        rows = source.rows if prompt is None else full_cache_reference(source, cfg.M, cfg.T).rows
+        # dense full-prefix rows: the trace's own, or a full-cache reference run's at the checkpoints
+        if prompt is None:
+            rows = source.rows
+        else:
+            rows = full_cache_reference(source, cfg.M, cfg.T, rows_at=cfg.checkpoints).rows
         hh_report = hh_origin_distribution(rows, cfg.M, cfg.checkpoints, cfg.hh_fraction)
         for cp in hh_report.checkpoints:
             inputs.hh_prefill[cp.t] = cp.prefill_fraction
@@ -123,10 +126,10 @@ def _csv_lines(cfg: ExperimentConfig, cells: list[CellResult], stamped: bool) ->
             str(c.report.selection_ops),
             str(c.report.transfer_entries),
         ]
-        row += [f"{c.hh_prefill[t]:.4f}" if t in c.hh_prefill else "" for t in cfg.checkpoints]
-        row += [f"{c.recall[t]:.4f}" if t in c.recall else "" for t in cfg.checkpoints]
+        row += [f"{c.hh_prefill[t]:.4f}" for t in cfg.checkpoints]
+        row += [f"{c.recall[t]:.4f}" for t in cfg.checkpoints]
         if has_axis:
-            row += [c.axis or "", str(c.axis_value) if c.axis_value is not None else ""]
+            row += [c.axis, str(c.axis_value)]
         lines.append(",".join(row))
     return lines
 
@@ -161,14 +164,18 @@ def run_experiment(
 ) -> tuple[list[CellResult], Path, Path]:
     """Execute the (policy, seed[, axis value]) grid and write the report
     pair. Cells run in config order; reports are deterministic given the
-    config and seeds (modulo the optional timestamp)."""
+    config and seeds (modulo the optional timestamp). An axis outside
+    ``SWEEP_AXES``, or no or repeated values, raise ``ConfigError``."""
     grids: list[tuple[ExperimentConfig, str | None, int | float | None]] = []
     if axis is None:
         grids.append((cfg, None, None))
     else:
-        attr, _ = SWEEP_AXES[axis]
-        for value in axis_values or []:
-            sub = replace(cfg, **{attr: value})
+        if axis not in SWEEP_AXES:
+            raise ConfigError(f"--axis: unknown axis {axis!r}; expected one of {', '.join(SWEEP_AXES)}")
+        if not axis_values or len(set(axis_values)) < len(axis_values):
+            raise ConfigError(f"--axis: {axis} needs one or more values, none listed twice; got {axis_values}")
+        for value in axis_values:
+            sub = replace(cfg, **{SWEEP_AXES[axis][0]: value})
             sub.validate()
             grids.append((sub, axis, value))
 
@@ -198,22 +205,24 @@ def _scaled_for_check(cfg: ExperimentConfig, n_traces: int) -> ExperimentConfig:
     """``cfg`` shrunk to at most M=48, T=64 as a one-layer synthetic replay
     over the check's trace seeds. Each nonzero budget shrinks with M and T
     but keeps at least ``min(x, 2)``, the largest floor a policy sets; a
-    horizon within beta2 stays within it. Raises ``ConfigError`` if the
-    shrunk config cannot run."""
+    horizon within beta2 stays within it, and one past it keeps
+    beta1 + beta2 within it, so a discontinuous interval stays >= 1.
+    Raises ``ConfigError`` if the shrunk config cannot run."""
     scale = max(cfg.M / 48.0, cfg.T / 64.0, 1.0)
 
     def shrink(x: int) -> int:
         return max(min(x, 2), int(x / scale))
 
     t = max(4, int(cfg.T / scale))
+    beta2 = max(shrink(cfg.beta2), t) if cfg.T <= cfg.beta2 else min(shrink(cfg.beta2), t - 1)
     sub = replace(
         cfg,
         M=max(4, int(cfg.M / scale)),
         T=t,
         alpha1=shrink(cfg.alpha1),
         alpha2=shrink(cfg.alpha2),
-        beta1=shrink(cfg.beta1),
-        beta2=max(shrink(cfg.beta2), t) if cfg.T <= cfg.beta2 else shrink(cfg.beta2),
+        beta1=shrink(cfg.beta1) if cfg.T <= cfg.beta2 else min(shrink(cfg.beta1), t - beta2),
+        beta2=beta2,
         mode="trace_replay",
         trace_path=None,
         trace_synthetic=True,
@@ -334,20 +343,13 @@ def main(argv: list[str] | None = None) -> int:
             cfg = _load(args)
             key, _, raw_values = args.axis.partition("=")
             key = key.strip().lower()
-            raw = [v for v in raw_values.split(",") if v.strip()]
-            if key not in SWEEP_AXES or not raw:
-                raise ConfigError(
-                    f"--axis: expected KEY=V1,V2,... with KEY in {sorted(SWEEP_AXES)}, got {args.axis!r}"
-                )
-            parse = SWEEP_AXES[key][1]
+            # KEY=V1,V2,...; run_experiment checks the key and the values
+            parse = SWEEP_AXES[key][1] if key in SWEEP_AXES else str
             try:
-                values = [parse(v) for v in raw]
+                values = [parse(v) for v in raw_values.split(",") if v.strip()]
             except ValueError as exc:
                 kind = "integers" if parse is int else "numbers"
                 raise ConfigError(f"--axis: {key} values must be {kind}: {raw_values!r}") from exc
-            repeated = [v for i, v in enumerate(values) if v in values[:i]]
-            if repeated:
-                raise ConfigError(f"--axis: {key} value {repeated[0]!r} is listed twice")
             cells, csv_path, txt_path = run_experiment(cfg, axis=key, axis_values=values)
             print(f"{len(cells)} cell(s) across {key} in {values} -> {csv_path}")
             return 0

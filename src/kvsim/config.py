@@ -19,7 +19,6 @@ from pathlib import Path
 from .core import BudgetConfig
 from .decoding import DecodingPolicy, PolicyKind, SelectorKind
 from .engine import ToyModel
-from .oracle import DEFAULT_SIZE_GUARD
 from .prefill import PrefillPolicy, PrefillPolicyKind
 
 
@@ -127,12 +126,6 @@ class ExperimentConfig:
         for t in self.checkpoints:
             if not 1 <= t <= self.T:
                 raise ConfigError(f"metrics.checkpoints: checkpoint {t} outside 1..{self.T}")
-        # closed-loop checkpoint metrics need the dense full-cache reference
-        if self.mode == "closed_loop" and self.checkpoints and self.M + self.T > DEFAULT_SIZE_GUARD:
-            raise ConfigError(
-                f"metrics.checkpoints: closed loop needs a dense reference over M + T = "
-                f"{self.M + self.T} positions, above the limit of {DEFAULT_SIZE_GUARD}"
-            )
         if min(self.seeds) < 0 and (self.mode == "closed_loop" or self.trace_synthetic):
             raise ConfigError(f"seeds: must be nonnegative, got {min(self.seeds)}")
         where = ""

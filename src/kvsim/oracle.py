@@ -24,16 +24,19 @@ DEFAULT_SIZE_GUARD = 4096
 
 @dataclass
 class ReferenceRun:
-    """Dense full-cache run: every attention row kept, no eviction."""
+    """Dense full-cache run, no eviction. ``rows[t - 1]`` is step t's
+    full-prefix row, or ``None`` at a step the run was not asked to keep."""
 
     model: ToyModel
     prompt_len: int
     steps: int
-    rows: list[np.ndarray]
+    rows: list[np.ndarray | None]
     prompt_scores: np.ndarray
     outputs: np.ndarray
 
     def to_trace(self) -> Trace:
+        if any(row is None for row in self.rows):
+            raise ValueError("to_trace: a trace needs every step's row; this reference kept only rows_at")
         return Trace(
             M=self.prompt_len,
             T=self.steps,
@@ -45,25 +48,27 @@ class ReferenceRun:
 
 
 def full_cache_reference(
-    model: ToyModel,
-    m: int,
-    t_steps: int,
-    max_total: int = DEFAULT_SIZE_GUARD,
-    allow_large: bool = False,
+    model: ToyModel, m: int, t_steps: int, *, rows_at: Sequence[int] | None = None, allow_large: bool = False
 ) -> ReferenceRun:
-    """Run the toy model with no eviction, storing every full-prefix row
-    densely. Re-derives the forward pass stepwise rather than reusing the
-    engine, so the two can be cross-checked: one position at a time, a
+    """Run the toy model with no eviction, storing full-prefix rows densely:
+    every step's by default ((m + t_steps)^2 / 2 floats, refused above
+    ``DEFAULT_SIZE_GUARD`` positions unless ``allow_large``), or only the
+    steps in ``rows_at`` (within 1..t_steps), with ``None`` at the others
+    and no guard. Re-derives the forward pass stepwise rather than reusing
+    the engine, so the two can be cross-checked: one position at a time, a
     literal loop over heads. Each new key and value is written into a
     preallocated (m + t_steps) x d_model buffer per layer, and attention
     reads the first n rows of it."""
     if m < 1 or t_steps < 0:
         raise ValueError("need m >= 1 and t_steps >= 0")
-    if m + t_steps > max_total and not allow_large:
+    if rows_at is None and m + t_steps > DEFAULT_SIZE_GUARD and not allow_large:
         raise ValueError(
-            f"dense reference for {m + t_steps} positions exceeds the guard ({max_total}); "
+            f"dense reference for {m + t_steps} positions exceeds the guard ({DEFAULT_SIZE_GUARD}); "
             "pass allow_large=True to override"
         )
+    kept = set(range(1, t_steps + 1) if rows_at is None else rows_at)
+    if not all(1 <= t <= t_steps for t in kept):
+        raise ValueError(f"rows_at: steps must lie in 1..{t_steps}, got {sorted(kept)}")
     weights = ModelWeights(model)
     heads, d = model.n_heads, model.d_model
     dh = d // heads
@@ -111,7 +116,7 @@ def full_cache_reference(
         prompt_colsums[: i + 1] += layer_mean
         hidden = h
 
-    rows: list[np.ndarray] = []
+    rows: list[np.ndarray | None] = []
     outputs = np.zeros((t_steps, d))
     x = norm(hidden)
     for t in range(1, t_steps + 1):
@@ -126,7 +131,7 @@ def full_cache_reference(
             else:
                 layer_mean = layer_mean + row / model.n_layers
             h = norm(h + ctx)
-        rows.append(layer_mean)
+        rows.append(layer_mean if t in kept else None)
         outputs[t - 1] = h
         x = h
 

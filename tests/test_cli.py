@@ -118,10 +118,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="checkpoint"):
             cfg.validate()
 
-    def test_closed_loop_checkpoints_past_dense_guard_rejected(self):
+    def test_checkpoints_past_dense_guard_load(self):
+        # closed loop keeps only the checkpoint rows of its reference run
         cfg = parse_config_text("M = 96\nT = 4096\nmetrics.checkpoints = 1, 4000")
-        with pytest.raises(ConfigError, match="metrics.checkpoints"):
-            cfg.validate()
+        cfg.validate()
         # replay reads checkpoint rows from its trace, so no dense guard applies
         cfg.mode, cfg.trace_synthetic = "trace_replay", True
         cfg.validate()
@@ -455,12 +455,37 @@ class TestCLI:
         assert "recency_bias" in capsys.readouterr().err
         assert not out_dir.exists()
 
-    def test_sweep_value_past_dense_guard_exit_one(self, tmp_path, capsys):
-        # checkpoint columns would otherwise come out blank for T = 4080
+    def test_sweep_value_past_dense_guard_fills_checkpoints(self, tmp_path):
+        # M + T = 4104 at T = 4080: the reference keeps only the rows of checkpoints 4 and 16
         out_dir = tmp_path / "out"
-        path = write_config(tmp_path, SMOKE_CONFIG + f"output_dir = {out_dir}\n")
-        assert main(["sweep", str(path), "--axis", "t=16,4080"]) == 1
-        assert "metrics.checkpoints" in capsys.readouterr().err
+        text = SMOKE_CONFIG.replace("seeds = 1, 2", "seeds = 1").replace("full, scope_slide", "scope_slide")
+        path = write_config(tmp_path, text + f"output_dir = {out_dir}\n")
+        assert main(["sweep", str(path), "--axis", "t=16,4080"]) == 0
+        header, *rows = (out_dir / "report.csv").read_text().splitlines()
+        assert header.split(",")[6:10] == ["hh_prefill_fraction@4", "hh_prefill_fraction@16", "recall@4", "recall@16"]
+        assert [row.split(",")[-1] for row in rows] == ["16", "4080"]
+        assert all(float(cell) >= 0 for row in rows for cell in row.split(",")[6:10])
+
+    def test_closed_loop_checkpoints_past_dense_guard_run(self, tmp_path):
+        out_dir = tmp_path / "out"
+        text = (
+            "mode = closed_loop\nd_model = 8\nM = 96\nT = 4096\npolicies = h2o, scope_slide\n"
+            "prefill.alpha1 = 8\nprefill.alpha2 = 4\ndecoding.beta1 = 8\ndecoding.beta2 = 4\n"
+            "metrics.checkpoints = 1, 2048, 4096\ntimestamp = false\n"
+        )
+        path = write_config(tmp_path, text + f"output_dir = {out_dir}\n")
+        assert main(["run", str(path)]) == 0
+        header, *rows = (out_dir / "report.csv").read_text().splitlines()
+        assert len(header.split(",")) == 6 + 2 * 3 and len(rows) == 2
+        assert all(cell for row in rows for cell in row.split(","))
+
+    def test_run_experiment_checks_its_axis(self, tmp_path):
+        out_dir = tmp_path / "out"
+        cfg = load_config(write_config(tmp_path, REPLAY_CONFIG + f"output_dir = {out_dir}\n"))
+        cases = [("beta1", None), ("beta1", []), ("gamma", [1, 2]), ("beta1", [2, 4, 2])]
+        for axis, values in cases:
+            with pytest.raises(ConfigError, match="^--axis: "):
+                run_experiment(cfg, axis=axis, axis_values=values)
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
@@ -597,18 +622,31 @@ class TestCLI:
         assert "1 policies x 3 traces at M=48, T=64: all policies match" in capsys.readouterr().out
 
     def test_oracle_check_of_unrunnable_scaled_config_exit_one(self, tmp_path, capsys):
-        # interval (640 - 5) // 635 = 1; scaled by 10, beta2 keeps its floor of 2 and
-        # (64 - 2) // 63 collapses to zero
+        # h2o's local window alpha2 + beta2 = 40 fits M = 40; scaled by 10, beta2 keeps
+        # its floor of 2 and 3 + 2 exceeds M' = 4
         text = (
-            "mode = trace_replay\ntrace.synthetic = true\nM = 48\nT = 640\npolicies = scope_discontinuous\n"
-            "prefill.alpha1 = 20\nprefill.alpha2 = 20\ndecoding.beta1 = 635\ndecoding.beta2 = 5\n"
+            "mode = trace_replay\ntrace.synthetic = true\nM = 40\nT = 640\npolicies = h2o\n"
+            "prefill.alpha1 = 0\nprefill.alpha2 = 38\ndecoding.beta2 = 2\n"
         )
         path = write_config(tmp_path, text)
         load_config(path)
         assert main(["oracle-check", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error: decoding.beta1:")
+        assert err.startswith("config error: prefill.alpha2:")
         assert "M=4, T=64" in err
+
+    def test_oracle_check_keeps_the_discontinuous_interval(self, tmp_path, capsys):
+        # interval (640 - 5) // 635 = 1; scaled by 10, beta2 keeps its floor of 2, so beta1'
+        # is capped at 64 - 2 to keep (64 - 2) // beta1' from collapsing to zero
+        text = (
+            "mode = trace_replay\ntrace.synthetic = true\nM = 48\nT = 640\npolicies = scope_discontinuous\n"
+            "prefill.alpha1 = 20\nprefill.alpha2 = 20\ndecoding.beta1 = 635\ndecoding.beta2 = 5\n"
+        )
+        path = write_config(tmp_path, text + f"output_dir = {tmp_path / 'out'}\n")
+        assert main(["run", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["oracle-check", str(path)]) == 0
+        assert "1 policies x 3 traces at M=4, T=64: all policies match" in capsys.readouterr().out
 
     def test_oracle_check_keeps_a_horizon_within_beta2(self, tmp_path, capsys):
         # T = 4 is within beta2 = 5, so the run never selects; the scaled run must not either
@@ -688,3 +726,66 @@ def test_load_and_run_agree(text):
             assert str(exc).split(":")[0].lower() in _KEYMAP, str(exc)
             return
         assert main(["run", str(path)]) == 0
+
+
+# sweep axis -> (config key, values a small config can take)
+SWEEP_KNOBS = {
+    "beta1": ("decoding.beta1", [1, 3, 6]),
+    "alpha1": ("prefill.alpha1", [0, 2, 5]),
+    "m": ("M", [4, 9, 16, 24]),
+    "t": ("T", [12, 20, 33, 40]),
+    "hh_fraction": ("metrics.hh_fraction", [0.1, 0.25, 0.5, 1.0]),
+}
+
+
+@st.composite
+def sweep_cases(draw):
+    """A small base config in either mode, with checkpoints, and a sweep
+    axis with 2-3 distinct values."""
+    mode = draw(st.sampled_from(["closed_loop", "trace_replay"]))
+    knobs = {
+        "mode": mode,
+        "trace.synthetic": "true" if mode == "trace_replay" else None,
+        "seeds": draw(st.sampled_from(["0", "1, 2"])),
+        "d_model": 8,
+        "n_layers": draw(st.sampled_from([1, 2])) if mode == "closed_loop" else 1,
+        "M": draw(st.integers(4, 24)),
+        "T": draw(st.integers(12, 40)),
+        "policies": ", ".join(draw(st.lists(st.sampled_from(POLICY_TOKENS), min_size=1, max_size=3, unique=True))),
+        "prefill.alpha2": 2,
+        "decoding.beta2": draw(st.sampled_from([0, 2])),
+        "decoding.selector": draw(st.sampled_from(["cumulative", "window"])),
+        "metrics.checkpoints": "1, 12",
+    }
+    for key, choices in SWEEP_KNOBS.values():
+        if key not in ("M", "T"):
+            knobs[key] = draw(st.sampled_from(choices))
+    axis = draw(st.sampled_from(sorted(SWEEP_KNOBS)))
+    values = draw(st.lists(st.sampled_from(SWEEP_KNOBS[axis][1]), min_size=2, max_size=3, unique=True))
+    return knobs, axis, values
+
+
+@given(case=sweep_cases())
+@settings(max_examples=30, deadline=None)
+def test_sweep_writes_the_rows_of_one_run_per_value(case):
+    """A sweep's rows, without the axis columns, are the rows of one
+    ``kvsim run`` per axis value, in value order."""
+    knobs, axis, values = case
+    key = SWEEP_KNOBS[axis][0]
+    with tempfile.TemporaryDirectory() as tmp:
+        def write(name, **override):
+            merged = {**knobs, **override}
+            path = Path(tmp) / name
+            path.write_text("".join(f"{k} = {v}\n" for k, v in merged.items() if v is not None) + "timestamp = false\n")
+            return str(path)
+
+        sweep_args = ["--axis", f"{axis}={','.join(map(str, values))}", "--output-dir", f"{tmp}/sweep"]
+        assert main(["sweep", write("base.cfg"), *sweep_args]) == 0
+        header, *rows = (Path(tmp) / "sweep" / "report.csv").read_text().splitlines()
+        want = []
+        for i, value in enumerate(values):
+            assert main(["run", write(f"v{i}.cfg", **{key: value}), "--output-dir", f"{tmp}/run{i}"]) == 0
+            run_header, *run_rows = (Path(tmp) / f"run{i}" / "report.csv").read_text().splitlines()
+            assert header == run_header + ",axis,axis_value"
+            want += run_rows
+        assert [row.rsplit(",", 2)[0] for row in rows] == want

@@ -44,7 +44,27 @@ class TestFullCacheReference:
         model = ToyModel(seed=1, d_model=8, n_heads=1)
         with pytest.raises(ValueError, match="guard"):
             full_cache_reference(model, 4000, 2000)
-        full_cache_reference(model, 30, 2, max_total=16, allow_large=True)
+        # the guard is on keeping every row; a few rows past it are kept
+        reference = full_cache_reference(model, 30, 4070, rows_at=[4070])
+        assert reference.rows[0] is None and len(reference.rows[-1]) == 4100
+
+    @pytest.mark.parametrize("rows_at", [[1, 4, 10], [10], []])
+    def test_rows_at_keeps_only_the_listed_steps(self, rows_at):
+        model = ToyModel(seed=9, d_model=16, n_heads=2, n_layers=2, recency_bias=0.05)
+        every = full_cache_reference(model, 12, 10)
+        some = full_cache_reference(model, 12, 10, rows_at=rows_at)
+        assert len(some.rows) == len(every.rows) == 10
+        for t, (row, want) in enumerate(zip(some.rows, every.rows), start=1):
+            assert np.array_equal(row, want) if t in rows_at else row is None
+        assert np.array_equal(some.outputs, every.outputs)
+        assert np.array_equal(some.prompt_scores, every.prompt_scores)
+        with pytest.raises(ValueError, match="to_trace"):
+            some.to_trace()
+
+    @pytest.mark.parametrize("rows_at", [[0], [11], [3, -1]])
+    def test_rows_at_outside_the_run_rejected(self, rows_at):
+        with pytest.raises(ValueError, match=r"rows_at: steps must lie in 1\.\.10"):
+            full_cache_reference(ToyModel(seed=1, d_model=8, n_heads=1), 12, 10, rows_at=rows_at)
 
 
 # sha256 over full_cache_reference's prompt scores, outputs and rows as
