@@ -21,11 +21,12 @@ import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .config import SWEEP_AXES, ConfigError, ExperimentConfig, load_config
+from .config import _TOKENS, SWEEP_AXES, ConfigError, ExperimentConfig, load_config
 from .core import InvariantError
 from .engine import PromptPass, ToyModel, decode_loop, run_prefill
 from .metrics import EfficiencyReport, efficiency, heavy_hitter_set, hh_origin_distribution, retained_recall
 from .oracle import check_policy_equivalence, full_cache_reference, naive_prompt_compressor
+from .prefill import PrefillPolicyKind
 from .traceio import Trace, TraceError, read_trace, synthetic_trace, write_trace
 
 
@@ -48,9 +49,9 @@ class CellResult:
 class SeedInputs:
     """What every policy of one seed compresses and is measured against:
     the attention source, the closed-loop prompt pass (None in trace
-    replay; computed by the seed's first prefill) and, per checkpoint, the
-    full-cache run's prompt-origin heavy-hitter fraction and heavy-hitter
-    set (empty without checkpoints)."""
+    replay; computed where it is built, before the seed's cells run)
+    and, per checkpoint, the full-cache run's prompt-origin heavy-hitter
+    fraction and heavy-hitter set (empty without checkpoints)."""
 
     seed: int
     source: ToyModel | Trace
@@ -165,7 +166,8 @@ def run_experiment(
     """Execute the (policy, seed[, axis value]) grid and write the report
     pair. Cells run in config order; reports are deterministic given the
     config and seeds (modulo the optional timestamp). An axis outside
-    ``SWEEP_AXES``, or no or repeated values, raise ``ConfigError``."""
+    ``SWEEP_AXES``, no or repeated values, or a grid that cannot run raise
+    ``ConfigError`` before any cell runs."""
     grids: list[tuple[ExperimentConfig, str | None, int | float | None]] = []
     if axis is None:
         grids.append((cfg, None, None))
@@ -175,9 +177,9 @@ def run_experiment(
         if not axis_values or len(set(axis_values)) < len(axis_values):
             raise ConfigError(f"--axis: {axis} needs one or more values, none listed twice; got {axis_values}")
         for value in axis_values:
-            sub = replace(cfg, **{SWEEP_AXES[axis][0]: value})
-            sub.validate()
-            grids.append((sub, axis, value))
+            grids.append((replace(cfg, **{SWEEP_AXES[axis][0]: value}), axis, value))
+    for sub, _, _ in grids:
+        sub.validate()
 
     # a trace file is read once; every other per-seed input depends on the
     # axis value and is rebuilt per grid
@@ -206,22 +208,30 @@ def _scaled_for_check(cfg: ExperimentConfig, n_traces: int) -> ExperimentConfig:
     over the check's trace seeds. Each nonzero budget shrinks with M and T
     but keeps at least ``min(x, 2)``, the largest floor a policy sets; a
     horizon within beta2 stays within it, and one past it keeps
-    beta1 + beta2 within it, so a discontinuous interval stays >= 1.
+    beta1 + beta2 within it, so a discontinuous interval stays >= 1. A
+    windowed prompt that folds in beta2 keeps alpha2 + beta2 <= M, alpha2
+    giving its excess to alpha1 so the prompt total and its floor hold.
     Raises ``ConfigError`` if the shrunk config cannot run."""
     scale = max(cfg.M / 48.0, cfg.T / 64.0, 1.0)
 
     def shrink(x: int) -> int:
         return max(min(x, 2), int(x / scale))
 
-    t = max(4, int(cfg.T / scale))
-    beta2 = max(shrink(cfg.beta2), t) if cfg.T <= cfg.beta2 else min(shrink(cfg.beta2), t - 1)
+    m, t = max(4, int(cfg.M / scale)), max(4, int(cfg.T / scale))
+    within = cfg.T <= cfg.beta2
+    alpha1, alpha2 = shrink(cfg.alpha1), shrink(cfg.alpha2)
+    beta2 = max(shrink(cfg.beta2), t) if within else min(shrink(cfg.beta2), t - 1)
+    # a token that brings a windowed prompt kind keeps a local window of alpha2 + beta2
+    brought = {_TOKENS[token][1] for token in cfg.policies}
+    if brought - {None, PrefillPolicyKind.FULL, PrefillPolicyKind.STREAMING} and alpha2 + beta2 > m:
+        alpha1, alpha2 = alpha1 + alpha2 + beta2 - m, m - beta2
     sub = replace(
         cfg,
-        M=max(4, int(cfg.M / scale)),
+        M=m,
         T=t,
-        alpha1=shrink(cfg.alpha1),
-        alpha2=shrink(cfg.alpha2),
-        beta1=shrink(cfg.beta1) if cfg.T <= cfg.beta2 else min(shrink(cfg.beta1), t - beta2),
+        alpha1=alpha1,
+        alpha2=alpha2,
+        beta1=shrink(cfg.beta1) if within else min(shrink(cfg.beta1), t - beta2),
         beta2=beta2,
         mode="trace_replay",
         trace_path=None,

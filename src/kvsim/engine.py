@@ -131,33 +131,25 @@ class PrefillResult:
 
 class PromptPass:
     """The policy-independent part of a closed-loop prefill: full causal
-    attention over the ``m`` prompt positions, layer by layer. Keeps what
-    compression and decoding read: the model's weights, each layer's
-    prompt (keys, values), dense column sums and last ``rows``
-    head-averaged attention rows, and the first decode input. Its arrays
-    are read-only, since every policy compressing this pass shares them.
+    attention over the ``m`` prompt positions, layer by layer, computed
+    when the pass is built. Keeps what compression and decoding read: the
+    model's weights, each layer's prompt (keys, values), dense column sums
+    and last ``rows`` head-averaged attention rows, and the first decode
+    input. Its arrays are read-only, since every policy compressing this
+    pass shares them.
 
-    Nothing is computed until the first :func:`run_prefill` given this
-    pass, so one instance shared by every policy of a seed runs the
-    forward pass once. ``rows`` must cover the widest observation window
-    among those policies (:meth:`PrefillPolicy.observed_rows`)."""
+    One instance shared by every policy of a seed runs the forward pass
+    once; ``rows`` must cover the widest observation window among those
+    policies (:meth:`PrefillPolicy.observed_rows`)."""
 
     def __init__(self, model: ToyModel, m: int, rows: int) -> None:
         if not 0 <= rows <= m:
             raise ValueError(f"observation rows must be in 0..{m}, got {rows}")
         self.model, self.m, self.rows = model, m, rows
-        self.weights: ModelWeights | None = None
+        self.weights = weights = ModelWeights(model)
         self.colsums: list[np.ndarray] = []
         self.obs_rows: list[np.ndarray] = []
         self.prompt_kv: list[tuple[np.ndarray, np.ndarray]] = []
-        self.next_input: np.ndarray | None = None
-
-    def run(self) -> None:
-        """Compute the pass unless that is done already."""
-        if self.next_input is not None:
-            return
-        model, m = self.model, self.m
-        self.weights = weights = ModelWeights(model)
         heads, d = model.n_heads, model.d_model
         dh = d // heads
         hidden = weights.embeddings(m)
@@ -172,7 +164,7 @@ class PromptPass:
             logits += model.recency_bias * delta[None, :, :]
             logits[:, future] = -np.inf
             logits -= logits.max(axis=2, keepdims=True)
-            att = np.exp(logits)
+            att = np.exp(logits, out=logits)
             att /= att.sum(axis=2, keepdims=True)
             rows = att.mean(axis=0)  # (m, m), causal lower triangle
             context = np.einsum("hij,jhd->ihd", att, v.reshape(m, heads, dh)).reshape(m, d)
@@ -200,8 +192,8 @@ def run_prefill(
     ``policy.observed_rows(m)`` rows (a layer's share may clip alpha2).
 
     In closed loop, ``prompt`` passes a pass shared with other calls for
-    the same model and M (computed by the first of them), so each call
-    only compresses; by default the call runs a pass of its own.
+    the same model and M, so each call only compresses; by default the
+    call builds, and so computes, a pass of its own.
     """
     if m < 1:
         raise ValueError("prompt length must be >= 1")
@@ -220,7 +212,6 @@ def run_prefill(
                 f"prompt pass (seed {prompt.model.seed}, M={prompt.m}, {prompt.rows} rows) does not "
                 f"serve seed {source.seed}, M={m}, {window} observation rows"
             )
-        prompt.run()
         result = PrefillResult(prompt_len=m, pools=[], seed_scores=[], prompt=prompt)
         layers = list(zip(prompt.colsums, [rows[len(rows) - window:] for rows in prompt.obs_rows]))
     for layer_policy, (colsums, obs_rows) in zip(policy.per_layer(len(layers)), layers):

@@ -55,10 +55,10 @@ def full_cache_reference(
     ``DEFAULT_SIZE_GUARD`` positions unless ``allow_large``), or only the
     steps in ``rows_at`` (within 1..t_steps), with ``None`` at the others
     and no guard. Re-derives the forward pass stepwise rather than reusing
-    the engine, so the two can be cross-checked: one position at a time, a
-    literal loop over heads. Each new key and value is written into a
-    preallocated (m + t_steps) x d_model buffer per layer, and attention
-    reads the first n rows of it."""
+    the engine, so the two can be cross-checked: one loop over positions,
+    prompt and decode alike, and a literal loop over heads. Each new key
+    and value is written into a preallocated (m + t_steps) x d_model
+    buffer per layer, and attention reads the first p + 1 rows of it."""
     if m < 1 or t_steps < 0:
         raise ValueError("need m >= 1 and t_steps >= 0")
     if rows_at is None and m + t_steps > DEFAULT_SIZE_GUARD and not allow_large:
@@ -100,40 +100,25 @@ def full_cache_reference(
         return x / r if r > 0 else x
 
     prompt_colsums = np.zeros(m)
-    embeddings = weights.embeddings(m)
-    hidden = None
-    for i in range(m):
-        h = embeddings[i]
-        for layer in range(model.n_layers):
-            keys[layer][i] = h @ weights.w_k[layer]
-            values[layer][i] = h @ weights.w_v[layer]
-            row, ctx = attend_one(h, layer, i + 1)
-            if layer == 0:
-                layer_mean = row / model.n_layers
-            else:
-                layer_mean = layer_mean + row / model.n_layers
-            h = norm(h + ctx)
-        prompt_colsums[: i + 1] += layer_mean
-        hidden = h
-
     rows: list[np.ndarray | None] = []
     outputs = np.zeros((t_steps, d))
-    x = norm(hidden)
-    for t in range(1, t_steps + 1):
-        h = x
-        p = m + t - 1
+    embeddings = weights.embeddings(m)
+    for p in range(m + t_steps):
+        if p < m:
+            h = embeddings[p]
+        elif p == m:  # a later decode step reads the previous output as it is
+            h = norm(h)
         for layer in range(model.n_layers):
             keys[layer][p] = h @ weights.w_k[layer]
             values[layer][p] = h @ weights.w_v[layer]
             row, ctx = attend_one(h, layer, p + 1)
-            if layer == 0:
-                layer_mean = row / model.n_layers
-            else:
-                layer_mean = layer_mean + row / model.n_layers
+            layer_mean = row / model.n_layers if layer == 0 else layer_mean + row / model.n_layers
             h = norm(h + ctx)
-        rows.append(layer_mean if t in kept else None)
-        outputs[t - 1] = h
-        x = h
+        if p < m:
+            prompt_colsums[: p + 1] += layer_mean
+        else:
+            rows.append(layer_mean if p - m + 1 in kept else None)
+            outputs[p - m] = h
 
     return ReferenceRun(
         model=model, prompt_len=m, steps=t_steps, rows=rows,

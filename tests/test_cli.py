@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from kvsim import cli
 from kvsim.cli import main, run_experiment
-from kvsim.config import _KEYMAP, POLICY_TOKENS, ConfigError, load_config, parse_config_text
+from kvsim.config import _KEYMAP, POLICY_TOKENS, ConfigError, ExperimentConfig, load_config, parse_config_text
 from kvsim.core import InvariantError
 from kvsim.decoding import PolicyKind
 from kvsim.engine import ModelWeights, run_prefill
@@ -488,6 +488,19 @@ class TestCLI:
                 run_experiment(cfg, axis=axis, axis_values=values)
         assert not out_dir.exists()
 
+    def test_run_experiment_checks_the_base_grid(self, tmp_path):
+        # a library config that never went through load_config is checked like a sweep value
+        base = dict(mode="trace_replay", trace_synthetic=True, M=8, T=8, output_dir=str(tmp_path / "out"))
+        cases = [
+            ({"alpha2": 20}, "^prefill.alpha2: "),
+            ({"policies": ["bogus"]}, "^policies: "),
+            ({"checkpoints": [9]}, "^metrics.checkpoints: "),
+        ]
+        for fields, match in cases:
+            with pytest.raises(ConfigError, match=match):
+                run_experiment(ExperimentConfig(**base, **fields))
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "beta1, beta2, exit_code",
         [(36, 8, 1), (0, 8, 1), (0, 40, 0)],  # T = 40; T <= beta2 never selects, so it runs
@@ -621,19 +634,18 @@ class TestCLI:
         assert main(["oracle-check", str(path)]) == 0
         assert "1 policies x 3 traces at M=48, T=64: all policies match" in capsys.readouterr().out
 
-    def test_oracle_check_of_unrunnable_scaled_config_exit_one(self, tmp_path, capsys):
+    def test_oracle_check_keeps_a_folded_window_within_m(self, tmp_path, capsys):
         # h2o's local window alpha2 + beta2 = 40 fits M = 40; scaled by 10, beta2 keeps
-        # its floor of 2 and 3 + 2 exceeds M' = 4
+        # its floor of 2, so alpha2' is capped at 4 - 2 instead of 3 exceeding M' = 4
         text = (
             "mode = trace_replay\ntrace.synthetic = true\nM = 40\nT = 640\npolicies = h2o\n"
             "prefill.alpha1 = 0\nprefill.alpha2 = 38\ndecoding.beta2 = 2\n"
         )
-        path = write_config(tmp_path, text)
-        load_config(path)
-        assert main(["oracle-check", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: prefill.alpha2:")
-        assert "M=4, T=64" in err
+        path = write_config(tmp_path, text + f"output_dir = {tmp_path / 'out'}\n")
+        assert main(["run", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["oracle-check", str(path)]) == 0
+        assert "1 policies x 3 traces at M=4, T=64: all policies match" in capsys.readouterr().out
 
     def test_oracle_check_keeps_the_discontinuous_interval(self, tmp_path, capsys):
         # interval (640 - 5) // 635 = 1; scaled by 10, beta2 keeps its floor of 2, so beta1'

@@ -189,9 +189,9 @@ class TestSharedPromptPass:
         embeddings = ModelWeights.embeddings
         monkeypatch.setattr(ModelWeights, "embeddings", lambda w, m: calls.append(m) or embeddings(w, m))
         shared = PromptPass(self.model, 32, 12)
-        assert calls == []  # nothing runs before the first prefill
+        assert calls == [32]  # the pass runs where it is built
         results = [run_prefill(self.model, 32, policy, shared) for policy in SHARED_PASS_POLICIES]
-        assert calls == [32]
+        assert calls == [32]  # and the prefills only compress it
         with pytest.raises(ValueError, match="read-only"):
             results[0].seed_scores[0][0] = 1.0
         with pytest.raises(ValueError, match="read-only"):

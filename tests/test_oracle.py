@@ -4,7 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from kvsim.core import BudgetConfig
@@ -230,6 +230,66 @@ def test_every_policy_and_selector_matches_naive_simulator(kind, selector, coars
 
 
 @given(
+    # weighted toward the lanes that differ by layer: pyramid_infer's per-layer budgets and
+    # h2o/pyramid_infer runners seeded from their own layer's prompt column sums
+    kind=st.sampled_from(list(PolicyKind)) | st.sampled_from([PolicyKind.UNIFIED_H2O, PolicyKind.PYRAMID_INFER]),
+    selector=st.sampled_from(list(SelectorKind)),
+    seeded=st.booleans(),
+    n_layers=st.integers(1, 3) | st.just(3),
+    bias=st.sampled_from([0.0, 0.05]),
+    prompt_kind=st.sampled_from(list(PrefillPolicyKind)),
+    seed=st.integers(0, 2**32 - 1),
+)
+# both examples fail when every runner is seeded from layer 0's column sums, the
+# pyramid_infer one also when decode_loop zips the layers' policies in reverse
+@example(PolicyKind.PYRAMID_INFER, SelectorKind.CUMULATIVE, True, 3, 0.05, PrefillPolicyKind.TOPK_LOCAL, 3)
+@example(PolicyKind.UNIFIED_H2O, SelectorKind.CUMULATIVE, True, 3, 0.05, PrefillPolicyKind.TOPK_LOCAL, 4)
+@settings(max_examples=300, deadline=None)
+def test_closed_loop_decisions_match_naive_simulator(kind, selector, seeded, n_layers, bias, prompt_kind, seed):
+    """Each layer of a closed-loop run keeps what the naive simulator keeps
+    when it replays that layer's own attention rows, from that layer's
+    prompt pool and column sums, under that layer's policy."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(4, 16))
+    beta1, beta2 = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+    t_steps = beta1 + beta2 + int(rng.integers(beta1, 16))  # keeps T - beta2 >= beta1
+    budget = BudgetConfig(
+        alpha1=int(rng.integers(1, 6)), alpha2=int(rng.integers(1, 4)),
+        beta1=beta1, beta2=beta2, max_decode_steps=t_steps,
+    )
+    taper = float(rng.uniform(0.3, 1))
+    policy = DecodingPolicy(
+        kind, budget, selector=selector, observation_window=int(rng.integers(1, 6)),
+        seed_prefill_scores=seeded, taper_ratio=taper,
+    )
+    prompt_policy = PrefillPolicy(
+        kind=prompt_kind, alpha1=budget.alpha1, alpha2=budget.alpha2, pooling_width=3, taper_ratio=taper
+    )
+    model = ToyModel(seed % 1000, d_model=8, n_heads=2, n_layers=n_layers, recency_bias=bias)
+    prefill = run_prefill(model, m, prompt_policy)
+    record = decode_loop(model, prefill, policy, t_steps, capture_positions=True, capture_rows=True)
+    for layer, layer_policy in enumerate(policy.per_layer(n_layers)):
+        rows = []
+        for t, row in enumerate(record.layers[layer].rows, start=1):
+            dense = np.zeros(m + t)
+            dense[row.positions] = row.scores
+            rows.append(dense)
+        trace = Trace(M=m, T=t_steps, prefill_scores=prefill.seed_scores[layer], rows=rows)
+        log = record.layers[layer]
+        naive = naive_policy_simulator(layer_policy, trace, prefill.pools[layer].prefill_entries, t_steps)
+        for t in range(1, t_steps + 1):
+            assert record.positions_at(t, layer) == naive[t - 1], f"layer {layer}, step {t}"
+        # the layer's columns are the sizes of the naive sets, as in trace replay
+        prefill_sizes = np.array([len(kept_prefill) for kept_prefill, _ in naive])
+        totals = prefill_sizes + np.array([len(kept_decoding) for _, kept_decoding in naive])
+        assert np.array_equal(log.prefill_size, prefill_sizes)
+        assert np.array_equal(log.decoding_size, totals - prefill_sizes)
+        assert np.array_equal(log.peak_entries, np.concatenate(([log.initial_prefill_size], totals[:-1])) + 1)
+        assert np.array_equal(log.evicted, log.peak_entries - totals)
+        assert np.array_equal(log.ran_selection, log.evicted > 0)
+
+
+@given(
     kind=st.sampled_from(list(PrefillPolicyKind)),
     score_mode=st.sampled_from(["window", "sum"]),
     pooling_width=st.sampled_from([1, 3, 7]),
@@ -260,7 +320,6 @@ def test_prompt_compression_matches_naive_compressor(
         n_layers = int(rng.integers(1, 5))
         source = ToyModel(seed % 1000, d_model=8, n_heads=2, n_layers=n_layers, recency_bias=0.05 * (seed % 2))
         prompt = PromptPass(source, m, m)  # every row, so the engine picks how many it observes
-        prompt.run()
         colsums, obs_rows = prompt.colsums, prompt.obs_rows
     else:
         # coarse scores make ties at the top-k boundary common
