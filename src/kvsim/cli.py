@@ -21,12 +21,11 @@ import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .config import _TOKENS, SWEEP_AXES, ConfigError, ExperimentConfig, load_config
+from .config import SWEEP_AXES, ConfigError, ExperimentConfig, load_config
 from .core import InvariantError
 from .engine import PromptPass, ToyModel, decode_loop, run_prefill
 from .metrics import EfficiencyReport, efficiency, heavy_hitter_set, hh_origin_distribution, retained_recall
 from .oracle import check_policy_equivalence, full_cache_reference, naive_prompt_compressor
-from .prefill import PrefillPolicyKind
 from .traceio import Trace, TraceError, read_trace, synthetic_trace, write_trace
 
 
@@ -208,9 +207,7 @@ def _scaled_for_check(cfg: ExperimentConfig, n_traces: int) -> ExperimentConfig:
     over the check's trace seeds. Each nonzero budget shrinks with M and T
     but keeps at least ``min(x, 2)``, the largest floor a policy sets; a
     horizon within beta2 stays within it, and one past it keeps
-    beta1 + beta2 within it, so a discontinuous interval stays >= 1. A
-    windowed prompt that folds in beta2 keeps alpha2 + beta2 <= M, alpha2
-    giving its excess to alpha1 so the prompt total and its floor hold.
+    beta1 + beta2 within it, so a discontinuous interval stays >= 1.
     Raises ``ConfigError`` if the shrunk config cannot run."""
     scale = max(cfg.M / 48.0, cfg.T / 64.0, 1.0)
 
@@ -219,18 +216,13 @@ def _scaled_for_check(cfg: ExperimentConfig, n_traces: int) -> ExperimentConfig:
 
     m, t = max(4, int(cfg.M / scale)), max(4, int(cfg.T / scale))
     within = cfg.T <= cfg.beta2
-    alpha1, alpha2 = shrink(cfg.alpha1), shrink(cfg.alpha2)
     beta2 = max(shrink(cfg.beta2), t) if within else min(shrink(cfg.beta2), t - 1)
-    # a token that brings a windowed prompt kind keeps a local window of alpha2 + beta2
-    brought = {_TOKENS[token][1] for token in cfg.policies}
-    if brought - {None, PrefillPolicyKind.FULL, PrefillPolicyKind.STREAMING} and alpha2 + beta2 > m:
-        alpha1, alpha2 = alpha1 + alpha2 + beta2 - m, m - beta2
     sub = replace(
         cfg,
         M=m,
         T=t,
-        alpha1=alpha1,
-        alpha2=alpha2,
+        alpha1=shrink(cfg.alpha1),
+        alpha2=shrink(cfg.alpha2),
         beta1=shrink(cfg.beta1) if within else min(shrink(cfg.beta1), t - beta2),
         beta2=beta2,
         mode="trace_replay",

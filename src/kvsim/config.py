@@ -137,11 +137,6 @@ class ExperimentConfig:
                 prompt, decoding = self.pipeline(token)
                 prompt.per_layer(self.n_layers)
                 decoding.per_layer(self.n_layers)
-                windowed = prompt.kind not in (PrefillPolicyKind.FULL, PrefillPolicyKind.STREAMING)
-                if windowed and prompt.alpha2 > self.M:
-                    raise ConfigError(
-                        f"prefill.alpha2: policy {token!r} keeps a local window of {prompt.alpha2}, more than M={self.M}"
-                    )
         except ValueError as exc:
             name = re.match(r"\w*", str(exc)).group()
             if name not in _KEY_OF:

@@ -143,6 +143,8 @@ class PromptPass:
     policies (:meth:`PrefillPolicy.observed_rows`)."""
 
     def __init__(self, model: ToyModel, m: int, rows: int) -> None:
+        if m < 1:
+            raise ValueError(f"prompt length must be >= 1, got {m}")
         if not 0 <= rows <= m:
             raise ValueError(f"observation rows must be in 0..{m}, got {rows}")
         self.model, self.m, self.rows = model, m, rows
@@ -153,15 +155,18 @@ class PromptPass:
         heads, d = model.n_heads, model.d_model
         dh = d // heads
         hidden = weights.embeddings(m)
-        positions = np.arange(m)
-        delta = positions[None, :] - positions[:, None]
-        future = delta > 0
+        positions = np.arange(m, dtype=np.float64)
+        future = positions[None, :] > positions[:, None]
         for layer in range(model.n_layers):
             k = hidden @ weights.w_k[layer]
             v = hidden @ weights.w_v[layer]
             logits = np.einsum("ihd,jhd->hij", hidden.reshape(m, heads, dh), k.reshape(m, heads, dh))
             logits /= math.sqrt(dh)
-            logits += model.recency_bias * delta[None, :, :]
+            # (j - i) at [i, j], scaled in place: one (m, m) float array, freed before the head mean
+            bias = np.subtract.outer(positions, positions).T
+            bias *= model.recency_bias
+            logits += bias
+            del bias
             logits[:, future] = -np.inf
             logits -= logits.max(axis=2, keepdims=True)
             att = np.exp(logits, out=logits)

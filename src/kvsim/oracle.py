@@ -315,6 +315,7 @@ def naive_prompt_compressor(
         for p in range(m):
             neighbours = [scores[q] for q in range(p - width // 2, p + width // 2 + 1) if 0 <= q < m]
             smoothed.append(sum(neighbours) / len(neighbours))
+        local = min(local, m)  # a local window wider than the prompt keeps all of it
         candidates = list(range(m - local))
         ranked = sorted(candidates, key=lambda p: (-smoothed[p], p))
         pools.append(sorted(ranked[:history] + list(range(m - local, m))))

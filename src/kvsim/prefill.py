@@ -119,14 +119,14 @@ def compress_prefill_topk(
     scores: np.ndarray, alpha1: int, alpha2: int, pooling_width: int = 1
 ) -> CachePool:
     """Keep the alpha1 highest-scoring positions outside the local window,
-    concatenated with the last alpha2 positions. ``scores`` is dense over
-    the prompt (index = position) and is first smoothed across
-    ``pooling_width`` neighbouring positions (1: unsmoothed)."""
+    concatenated with the last alpha2 positions; a budget
+    ``alpha1 + alpha2 >= m`` keeps the whole prompt, a local window wider
+    than it included. ``scores`` is dense over the prompt (index =
+    position) and is first smoothed across ``pooling_width`` neighbouring
+    positions (1: unsmoothed)."""
     m = len(scores)
     if m < 1:
         raise ValueError("prompt must contain at least one token")
-    if alpha2 > m:
-        raise ValueError(f"alpha2={alpha2} exceeds prompt length {m}")
     if alpha1 + alpha2 < 1:
         raise ValueError("alpha1 + alpha2 must be at least 1")
     if alpha1 + alpha2 >= m:
@@ -191,9 +191,9 @@ def layer_splits(budget: int, local: int, n_layers: int, taper_ratio: float) -> 
 def apply_prefill_policy(policy: PrefillPolicy, m: int, colsums: np.ndarray, obs_rows: np.ndarray) -> CachePool:
     """Compress one layer's prompt of length ``m`` under that layer's
     policy (one entry of :meth:`PrefillPolicy.per_layer`) by the module's
-    one rule: full keeps all m; streaming splits ``b = min(budget, m)``
-    into ``ceil(b/2)`` history over uniform scores and ``floor(b/2)``
-    local; the others keep alpha1 and alpha2. ``colsums`` is the layer's
+    one rule: full keeps all m; streaming splits its budget ``b`` into
+    ``ceil(b/2)`` history over uniform scores and ``floor(b/2)`` local;
+    the others keep alpha1 and alpha2. ``colsums`` is the layer's
     dense prompt column-sum vector and ``obs_rows`` its trailing
     observation rows, one dense row of length ``m`` each."""
     if policy.ranks_by == "window_mean":
@@ -206,6 +206,5 @@ def apply_prefill_policy(policy: PrefillPolicy, m: int, colsums: np.ndarray, obs
     if policy.kind is PrefillPolicyKind.FULL:
         history, local = m, 0
     elif policy.kind is PrefillPolicyKind.STREAMING:
-        b = min(policy.budget, m)  # a local window of budget // 2 may not fit the prompt
-        history, local = b - b // 2, b // 2
+        history, local = policy.budget - policy.budget // 2, policy.budget // 2
     return compress_prefill_topk(scores, history, local, policy.pooling)

@@ -1,5 +1,7 @@
 """Config parsing, pipeline resolution, CLI subcommands, and exit codes."""
 
+import contextlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -492,7 +494,7 @@ class TestCLI:
         # a library config that never went through load_config is checked like a sweep value
         base = dict(mode="trace_replay", trace_synthetic=True, M=8, T=8, output_dir=str(tmp_path / "out"))
         cases = [
-            ({"alpha2": 20}, "^prefill.alpha2: "),
+            ({"alpha2": -1}, "^prefill.alpha2: "),
             ({"policies": ["bogus"]}, "^policies: "),
             ({"checkpoints": [9]}, "^metrics.checkpoints: "),
         ]
@@ -546,7 +548,8 @@ class TestCLI:
             # a repeated seed or token would write duplicate report rows
             ("seeds", "seeds = 3, 3", 1),
             ("policies", "policies = h2o, scope_slide, h2o", 1),
-            ("prefill.alpha2", "prefill.alpha2 = 30", 1),
+            # a local window wider than M keeps the whole prompt
+            ("prefill.alpha2", "prefill.alpha2 = 30", 0),
             ("prefill.alpha1", "prefill.alpha1 = 0\nprefill.alpha2 = 0", 1),
             # each rejection names the key that was set, not the attribute behind it
             ("prefill.alpha1", "prefill.alpha1 = -1", 1),
@@ -591,7 +594,7 @@ class TestCLI:
     def test_unrunnable_sweep_value_exit_one(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
         path = write_config(tmp_path, SMOKE_CONFIG + f"output_dir = {out_dir}\n")
-        assert main(["sweep", str(path), "--axis", "alpha2=2,30"]) == 1
+        assert main(["sweep", str(path), "--axis", "alpha2=2,-1"]) == 1
         assert "config error: prefill.alpha2" in capsys.readouterr().err
         assert not out_dir.exists()
 
@@ -634,9 +637,9 @@ class TestCLI:
         assert main(["oracle-check", str(path)]) == 0
         assert "1 policies x 3 traces at M=48, T=64: all policies match" in capsys.readouterr().out
 
-    def test_oracle_check_keeps_a_folded_window_within_m(self, tmp_path, capsys):
+    def test_oracle_check_keeps_a_folded_window_wider_than_scaled_m(self, tmp_path, capsys):
         # h2o's local window alpha2 + beta2 = 40 fits M = 40; scaled by 10, beta2 keeps
-        # its floor of 2, so alpha2' is capped at 4 - 2 instead of 3 exceeding M' = 4
+        # its floor of 2, so the window 3 + 2 exceeds M' = 4 and keeps the whole prompt
         text = (
             "mode = trace_replay\ntrace.synthetic = true\nM = 40\nT = 640\npolicies = h2o\n"
             "prefill.alpha1 = 0\nprefill.alpha2 = 38\ndecoding.beta2 = 2\n"
@@ -690,7 +693,7 @@ KNOB_VALUES = {
     "n_heads": ([1, 2], [0, 3]),
     "recency_bias": ([0.0, 0.05], [-0.1]),
     "prefill.alpha1": ([0, 1, 4, 8], [-1]),
-    "prefill.alpha2": ([0, 1, 2, 4], [-1, 30]),
+    "prefill.alpha2": ([0, 1, 2, 4, 30], [-1]),
     "prefill.pooling_width": ([1, 3, 7], [-1, 0, 4]),
     "prefill.taper_ratio": ([0.25, 0.5, 1.0], [-0.5, 0.0, 1.5]),
     "prefill.observation_rows": ([None, 1, 3, 30], [-2, 0]),
@@ -728,7 +731,8 @@ def small_configs(draw):
 @example(text="mode = trace_replay\ntrace.synthetic = true\nM = 16\nT = 12\nprefill.alpha1 = -1\n")
 @settings(max_examples=60, deadline=None)
 def test_load_and_run_agree(text):
-    """A config either fails at load naming one of its keys, or runs."""
+    """A config either fails at load naming one of its keys, or runs and
+    passes oracle-check."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "exp.cfg"
         path.write_text(text + f"timestamp = false\noutput_dir = {tmp}/out\n")
@@ -738,6 +742,10 @@ def test_load_and_run_agree(text):
             assert str(exc).split(":")[0].lower() in _KEYMAP, str(exc)
             return
         assert main(["run", str(path)]) == 0
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            code = main(["oracle-check", str(path)])
+        assert code == 0 and "MISMATCH" not in out.getvalue(), out.getvalue()
 
 
 # sweep axis -> (config key, values a small config can take)

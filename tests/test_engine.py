@@ -213,6 +213,10 @@ class TestSharedPromptPass:
         with pytest.raises(ValueError, match="does not serve"):
             run_prefill(self.model, 32, policy, PromptPass(model, m, rows))
 
+    def test_empty_prompt_rejected(self):
+        with pytest.raises(ValueError, match="prompt length must be >= 1, got 0"):
+            PromptPass(self.model, 0, 0)
+
 
 class TestDecodeLoop:
     def policy(self, **kw):

@@ -304,11 +304,11 @@ def test_prompt_compression_matches_naive_compressor(
 ):
     """Every prompt kind and knob, both modes: the engine's per-layer prompt
     pools equal the naive compressor's. M reaches below the pooling width,
-    and the budget from nothing to M + 1."""
+    the local window up to M + 3, and the budget from nothing to past M."""
     rng = np.random.default_rng(seed)
     m = int(rng.integers(1, 31 if rng.integers(2) else 8))  # half the prompts fit in the widest pooling
-    alpha2 = int(rng.integers(0, m + 1))
-    alpha1 = int(rng.integers(0, m - alpha2 + 2))
+    alpha2 = int(rng.integers(0, m + 4))
+    alpha1 = int(rng.integers(0, max(m - alpha2, 0) + 2))
     try:
         policy = PrefillPolicy(
             kind=kind, alpha1=alpha1, alpha2=alpha2, pooling_width=pooling_width,

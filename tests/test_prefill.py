@@ -47,9 +47,9 @@ class TestTopKLocal:
         pool = compress_prefill_topk(scores, alpha1, alpha2)
         assert pool.prefill_size == 2048
 
-    def test_local_window_exceeding_prompt_rejected(self):
-        with pytest.raises(ValueError, match="alpha2"):
-            compress_prefill_topk(np.ones(4), 1, 5)
+    def test_local_window_exceeding_prompt_keeps_everything(self):
+        pool = compress_prefill_topk(np.ones(4), 1, 5)
+        assert positions(pool) == [0, 1, 2, 3]
 
     def test_zero_budget_rejected(self):
         with pytest.raises(ValueError, match="at least 1"):
