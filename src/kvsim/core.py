@@ -137,24 +137,17 @@ def append_decoding_entry(pool: CachePool, position: int) -> CachePool:
     return CachePool(pool.prefill_entries, np.append(pool.decoding_entries, position))
 
 
-def evict_decoding(pool: CachePool, keep_positions) -> CachePool:
-    """Filter the decoding side down to ``keep_positions`` (strictly
-    ascending); the prompt side is passed through untouched. Asking to keep
-    a prompt position is a phase-separation violation and raises."""
-    keep = np.asarray(keep_positions, dtype=np.int64)
+def evict_decoding(pool: CachePool, keep) -> CachePool:
+    """Filter the decoding side by ``keep``, a boolean mask over it; the
+    prompt side is passed through untouched. A mask cannot name a prompt
+    or unknown position, nor reorder the survivors, so phase separation
+    and ascending order hold by construction. Raises unless ``keep`` is a
+    bool array as long as the decoding side."""
+    keep = np.asarray(keep)
     decoding = pool.decoding_entries
-    at = np.searchsorted(decoding, keep)
-    found = at < len(decoding)
-    found[found] = decoding[at[found]] == keep[found]
-    stray = keep[~found]
-    if len(stray):
-        in_prefill = np.intersect1d(stray, pool.prefill_entries)
-        if len(in_prefill):
-            raise InvariantError(
-                f"keep set references prefill position(s) {in_prefill.tolist()}: "
-                "phase separation violated"
-            )
-        raise InvariantError(f"keep set references unknown position(s) {stray.tolist()}")
-    if np.any(np.diff(at) <= 0):
-        raise InvariantError("keep positions must be strictly ascending")
-    return CachePool(pool.prefill_entries, keep)
+    if keep.dtype != np.bool_ or keep.shape != decoding.shape:
+        raise InvariantError(
+            f"keep must be a bool mask of length {len(decoding)} over the decoding side, "
+            f"got {keep.dtype} of shape {keep.shape}"
+        )
+    return CachePool(pool.prefill_entries, decoding[keep])

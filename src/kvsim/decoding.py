@@ -17,7 +17,7 @@ earliest position winning ties), and evicts the rest:
 with ``total = total_budget``. The three phase-separated strategies differ
 only in their target's schedule. Streaming's sink and local fill its
 target, so it never scores. Only the SCOPE region leaves the prompt side
-whole.
+whole; it observes and evicts (by mask) only the decode side of a row.
 
 Step indices are decoding-relative: t = 1 is the first generated token, so
 a policy's trigger conditions read off t directly instead of absolute
@@ -28,13 +28,12 @@ step; budgets are enforced at step end.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .core import BudgetConfig, CachePool, evict_decoding
+from .core import BudgetConfig, CachePool, InvariantError, evict_decoding
 from .prefill import layer_splits
 from .selection import (
     AttentionRow,
@@ -89,7 +88,7 @@ class DecodingPolicy:
     taper_ratio: float = 0.5
 
     def __post_init__(self) -> None:
-        # every runner sizes its row buffer by it; the window selector reads those rows
+        # the window selector's ring holds this many rows and a selection reads at least one
         if self.observation_window < (1 if self.selector is SelectorKind.WINDOW else 0):
             raise ValueError(
                 f"observation_window must be >= 1 with the window selector (>= 0 otherwise), "
@@ -179,11 +178,16 @@ class PolicyRunner:
     the policy's kind and budget. Call :meth:`step` once per decode step,
     after the new entry has been appended to the pool and the attention
     row over the retained entries (including the new one) is computed.
+
+    A window selector keeps its last ``observation_window`` rows in a
+    float64 ring (row i in slot i % window), dense over the positions it
+    observes: the decode side for SCOPE, every position otherwise. Each
+    step zeroes one slot and scatters its row in; a selection reads the
+    ring at the candidates alone, oldest row first.
     """
 
     def __init__(self, policy: DecodingPolicy, prompt_len: int) -> None:
         self.policy = policy
-        self.prompt_len = prompt_len
         b = policy.budget
         total = b.total_budget
         self._scope = policy.kind in SCOPE_KINDS
@@ -198,7 +202,10 @@ class PolicyRunner:
         self._observes = policy.kind is not PolicyKind.UNIFIED_STREAMING
         self._cumulative = self._observes and policy.selector is SelectorKind.CUMULATIVE
         self._acc = ScoreAccumulator(prompt_len + b.max_decode_steps)
-        self._recent_rows: deque[ScoreVector] = deque(maxlen=policy.observation_window)
+        self._first = prompt_len if self._scope else 0
+        window = policy.observation_window if self._observes and not self._cumulative else 0
+        self._ring = np.zeros((window, prompt_len + b.max_decode_steps - self._first))
+        self._observed = 0
 
     def seed_scores(self, positions: np.ndarray, colsums: np.ndarray) -> None:
         """Give unified cumulative selectors the prompt-phase attention mass
@@ -213,14 +220,21 @@ class PolicyRunner:
 
     def step(self, pool: CachePool, row: AttentionRow, t: int) -> tuple[CachePool, StepDecision]:
         policy = self.policy
+        if len(row) != pool.total_size:
+            raise InvariantError(f"attention row covers {len(row)} positions, the pool holds {pool.total_size}")
         if policy.kind is PolicyKind.PREFILL_ONLY:
             return pool, _APPEND_ONLY
         if self._observes:
-            row = row.restrict_from(self.prompt_len) if self._scope else row
+            if self._scope:  # the row is over pool.all_positions(), prompt side first
+                cut = pool.prefill_size
+                row = ScoreVector(row.positions[cut:], row.scores[cut:], validate=False)
             if self._cumulative:
                 self._acc.add_row(row)
             else:
-                self._recent_rows.append(row)
+                slot = self._ring[self._observed % len(self._ring)]
+                slot.fill(0.0)
+                slot[row.positions - self._first] = row.scores
+                self._observed += 1
         target = scope_target(policy.kind, t, policy.budget) if self._scope else self._total
         if target is None or (pool.decoding_size if self._scope else pool.total_size) <= target:
             return pool, _APPEND_ONLY
@@ -231,7 +245,7 @@ class PolicyRunner:
         if self._cumulative:
             self._acc.drop(region[~keep])
         if self._scope:
-            new_pool = evict_decoding(pool, region[keep])
+            new_pool = evict_decoding(pool, keep)
         else:
             # keep is a mask over pool.all_positions(): prompt side, then decoding side
             split = pool.prefill_size
@@ -241,5 +255,6 @@ class PolicyRunner:
     def _selector_scores(self, candidates: np.ndarray) -> np.ndarray:
         if self.policy.selector is SelectorKind.CUMULATIVE:
             return self._acc.scores_for(candidates).scores
-        window = observation_window_scores(list(self._recent_rows), self.policy.observation_window)
-        return window[candidates]
+        ring, seen = self._ring, self._observed
+        oldest_first = np.arange(seen - min(seen, len(ring)), seen) % len(ring)
+        return observation_window_scores(ring[:, candidates - self._first][oldest_first])

@@ -197,9 +197,7 @@ def apply_prefill_policy(policy: PrefillPolicy, m: int, colsums: np.ndarray, obs
     dense prompt column-sum vector and ``obs_rows`` its trailing
     observation rows, one dense row of length ``m`` each."""
     if policy.ranks_by == "window_mean":
-        positions = np.arange(m)
-        rows = [ScoreVector(positions, row, validate=False) for row in obs_rows]
-        scores = observation_window_scores(rows, len(rows))
+        scores = observation_window_scores(obs_rows)
     else:
         scores = colsums if policy.ranks_by == "colsums" else np.zeros(m)
     history, local = policy.alpha1, policy.alpha2

@@ -1,8 +1,8 @@
 """Top-k retention scoring.
 
 The selector itself plus the two score-construction schemes that feed it:
-running cumulative attention sums, and aggregates over a short observation
-window of recent attention rows.
+running cumulative attention sums, and the mean of a short observation
+window of recent attention rows, taken over the candidates alone.
 
 Ties are broken toward the smaller position everywhere. That keeps early
 tokens (attention sinks) alive under uniform scores and makes every run
@@ -10,8 +10,6 @@ reproducible.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -45,11 +43,6 @@ class ScoreVector:
     def from_dense(cls, scores, start: int = 0) -> "ScoreVector":
         scores = np.asarray(scores, dtype=np.float64)
         return cls(np.arange(start, start + len(scores), dtype=np.int64), scores)
-
-    def restrict_from(self, min_position: int) -> "ScoreVector":
-        """Slice off everything below ``min_position`` (positions ascending)."""
-        cut = int(np.searchsorted(self.positions, min_position))
-        return ScoreVector(self.positions[cut:], self.scores[cut:], validate=False)
 
 
 AttentionRow = ScoreVector
@@ -108,19 +101,17 @@ class ScoreAccumulator:
         return ScoreVector(positions, self.sums[positions], validate=False)
 
 
-def observation_window_scores(recent_rows: Sequence[ScoreVector], window: int) -> np.ndarray:
-    """Per-position mean over the last ``min(window, available)`` rows, as
-    a dense array indexed by position up to the largest one in the window.
-
-    A position absent from a row contributes zero to the mean (the divisor
-    is the number of rows in the window).
+def observation_window_scores(rows: np.ndarray) -> np.ndarray:
+    """Column means of the dense (k, n) block ``rows``, oldest row first:
+    the rows are added one at a time to 0.0, then divided by k. A position
+    absent from an attention row is a 0.0 in its dense row. A sum that
+    starts from 0.0 is never -0.0, and ``x + 0.0 == x`` for any other x,
+    so the columns of a block gathered at the candidates alone have the
+    bits that a scatter-add of the rows over every position gives there.
     """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    if not recent_rows:
+    if not len(rows):
         raise ValueError("at least one attention row is required")
-    rows = recent_rows[-window:]
-    total = np.zeros(max((int(row.positions[-1]) + 1 for row in rows if len(row)), default=0))
+    total = np.zeros(len(rows[0]))
     for row in rows:
-        total[row.positions] += row.scores
+        total += row
     return total / len(rows)

@@ -72,12 +72,12 @@ class TestEvict:
 
     def test_keep_all_is_identity(self):
         pool = self.build()
-        kept = evict_decoding(pool, [10, 11, 12, 13])
+        kept = evict_decoding(pool, np.ones(4, dtype=bool))
         assert kept.decoding_entries.tolist() == [10, 11, 12, 13]
         assert kept.prefill_entries is pool.prefill_entries
 
     def test_keep_empty(self):
-        kept = evict_decoding(self.build(), [])
+        kept = evict_decoding(self.build(), np.zeros(4, dtype=bool))
         assert kept.decoding_size == 0
         assert kept.prefill_size == 10
 
@@ -86,20 +86,17 @@ class TestEvict:
         pool = self.build()
         keep = {10, 13}
         expected = [p for p in (10, 11, 12, 13) if p in keep]
-        kept = evict_decoding(pool, sorted(keep))
+        kept = evict_decoding(pool, np.isin(pool.decoding_entries, sorted(keep)))
         assert kept.decoding_entries.tolist() == expected
 
-    def test_prefill_position_rejected(self):
-        with pytest.raises(InvariantError, match="phase separation"):
-            evict_decoding(self.build(), [3, 10])
+    def test_wrong_length_rejected(self):
+        with pytest.raises(InvariantError, match=r"length 4 .* shape \(3,\)"):
+            evict_decoding(self.build(), np.ones(3, dtype=bool))
 
-    def test_unknown_position_rejected(self):
-        with pytest.raises(InvariantError, match="unknown"):
-            evict_decoding(self.build(), [99])
-
-    def test_unordered_keep_rejected(self):
-        with pytest.raises(InvariantError, match="ascending"):
-            evict_decoding(self.build(), [12, 10])
+    def test_wrong_dtype_rejected(self):
+        # a list of positions to keep, the form a mask replaced
+        with pytest.raises(InvariantError, match=r"length 4 .* int64 of shape \(4,\)"):
+            evict_decoding(self.build(), [10, 11, 12, 13])
 
 
 class TestBudgetConfig:
@@ -135,9 +132,8 @@ def test_random_operation_sequences_preserve_invariants(m, plan):
             pool = append_decoding_entry(pool, next_pos)
             next_pos += 1
         else:
-            positions = pool.decoding_entries.tolist()
-            keep = {p for p in positions if (p * 2654435761 + salt) % 3 != 0}
-            pool = evict_decoding(pool, sorted(keep))
+            keep = (pool.decoding_entries * 2654435761 + salt) % 3 != 0
+            pool = evict_decoding(pool, keep)
         pool.validate()
         assert pool.prefill_entries.dtype == pool.decoding_entries.dtype == np.int64
         assert pool.prefill_entries is initial_prefill
@@ -153,7 +149,7 @@ def test_evict_preserves_survivor_order(keep_mask):
     positions = list(range(len(keep_mask)))
     for p in positions:
         pool = append_decoding_entry(pool, p)
-    keep = {p for p, k in zip(positions, keep_mask) if k}
-    kept = evict_decoding(pool, sorted(keep))
-    survivors = kept.decoding_entries.tolist()
-    assert survivors == sorted(keep)
+    keep = [p for p, k in zip(positions, keep_mask) if k]
+    kept = evict_decoding(pool, np.array(keep_mask))
+    assert kept.decoding_entries.tolist() == keep
+    assert kept.prefill_entries is pool.prefill_entries

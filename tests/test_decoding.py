@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kvsim.core import BudgetConfig, append_decoding_entry, new_pool
+from kvsim.core import BudgetConfig, InvariantError, append_decoding_entry, new_pool
 from kvsim.decoding import (
     DecodingPolicy,
     PolicyKind,
@@ -367,3 +367,71 @@ def test_discontinuous_interval_checked_at_construction(beta1, horizon, ok):
         with pytest.raises(ValueError, match="^beta1="):
             DecodingPolicy(PolicyKind.SCOPE_DISCONTINUOUS, budget)
     DecodingPolicy(PolicyKind.SCOPE_ADAPTIVE, budget)  # the other schedules have no interval
+
+
+@pytest.mark.parametrize("kind", [PolicyKind.PREFILL_ONLY, PolicyKind.UNIFIED_H2O, PolicyKind.SCOPE_SLIDE])
+def test_row_over_other_positions_rejected(kind):
+    # the SCOPE step cuts the row at pool.prefill_size, so a row must cover pool.all_positions()
+    runner = PolicyRunner(DecodingPolicy(kind, BudgetConfig(beta1=1, max_decode_steps=4)), 4)
+    pool = append_decoding_entry(new_pool(range(4)), 4)
+    with pytest.raises(InvariantError, match="row covers 1 positions, the pool holds 5"):
+        runner.step(pool, AttentionRow([4], [1.0]), 1)
+
+
+class RankedScores(PolicyRunner):
+    """Records the candidates and the scores each selection ranks."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.ranked = []
+
+    def _selector_scores(self, candidates):
+        scores = super()._selector_scores(candidates)
+        self.ranked.append((candidates.copy(), scores))
+        return scores
+
+
+@given(
+    kind=st.sampled_from([PolicyKind.SCOPE_SLIDE, PolicyKind.UNIFIED_H2O, PolicyKind.PYRAMID_INFER]),
+    window=st.integers(1, 10),
+    extra_steps=st.integers(4, 12),
+    m=st.integers(1, 6),
+    beta1=st.integers(1, 2),
+    beta2=st.integers(0, 1),
+    alpha2=st.integers(0, 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_window_scores_equal_a_scatter_add_fold(kind, window, extra_steps, m, beta1, beta2, alpha2, seed):
+    """The ring's scores have the bits of the last ``window`` rows
+    scatter-added into zeros over every position, then divided, at every
+    selection, once the ring has wrapped too. Half the scores are -0.0,
+    0.0 or a tied 0.25, the rest random, so that the order of the adds
+    shows; a column of -0.0 reads 0.0, as a fold from 0.0 gives it."""
+    rng = np.random.default_rng(seed)
+    steps = window + extra_steps
+    budget = BudgetConfig(alpha2=alpha2, beta1=beta1, beta2=beta2, max_decode_steps=steps)
+    policy = DecodingPolicy(kind, budget, selector=SelectorKind.WINDOW, observation_window=window)
+    runner = RankedScores(policy, m)
+    pool = new_pool(np.flatnonzero(rng.random(m) < 0.7))
+    observed = []
+    for t in range(1, steps + 1):
+        pool = append_decoding_entry(pool, m + t - 1)
+        positions = pool.all_positions()
+        n = len(positions)
+        row = AttentionRow(positions, np.where(rng.random(n) < 0.5, rng.choice([-0.0, 0.0, 0.25], n), rng.random(n)))
+        selections = len(runner.ranked)
+        pool, _ = runner.step(pool, row, t)
+        seen = positions >= (m if kind is PolicyKind.SCOPE_SLIDE else 0)
+        observed.append((positions[seen], row.scores[seen]))
+        if len(runner.ranked) == selections:
+            continue
+        candidates, scores = runner.ranked[-1]
+        rows = observed[-window:]
+        total = np.zeros(m + steps)
+        for at, values in rows:
+            total[at] += values
+        expected = (total / len(rows))[candidates]
+        assert np.array_equal(scores, expected)
+        assert np.array_equal(np.signbit(scores), np.signbit(expected))
+    assert runner.ranked

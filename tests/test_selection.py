@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kvsim.core import InvariantError
+from kvsim.core import BudgetConfig, InvariantError
+from kvsim.decoding import DecodingPolicy, PolicyKind, SelectorKind
 from kvsim.selection import (
     ScoreAccumulator,
     ScoreVector,
@@ -136,35 +137,27 @@ class TestAccumulator:
 
 class TestObservationWindow:
     def test_window_one_is_last_row(self):
-        rows = [
-            from_pairs([(0, 1.0), (1, 0.0)]),
-            from_pairs([(0, 0.3), (1, 0.7)]),
-        ]
-        out = observation_window_scores(rows, window=1)
+        dense = np.array([[1.0, 0.0], [0.3, 0.7]])
+        out = observation_window_scores(dense[-1:])
         assert out.tolist() == [0.3, 0.7]
 
     def test_mean_symmetry(self):
-        rows = [
-            from_pairs([(0, 1.0), (1, 0.0)]),
-            from_pairs([(0, 0.0), (1, 1.0)]),
-        ]
-        out = observation_window_scores(rows, window=2)
+        out = observation_window_scores(np.array([[1.0, 0.0], [0.0, 1.0]]))
         assert out.tolist() == [0.5, 0.5]
 
     def test_window_zero_rejected(self):
+        # the block carries no window size; the policy that sizes the ring checks it
+        budget = BudgetConfig(beta1=1, max_decode_steps=2)
         with pytest.raises(ValueError, match="window"):
-            observation_window_scores([from_pairs([(0, 1.0)])], window=0)
+            DecodingPolicy(PolicyKind.SCOPE_SLIDE, budget, selector=SelectorKind.WINDOW, observation_window=0)
 
     def test_no_rows_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            observation_window_scores([], window=2)
+            observation_window_scores(np.zeros((0, 2)))
 
     def test_absent_position_contributes_zero_to_mean(self):
-        rows = [
-            from_pairs([(0, 1.0)]),
-            from_pairs([(0, 1.0), (1, 0.4)]),
-        ]
-        out = observation_window_scores(rows, window=2)
+        # position 1 is absent from the first attention row: a 0.0 in its dense row
+        out = observation_window_scores(np.array([[1.0, 0.0], [1.0, 0.4]]))
         assert out.tolist() == [1.0, 0.2]
 
     @given(seed=st.integers(0, 2**32 - 1), window=st.integers(1, 4))
@@ -173,8 +166,7 @@ class TestObservationWindow:
         rng = np.random.default_rng(seed)
         n_rows, n_pos = 4, 6
         dense = rng.random((n_rows, n_pos))
-        rows = [ScoreVector.from_dense(dense[i]) for i in range(n_rows)]
-        out = observation_window_scores(rows, window=window)
+        out = observation_window_scores(dense[-window:])
         expected = dense[-window:].mean(axis=0)
         assert np.allclose(out, expected)
 
@@ -187,9 +179,3 @@ class TestScoreVector:
     def test_negative_scores_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             ScoreVector([0, 1], [0.5, -0.5])
-
-    def test_restrict_from(self):
-        vec = ScoreVector([0, 4, 9, 12], [0.1, 0.2, 0.3, 0.4])
-        cut = vec.restrict_from(9)
-        assert cut.positions.tolist() == [9, 12]
-        assert cut.scores.tolist() == [0.3, 0.4]
