@@ -10,7 +10,7 @@ policies cut across both.
 Positions are absolute token indices over prompt-then-output, so origin
 classification never needs to know the prompt length at eviction time.
 Keys and values are not part of a pool: the closed-loop engine keeps them
-in its own per-layer buffers, indexed by position.
+in its own per-layer buffers, in the pool's order.
 """
 
 from __future__ import annotations

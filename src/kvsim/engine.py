@@ -6,9 +6,10 @@ only a small per-mode function differs:
 
 * closed loop — a seeded stand-in model computes keys/values and attention
   over whatever is retained, so eviction changes every subsequent output.
-  The engine alone owns keys and values: one preallocated (M+T) x d_model
-  buffer per layer for each, where row ``p`` holds position ``p``. Pools
-  hold positions only, and each step gathers the retained rows;
+  The engine alone owns keys and values: each layer has a lane of
+  head-major key and value buffers holding only the retained entries, in
+  pool order. Pools hold positions only; a step appends its new entry to
+  the lane, and the lane compacts in place after its layer evicts;
 * trace replay — prerecorded full-prefix rows are sliced to the retained
   positions and renormalized, which isolates policy accounting from model
   dynamics (an idealization: real models change scores under eviction).
@@ -51,8 +52,8 @@ class ToyModel:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model={self.d_model} not divisible by n_heads={self.n_heads}")
-        if self.recency_bias < 0:
-            raise ValueError("recency_bias must be nonnegative")
+        if not 0 <= self.recency_bias < math.inf:  # also false for NaN
+            raise ValueError(f"recency_bias must be finite and nonnegative, got {self.recency_bias}")
 
 
 class ModelWeights:
@@ -90,25 +91,41 @@ def _rmsnorm_rows(x: np.ndarray) -> np.ndarray:
 
 
 def _attend(
-    hidden: np.ndarray, keys: np.ndarray, values: np.ndarray, pos: np.ndarray, n_heads: int, bias: float
+    hidden: np.ndarray, keys: np.ndarray, values: np.ndarray, pos: np.ndarray, bias: float
 ) -> tuple[AttentionRow, np.ndarray]:
     """Multi-head attention of one hidden state over the retained entries:
-    ``keys``/``values`` are their (n, d_model) rows, ``pos`` their ascending
-    positions. Returns the head-averaged row (selection view) and the
-    concatenated per-head context (value view)."""
-    n = len(pos)
-    d = hidden.shape[0]
-    dh = d // n_heads
-    kh = keys.reshape(n, n_heads, dh)
-    vh = values.reshape(n, n_heads, dh)
-    qh = hidden.reshape(n_heads, dh)
-    logits = np.einsum("nhd,hd->hn", kh, qh) / math.sqrt(dh)
-    logits += bias * (pos - pos[-1])[None, :]
+    ``keys``/``values`` are their head-major (n_heads, n, head_dim) rows,
+    ``pos`` their ascending positions. Returns the head-averaged row
+    (selection view) and the concatenated per-head context (value view).
+
+    The logits are (n_heads, n), so every reduction runs along contiguous
+    memory. Three of them keep the bits of a position-major (n, n_heads)
+    layout, which the pinned runs record: numpy folds that layout
+    sequentially along n and sums its heads pairwise. So the softmax
+    denominator and a head_dim-1 context fold along n with
+    ``add.accumulate``. The head mean folds the rows below 8 heads, where
+    the pairwise sum is a fold; from 8 heads on it sums the transposed
+    weights. (That sum keeps the bits below 8 heads too, but it is slower
+    there.)"""
+    n_heads, n, dh = keys.shape
+    logits = np.einsum("hnd,hd->hn", keys, hidden.reshape(n_heads, dh))
+    logits /= math.sqrt(dh)
+    logits += bias * (pos - pos[-1])
     logits -= logits.max(axis=1, keepdims=True)
-    weights = np.exp(logits)
-    weights /= weights.sum(axis=1, keepdims=True)
-    context = np.einsum("hn,nhd->hd", weights, vh).reshape(d)
-    return AttentionRow(pos, weights.mean(axis=0), validate=False), context
+    weights = np.exp(logits, out=logits)
+    if n_heads == 1:
+        weights /= weights.sum(axis=1, keepdims=True)
+    else:
+        weights /= np.add.accumulate(weights, axis=1)[:, -1:]
+    if dh == 1 and n_heads > 1:
+        context = np.add.accumulate(weights * values[:, :, 0], axis=1)[:, -1]
+    else:
+        context = np.einsum("hn,hnd->hd", weights, values).reshape(n_heads * dh)
+    if n_heads < 8:
+        row = weights.sum(axis=0) / n_heads
+    else:
+        row = np.ascontiguousarray(weights.T).sum(axis=1) / n_heads
+    return AttentionRow(pos, row, validate=False), context
 
 
 # ----------------------------------------------------------------------
@@ -386,25 +403,48 @@ def _replay_attention(trace: Trace, prefill: PrefillResult, steps: int):
 
 
 def _closed_loop_attention(model: ToyModel, prefill: PrefillResult, steps: int):
-    """Closed loop's ``attend(layer, t, pos, h) -> (row, h)``: writes the
-    new position ``pos[-1]``'s key and value into the layer's buffers,
-    attends over the retained rows and returns the layer's output
-    ``rmsnorm(h + context)``. ``prefill`` must come from a pass of
-    ``model`` itself."""
+    """Closed loop's ``attend(layer, t, pos, h) -> (row, h)``: appends the
+    new position ``pos[-1]``'s key and value to the layer's lane, attends
+    over the lane and returns the layer's output ``rmsnorm(h + context)``.
+    ``prefill`` must come from a pass of ``model`` itself.
+
+    A lane is a pair of head-major (n_heads, prefill_size + steps,
+    head_dim) buffers holding the retained entries' keys and values in pool
+    order, seeded from the retained rows of the prompt pass (which is only
+    read). Pools only shrink between appends, so ``pos[:-1]`` is a
+    subsequence of the lane's last positions. When the layer's runner
+    evicted below the lane's end, the lane moves the surviving rows from
+    the first evicted one onward down, in order, before it appends."""
     prompt = prefill.prompt
     if prompt is None or prompt.model != model:
         raise ValueError(f"closed loop needs a prefill computed by the same model, {model}")
     weights = prompt.weights
-    room = np.empty((steps, model.d_model))
-    keys = [np.concatenate((k, room)) for k, _ in prompt.prompt_kv]
-    values = [np.concatenate((v, room)) for _, v in prompt.prompt_kv]
+    heads = model.n_heads
+    dh = model.d_model // heads
+    keys, values, held = [], [], []
+    for (k, v), pool in zip(prompt.prompt_kv, prefill.pools):
+        kept = pool.prefill_entries
+        for lanes, rows in ((keys, k), (values, v)):
+            lane = np.empty((heads, len(kept) + steps, dh))
+            lane[:, : len(kept)] = rows[kept].reshape(len(kept), heads, dh).transpose(1, 0, 2)
+            lanes.append(lane)
+        held.append(kept)
 
     def attend(layer: int, t: int, pos: np.ndarray, h: np.ndarray) -> tuple[AttentionRow, np.ndarray]:
-        keys[layer][pos[-1]] = h @ weights.w_k[layer]
-        values[layer][pos[-1]] = h @ weights.w_v[layer]
-        row, context = _attend(
-            h, keys[layer][pos], values[layer][pos], pos, model.n_heads, model.recency_bias
-        )
+        k, v, before, n = keys[layer], values[layer], held[layer], len(pos)
+        survivors = n - 1
+        # survivors are a subsequence of the lane: one differs from its row
+        # exactly when an entry before it was evicted, so the last survivor
+        # tells whether any row must move
+        if survivors and before[survivors - 1] != pos[survivors - 1]:
+            first = int(np.argmax(before[:survivors] != pos[:survivors]))
+            source = first + np.searchsorted(before[first:], pos[first:survivors])
+            k[:, first:survivors] = k.take(source, axis=1)
+            v[:, first:survivors] = v.take(source, axis=1)
+        k[:, n - 1] = (h @ weights.w_k[layer]).reshape(heads, dh)
+        v[:, n - 1] = (h @ weights.w_v[layer]).reshape(heads, dh)
+        held[layer] = pos
+        row, context = _attend(h, k[:, :n], v[:, :n], pos, model.recency_bias)
         return row, _rmsnorm(h + context)
 
     return attend

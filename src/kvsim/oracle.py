@@ -24,8 +24,11 @@ DEFAULT_SIZE_GUARD = 4096
 
 @dataclass
 class ReferenceRun:
-    """Dense full-cache run, no eviction. ``rows[t - 1]`` is step t's
-    full-prefix row, or ``None`` at a step the run was not asked to keep."""
+    """Dense reference run. ``rows[t - 1]`` is step t's full-prefix row
+    (the layer mean, zero at positions no layer attended to), or ``None``
+    at a step the run was not asked to keep. A run given the attended
+    positions also keeps ``layer_rows[t - 1][layer]``, that layer's own
+    row over its attended positions, at the same steps."""
 
     model: ToyModel
     prompt_len: int
@@ -33,6 +36,7 @@ class ReferenceRun:
     rows: list[np.ndarray | None]
     prompt_scores: np.ndarray
     outputs: np.ndarray
+    layer_rows: list[list[np.ndarray] | None] | None = None
 
     def to_trace(self) -> Trace:
         if any(row is None for row in self.rows):
@@ -48,17 +52,29 @@ class ReferenceRun:
 
 
 def full_cache_reference(
-    model: ToyModel, m: int, t_steps: int, *, rows_at: Sequence[int] | None = None, allow_large: bool = False
+    model: ToyModel,
+    m: int,
+    t_steps: int,
+    *,
+    rows_at: Sequence[int] | None = None,
+    attended: Sequence[Sequence[Sequence[int]]] | None = None,
+    allow_large: bool = False,
 ) -> ReferenceRun:
-    """Run the toy model with no eviction, storing full-prefix rows densely:
-    every step's by default ((m + t_steps)^2 / 2 floats, refused above
+    """Run the toy model, storing full-prefix rows densely: every step's by
+    default ((m + t_steps)^2 / 2 floats, refused above
     ``DEFAULT_SIZE_GUARD`` positions unless ``allow_large``), or only the
     steps in ``rows_at`` (within 1..t_steps), with ``None`` at the others
     and no guard. Re-derives the forward pass stepwise rather than reusing
     the engine, so the two can be cross-checked: one loop over positions,
     prompt and decode alike, and a literal loop over heads. Each new key
     and value is written into a preallocated (m + t_steps) x d_model
-    buffer per layer, and attention reads the first p + 1 rows of it."""
+    buffer per layer, indexed by position.
+
+    The prompt attends causally over every earlier position. A decode
+    step attends over the whole prefix too (no eviction), unless
+    ``attended[t - 1][layer]`` lists the ascending positions step t
+    attended to in that layer, ending at its own position ``m + t - 1``;
+    the run then also returns each layer's own rows (``layer_rows``)."""
     if m < 1 or t_steps < 0:
         raise ValueError("need m >= 1 and t_steps >= 0")
     if rows_at is None and m + t_steps > DEFAULT_SIZE_GUARD and not allow_large:
@@ -69,6 +85,14 @@ def full_cache_reference(
     kept = set(range(1, t_steps + 1) if rows_at is None else rows_at)
     if not all(1 <= t <= t_steps for t in kept):
         raise ValueError(f"rows_at: steps must lie in 1..{t_steps}, got {sorted(kept)}")
+    if attended is not None:
+        if len(attended) != t_steps or any(len(layers) != model.n_layers for layers in attended):
+            raise ValueError(f"attended: need {model.n_layers} position lists for each of {t_steps} steps")
+        for t, layers in enumerate(attended, start=1):
+            for positions in layers:
+                listed = [int(q) for q in positions]
+                if not listed or listed != sorted(set(listed)) or listed[0] < 0 or listed[-1] != m + t - 1:
+                    raise ValueError(f"attended: step {t} must list ascending positions ending at {m + t - 1}")
     weights = ModelWeights(model)
     heads, d = model.n_heads, model.d_model
     dh = d // heads
@@ -77,12 +101,13 @@ def full_cache_reference(
     keys = [np.empty((m + t_steps, d)) for _ in range(model.n_layers)]
     values = [np.empty((m + t_steps, d)) for _ in range(model.n_layers)]
 
-    def attend_one(h: np.ndarray, layer: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Attention of ``h`` over the first ``n`` positions."""
-        k_mat = keys[layer][:n]
-        v_mat = values[layer][:n]
-        offsets = np.arange(n) - (n - 1)
-        row_acc = np.zeros(n)
+    def attend_one(h: np.ndarray, layer: int, p: int, at: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+        """Attention of ``h`` at position ``p`` over positions ``at``, or
+        over 0..p when ``at`` is None."""
+        k_mat = keys[layer][: p + 1] if at is None else keys[layer][at]
+        v_mat = values[layer][: p + 1] if at is None else values[layer][at]
+        offsets = (np.arange(p + 1) if at is None else at) - p
+        row_acc = np.zeros(len(k_mat))
         ctx = np.zeros(d)
         for head in range(heads):
             q = h[head * dh : (head + 1) * dh]
@@ -101,6 +126,7 @@ def full_cache_reference(
 
     prompt_colsums = np.zeros(m)
     rows: list[np.ndarray | None] = []
+    layer_rows: list[list[np.ndarray] | None] = []
     outputs = np.zeros((t_steps, d))
     embeddings = weights.embeddings(m)
     for p in range(m + t_steps):
@@ -108,21 +134,29 @@ def full_cache_reference(
             h = embeddings[p]
         elif p == m:  # a later decode step reads the previous output as it is
             h = norm(h)
+        own = []  # each layer's own row, kept when the attended positions are given
         for layer in range(model.n_layers):
             keys[layer][p] = h @ weights.w_k[layer]
             values[layer][p] = h @ weights.w_v[layer]
-            row, ctx = attend_one(h, layer, p + 1)
+            at = None if p < m or attended is None else np.array(attended[p - m][layer], dtype=np.int64)
+            row, ctx = attend_one(h, layer, p, at)
+            if at is not None:
+                own.append(row)
+                row = np.zeros(p + 1)
+                row[at] = own[-1]
             layer_mean = row / model.n_layers if layer == 0 else layer_mean + row / model.n_layers
             h = norm(h + ctx)
         if p < m:
             prompt_colsums[: p + 1] += layer_mean
         else:
             rows.append(layer_mean if p - m + 1 in kept else None)
+            layer_rows.append(own if p - m + 1 in kept else None)
             outputs[p - m] = h
 
     return ReferenceRun(
         model=model, prompt_len=m, steps=t_steps, rows=rows,
         prompt_scores=prompt_colsums, outputs=outputs,
+        layer_rows=None if attended is None else layer_rows,
     )
 
 

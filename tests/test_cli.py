@@ -133,6 +133,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="recency_bias"):
             cfg.validate()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_recency_bias_rejected(self, value):
+        cfg = parse_config_text(f"M = 8\nT = 8\nrecency_bias = {value}")
+        with pytest.raises(ConfigError, match=f"recency_bias: recency_bias must be finite and nonnegative, got {value}"):
+            cfg.validate()
+
     def test_full_smoke_config(self):
         cfg = parse_config_text(SMOKE_CONFIG)
         cfg.validate()
@@ -457,6 +463,15 @@ class TestCLI:
         assert "recency_bias" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_recency_bias_exit_one(self, tmp_path, capsys, value):
+        # a NaN or infinite slope used to load and then crash in the checkpoint metrics
+        out_dir = tmp_path / "out"
+        path = write_config(tmp_path, SMOKE_CONFIG + f"recency_bias = {value}\noutput_dir = {out_dir}\n")
+        assert main(["run", str(path)]) == 1
+        assert "recency_bias" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_sweep_value_past_dense_guard_fills_checkpoints(self, tmp_path):
         # M + T = 4104 at T = 4080: the reference keeps only the rows of checkpoints 4 and 16
         out_dir = tmp_path / "out"
@@ -691,7 +706,7 @@ class TestCLI:
 KNOB_VALUES = {
     "d_model": ([4, 8], [0, 6]),
     "n_heads": ([1, 2], [0, 3]),
-    "recency_bias": ([0.0, 0.05], [-0.1]),
+    "recency_bias": ([0.0, 0.05], [-0.1, float("nan"), float("inf")]),
     "prefill.alpha1": ([0, 1, 4, 8], [-1]),
     "prefill.alpha2": ([0, 1, 2, 4, 30], [-1]),
     "prefill.pooling_width": ([1, 3, 7], [-1, 0, 4]),

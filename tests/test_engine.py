@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -26,9 +27,25 @@ from kvsim.traceio import TraceError, synthetic_trace
 def single_head_row(query, keys, bias=0.0):
     """Attention row of one single-head query over keys at positions
     0..n-1, the engine's selection view."""
-    keys = np.asarray(keys, dtype=np.float64)
-    pos = np.arange(len(keys), dtype=np.int64)
-    return _attend(np.asarray(query, dtype=np.float64), keys, np.zeros_like(keys), pos, 1, bias)[0]
+    keys = np.asarray(keys, dtype=np.float64)[None]
+    pos = np.arange(keys.shape[1], dtype=np.int64)
+    return _attend(np.asarray(query, dtype=np.float64), keys, np.zeros_like(keys), pos, bias)[0]
+
+
+def row_major_attend(hidden, keys, values, pos, n_heads, bias):
+    """Position-major reference whose bits the head-major kernel keeps:
+    gather the retained rows of (positions, d_model) buffers, contract
+    over them n-major and average the heads with ``mean``."""
+    k, v = keys[pos], values[pos]
+    n, d = k.shape
+    dh = d // n_heads
+    logits = np.einsum("nhd,hd->hn", k.reshape(n, n_heads, dh), hidden.reshape(n_heads, dh)) / math.sqrt(dh)
+    logits += bias * (pos - pos[-1])[None, :]
+    logits -= logits.max(axis=1, keepdims=True)
+    weights = np.exp(logits)
+    weights /= weights.sum(axis=1, keepdims=True)
+    context = np.einsum("hn,nhd->hd", weights, v.reshape(n, n_heads, dh)).reshape(d)
+    return weights.mean(axis=0), context
 
 
 class TestToyAttention:
@@ -61,6 +78,35 @@ class TestToyAttention:
         row = single_head_row(rng.normal(size=6), rng.normal(size=(n, 6)), bias)
         assert abs(float(row.scores.sum()) - 1.0) < 1e-9
         assert np.all(row.scores >= 0)
+
+    @given(
+        n_heads=st.integers(1, 16),
+        head_dim=st.integers(1, 16),
+        n=st.integers(1, 4000),
+        bias=st.sampled_from([0.0, 0.05]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_head_major_kernel_keeps_row_major_bits(self, n_heads, head_dim, n, bias, seed):
+        """``_attend`` over a lane's head-major views gives the row-major
+        form's bits exactly, at any head shape and up to thousands of
+        entries, with logits from flat to sharply peaked."""
+        rng = np.random.default_rng(seed)
+        d, total = n_heads * head_dim, n + int(rng.integers(0, n + 1))
+        pos = np.sort(rng.choice(total, n, replace=False))
+        pos[-1] = total - 1  # the newest position attends, as in a decode step
+        keys, values = rng.uniform(-1, 1, (total, d)), rng.uniform(-1, 1, (total, d))
+        hidden = rng.uniform(-1, 1, d) * 10.0 ** rng.uniform(-1, 1.5)
+        lane = []
+        for rows in (keys, values):
+            buffer = np.empty((n_heads, n + int(rng.integers(0, 8)), head_dim))
+            buffer[:, :n] = rows[pos].reshape(n, n_heads, head_dim).transpose(1, 0, 2)
+            lane.append(buffer[:, :n])
+        row, context = _attend(hidden, *lane, pos, bias)
+        want_row, want_context = row_major_attend(hidden, keys, values, pos, n_heads, bias)
+        assert np.array_equal(row.positions, pos)
+        assert np.array_equal(row.scores, want_row)
+        assert np.array_equal(context, want_context)
 
 
 class TestRunPrefill:
@@ -363,6 +409,42 @@ def test_multi_layer_pyramid_runs_pinned():
         digest.update(record.outputs.astype("<f8").tobytes())
     assert clipped > 0
     assert digest.hexdigest() == PYRAMID_DIGEST
+
+
+# sha256 over every layer's retained positions and attention row after
+# every step and the outputs (little-endian) of closed-loop runs at head
+# shapes the pyramid pin never reaches: n_heads 1/3/8/16 x head_dim 1/2/16,
+# each under every kind x selector, with 1-3 layers and recency_bias
+# 0/0.05 taking turns. Half the runs keep the whole 132-token prompt, so
+# the scope kinds attend over 132-156 entries and the unified kinds
+# evict most of the prompt at their first step.
+HEAD_SHAPE_DIGEST = "1d95783078dde8398caa1ecf3e8a8622cddbfdf42be7193d06ef215be2814abf"
+
+
+def test_closed_loop_head_shapes_pinned():
+    digest = hashlib.sha256()
+    m, t_steps = 132, 24
+    budget = BudgetConfig(4, 3, 3, 2, t_steps)
+    prompts = (
+        PrefillPolicy(kind=PrefillPolicyKind.TOPK_LOCAL, alpha1=4, alpha2=3),
+        PrefillPolicy(kind=PrefillPolicyKind.FULL),
+    )
+    passes = {}
+    runs = itertools.product((1, 3, 8, 16), (1, 2, 16), list(PolicyKind), list(SelectorKind))
+    for i, (n_heads, head_dim, kind, selector) in enumerate(runs):
+        n_layers, bias = 1 + i % 3, 0.05 * (i % 2)
+        model = ToyModel(n_heads + head_dim, n_heads * head_dim, n_heads, n_layers, bias)
+        if model not in passes:
+            passes[model] = PromptPass(model, m, 3)
+        policy = DecodingPolicy(kind, budget, selector=selector, observation_window=4)
+        prefill = run_prefill(model, m, prompts[(i // 2) % 2], passes[model])
+        record = decode_loop(model, prefill, policy, capture_positions=True, capture_rows=True)
+        for t, layer in itertools.product(range(1, t_steps + 1), range(n_layers)):
+            for side in record.positions_at(t, layer):
+                digest.update(np.array([len(side), *sorted(side)], dtype="<i8").tobytes())
+            digest.update(record.layers[layer].rows[t - 1].scores.astype("<f8").tobytes())
+        digest.update(record.outputs.astype("<f8").tobytes())
+    assert digest.hexdigest() == HEAD_SHAPE_DIGEST
 
 
 class TestModelWeights:

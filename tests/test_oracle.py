@@ -1,6 +1,7 @@
 """Brute-force references and naive/optimized cross-checks."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -287,6 +288,96 @@ def test_closed_loop_decisions_match_naive_simulator(kind, selector, seeded, n_l
         assert np.array_equal(log.peak_entries, np.concatenate(([log.initial_prefill_size], totals[:-1])) + 1)
         assert np.array_equal(log.evicted, log.peak_entries - totals)
         assert np.array_equal(log.ran_selection, log.evicted > 0)
+
+
+@given(
+    kind=st.sampled_from(list(PolicyKind)),
+    selector=st.sampled_from(list(SelectorKind)),
+    n_layers=st.integers(1, 3),
+    n_heads=st.sampled_from([1, 2, 3]),
+    head_dim=st.sampled_from([1, 2, 4]),
+    bias=st.sampled_from([0.0, 0.05]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_closed_loop_forward_pass_matches_reference(kind, selector, n_layers, n_heads, head_dim, bias, seed):
+    """Under any policy's evictions, each layer's closed-loop rows and the
+    run's outputs equal the literal reference's when it attends, at every
+    step and layer, over the positions the run retained after the step
+    before plus the new one. Rows agree within 1e-14 and the RMS-normalized
+    outputs within 1e-12, absolute: errors ride the feedback loop, so a
+    relative bound fails on outputs near zero."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 20))
+    beta1, beta2 = int(rng.integers(1, 5)), int(rng.integers(0, 4))
+    t_steps = beta1 + beta2 + int(rng.integers(beta1, 20))
+    budget = BudgetConfig(
+        alpha1=int(rng.integers(0, 6)), alpha2=int(rng.integers(1, 4)),
+        beta1=beta1, beta2=beta2, max_decode_steps=t_steps,
+    )
+    policy = DecodingPolicy(kind, budget, selector=selector, observation_window=int(rng.integers(1, 6)))
+    prompt_policy = PrefillPolicy(kind=PrefillPolicyKind.TOPK_LOCAL, alpha1=budget.alpha1, alpha2=budget.alpha2)
+    model = ToyModel(seed % 1000, n_heads * head_dim, n_heads, n_layers, bias)
+    prefill = run_prefill(model, m, prompt_policy)
+    record = decode_loop(model, prefill, policy, t_steps, capture_positions=True, capture_rows=True)
+    attended = []
+    for t in range(1, t_steps + 1):
+        step = []
+        for layer in range(n_layers):
+            if t == 1:
+                before = prefill.pools[layer].prefill_entries.tolist()
+            else:
+                before = sorted(set().union(*record.positions_at(t - 1, layer)))
+            step.append([*before, m + t - 1])
+        attended.append(step)
+    reference = full_cache_reference(model, m, t_steps, attended=attended)
+    for t, layer in itertools.product(range(1, t_steps + 1), range(n_layers)):
+        row = record.layers[layer].rows[t - 1]
+        assert row.positions.tolist() == attended[t - 1][layer]
+        np.testing.assert_allclose(row.scores, reference.layer_rows[t - 1][layer], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(record.outputs, reference.outputs, rtol=0, atol=1e-12)
+
+
+class TestReferenceAttended:
+    def test_every_position_gives_the_default_run(self):
+        model = ToyModel(seed=9, d_model=16, n_heads=2, n_layers=2, recency_bias=0.05)
+        m, t_steps = 12, 10
+        every = full_cache_reference(model, m, t_steps)
+        prefix = [[list(range(m + t))] * 2 for t in range(1, t_steps + 1)]
+        given_all = full_cache_reference(model, m, t_steps, attended=prefix, rows_at=[2, 7])
+        assert np.array_equal(given_all.outputs, every.outputs)
+        assert np.array_equal(given_all.prompt_scores, every.prompt_scores)
+        for t in range(1, t_steps + 1):
+            if t in (2, 7):
+                assert np.array_equal(given_all.rows[t - 1], every.rows[t - 1])
+                assert len(given_all.layer_rows[t - 1]) == 2
+            else:
+                assert given_all.rows[t - 1] is None and given_all.layer_rows[t - 1] is None
+        assert every.layer_rows is None
+
+    def test_evicted_positions_get_no_weight(self):
+        model = ToyModel(seed=9, d_model=8, n_heads=2)
+        attended = [[[0, 3, 5]], [[3, 5, 6]]]
+        reference = full_cache_reference(model, 5, 2, attended=attended)
+        for row, own, at in zip(reference.rows, reference.layer_rows, attended):
+            assert np.flatnonzero(row).tolist() == at[0]
+            assert np.array_equal(row[at[0]], own[0])
+
+    @pytest.mark.parametrize(
+        "attended, match",
+        [
+            ([[[0, 5]]], "position lists"),
+            ([[[0, 5], [5]], [[6], [6]]], "position lists"),
+            ([[[5]], [[0, 5]]], "ending at 6"),
+            ([[[3, 1, 5]], [[6]]], "ascending"),
+            ([[[-1, 5]], [[6]]], "ascending"),
+            ([[[5, 5]], [[6]]], "ascending"),
+            ([[[]], [[6]]], "ascending"),
+        ],
+    )
+    def test_malformed_attended_rejected(self, attended, match):
+        with pytest.raises(ValueError, match=match):
+            full_cache_reference(ToyModel(seed=1, d_model=8, n_heads=2), 5, 2, attended=attended)
 
 
 @given(
