@@ -97,11 +97,6 @@ def _run_grid(cfg: ExperimentConfig, file_trace: Trace | None) -> list[CellResul
     """Every (policy, seed) cell of one config, token-major, on inputs
     built once per seed before the cells run. The inputs go when it
     returns, before the next sweep value builds its own."""
-    if file_trace is not None and (file_trace.M != cfg.M or file_trace.T < cfg.T):
-        raise TraceError(
-            f"trace shape (M={file_trace.M}, T={file_trace.T}) does not cover the configured "
-            f"run (M={cfg.M}, T={cfg.T})"
-        )
     inputs = [_seed_inputs(cfg, seed, file_trace) for seed in cfg.seeds]
     return [_run_cell(cfg, token, seed_inputs) for token in cfg.policies for seed_inputs in inputs]
 
@@ -166,7 +161,8 @@ def run_experiment(
     pair. Cells run in config order; reports are deterministic given the
     config and seeds (modulo the optional timestamp). An axis outside
     ``SWEEP_AXES``, no or repeated values, or a grid that cannot run raise
-    ``ConfigError`` before any cell runs."""
+    ``ConfigError`` (``TraceError`` if the trace file does not cover it)
+    before any cell runs."""
     grids: list[tuple[ExperimentConfig, str | None, int | float | None]] = []
     if axis is None:
         grids.append((cfg, None, None))
@@ -183,6 +179,12 @@ def run_experiment(
     # a trace file is read once; every other per-seed input depends on the
     # axis value and is rebuilt per grid
     file_trace = read_trace(cfg.trace_path) if cfg.trace_path else None
+    for sub, _, _ in grids:
+        if file_trace is not None and (file_trace.M != sub.M or file_trace.T < sub.T):
+            raise TraceError(
+                f"trace shape (M={file_trace.M}, T={file_trace.T}) does not cover the configured "
+                f"run (M={sub.M}, T={sub.T})"
+            )
     cells = []
     for sub, ax, value in grids:
         for cell in _run_grid(sub, file_trace):
@@ -334,8 +336,8 @@ def main(argv: list[str] | None = None) -> int:
             model = ToyModel(cfg.seeds[0], cfg.d_model, cfg.n_heads, cfg.n_layers, cfg.recency_bias)
             try:
                 reference = full_cache_reference(model, cfg.M, cfg.T, allow_large=args.allow_large)
-            except ValueError as exc:
-                print(f"config error: {exc}", file=sys.stderr)
+            except ValueError as exc:  # the dense-size guard, whose override is a flag here
+                print(f"config error: {str(exc).replace('allow_large=True', '--allow-large')}", file=sys.stderr)
                 return 1
             write_trace(reference.to_trace(), args.out)
             print(f"wrote trace M={cfg.M} T={cfg.T} -> {args.out}")

@@ -110,14 +110,15 @@ class DecodingPolicy:
         return [replace(self, budget=BudgetConfig(h, w, max_decode_steps=b.max_decode_steps)) for h, w in splits]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # a field-wise == would ask an array for one truth value
 class StepDecision:
-    """Audit record for one policy step. ``ran_selection`` marks that the
-    policy executed its retention-update operation; ``evicted_count`` is
-    how many entries that operation removed."""
+    """One policy step's eviction. ``keep`` masks its region, a suffix of the
+    step's row (the decode side for SCOPE, the whole row otherwise): the step
+    evicts ``row.positions[-len(keep):][~keep]``. None: no selection ran."""
 
     ran_selection: bool
     evicted_count: int
+    keep: np.ndarray | None = None
 
 
 _APPEND_ONLY = StepDecision(ran_selection=False, evicted_count=0)
@@ -224,10 +225,10 @@ class PolicyRunner:
             raise InvariantError(f"attention row covers {len(row)} positions, the pool holds {pool.total_size}")
         if policy.kind is PolicyKind.PREFILL_ONLY:
             return pool, _APPEND_ONLY
+        if self._scope:  # SCOPE's region is the decode side of a row over pool.all_positions()
+            cut = pool.prefill_size
+            row = ScoreVector(row.positions[cut:], row.scores[cut:], validate=False)
         if self._observes:
-            if self._scope:  # the row is over pool.all_positions(), prompt side first
-                cut = pool.prefill_size
-                row = ScoreVector(row.positions[cut:], row.scores[cut:], validate=False)
             if self._cumulative:
                 self._acc.add_row(row)
             else:
@@ -236,9 +237,9 @@ class PolicyRunner:
                 slot[row.positions - self._first] = row.scores
                 self._observed += 1
         target = scope_target(policy.kind, t, policy.budget) if self._scope else self._total
-        if target is None or (pool.decoding_size if self._scope else pool.total_size) <= target:
+        region = row.positions
+        if target is None or len(region) <= target:
             return pool, _APPEND_ONLY
-        region = pool.decoding_entries if self._scope else pool.all_positions()
         sink, end, k = self._sink, len(region) - self._local, target - self._sink - self._local
         keep = np.ones(len(region), dtype=bool)
         keep[sink:end] = top_k_mask(self._selector_scores(region[sink:end]), k) if k > 0 else False
@@ -247,10 +248,10 @@ class PolicyRunner:
         if self._scope:
             new_pool = evict_decoding(pool, keep)
         else:
-            # keep is a mask over pool.all_positions(): prompt side, then decoding side
+            # keep is a mask over the whole row: prompt side, then decoding side
             split = pool.prefill_size
             new_pool = CachePool(pool.prefill_entries[keep[:split]], pool.decoding_entries[keep[split:]])
-        return new_pool, StepDecision(True, pool.total_size - new_pool.total_size)
+        return new_pool, StepDecision(True, pool.total_size - new_pool.total_size, keep)
 
     def _selector_scores(self, candidates: np.ndarray) -> np.ndarray:
         if self.policy.selector is SelectorKind.CUMULATIVE:

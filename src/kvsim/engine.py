@@ -197,6 +197,7 @@ class PromptPass:
             self.colsums.append(colsums)
             self.obs_rows.append(observed)
             self.prompt_kv.append((k, v))
+            del logits, att, rows, context  # before the next layer allocates its (n_heads, m, m) arrays
         self.next_input = _rmsnorm(hidden[m - 1])
         self.next_input.flags.writeable = False
 
@@ -265,22 +266,25 @@ class StepRow(NamedTuple):
 
 class LayerLog:
     """One layer's per-step columns, preallocated to the run length; index
-    ``t - 1`` holds step ``t``. ``peak_entries`` is the pool size after the
-    step's append and before its eviction, the two section sizes are after
-    the eviction. ``captured`` keeps the (immutable) pool of each captured
-    step, and ``rows`` the layer's attention row of every step when the
-    run captures rows."""
+    ``t - 1`` holds step ``t``: the section sizes after the step's eviction
+    and the entries it ``evicted``, which sum to ``peak_entries``. ``captured``
+    holds captured steps' pools, ``rows`` every step's row with capture_rows."""
 
-    def __init__(self, layer: int, initial_prefill_size: int, steps: int) -> None:
-        self.layer = layer
+    def __init__(self, initial_prefill_size: int, steps: int) -> None:
         self.initial_prefill_size = initial_prefill_size
         self.prefill_size = np.zeros(steps, dtype=np.int64)
         self.decoding_size = np.zeros(steps, dtype=np.int64)
-        self.peak_entries = np.zeros(steps, dtype=np.int64)
-        self.ran_selection = np.zeros(steps, dtype=bool)
         self.evicted = np.zeros(steps, dtype=np.int64)
         self.captured: dict[int, CachePool] = {}
         self.rows: list[AttentionRow] = []
+
+    @property
+    def peak_entries(self) -> np.ndarray:
+        return self.prefill_size + self.decoding_size + self.evicted
+
+    @property
+    def ran_selection(self) -> np.ndarray:
+        return self.evicted > 0
 
     @property
     def steps(self) -> list[StepRow]:
@@ -288,14 +292,10 @@ class LayerLog:
         columns = (self.prefill_size, self.decoding_size, self.peak_entries)
         return list(map(StepRow, *(c.tolist() for c in columns)))
 
-    def record(
-        self, t: int, pool: CachePool, peak: int, decision: StepDecision, capture: set[int]
-    ) -> None:
+    def record(self, t: int, pool: CachePool, decision: StepDecision, capture: set[int]) -> None:
         i = t - 1
         self.prefill_size[i] = pool.prefill_size
         self.decoding_size[i] = pool.decoding_size
-        self.peak_entries[i] = peak
-        self.ran_selection[i] = decision.ran_selection
         self.evicted[i] = decision.evicted_count
         if t in capture:
             self.captured[t] = pool
@@ -346,9 +346,9 @@ def decode_loop(
     if steps > horizon:
         raise ValueError(f"t_steps={steps} exceeds the budget's horizon max_decode_steps={horizon}")
     if isinstance(source, Trace):
-        attend = _replay_attention(source, prefill, steps)
+        attend, compact = _replay_attention(source, prefill, steps), None
     else:
-        attend = _closed_loop_attention(source, prefill, steps)
+        attend, compact = _closed_loop_attention(source, prefill, steps)
     m = prefill.prompt_len
     capture = set(range(1, steps + 1)) if capture_positions is True else {int(t) for t in capture_positions}
     pools = list(prefill.pools)
@@ -357,19 +357,20 @@ def decode_loop(
         runner = PolicyRunner(layer_policy, m)
         runner.seed_scores(pool.prefill_entries, colsums)
         runners.append(runner)
-    logs = [LayerLog(i, pool.prefill_size, steps) for i, pool in enumerate(pools)]
+    logs = [LayerLog(pool.prefill_size, steps) for pool in pools]
     hidden = None if prefill.prompt is None else prefill.prompt.next_input
     outputs = None if hidden is None else np.zeros((steps, len(hidden)))
 
     for t in range(1, steps + 1):
         for layer, runner in enumerate(runners):
             pools[layer] = append_decoding_entry(pools[layer], m + t - 1)
-            pre_total = pools[layer].total_size
             row, hidden = attend(layer, t, pools[layer].all_positions(), hidden)
             if capture_rows:
                 logs[layer].rows.append(row)
             pools[layer], decision = runner.step(pools[layer], row, t)
-            logs[layer].record(t, pools[layer], pre_total, decision, capture)
+            if compact and decision.keep is not None:
+                compact(layer, len(row), decision.keep)
+            logs[layer].record(t, pools[layer], decision, capture)
         if outputs is not None:
             outputs[t - 1] = hidden
 
@@ -403,48 +404,43 @@ def _replay_attention(trace: Trace, prefill: PrefillResult, steps: int):
 
 
 def _closed_loop_attention(model: ToyModel, prefill: PrefillResult, steps: int):
-    """Closed loop's ``attend(layer, t, pos, h) -> (row, h)``: appends the
-    new position ``pos[-1]``'s key and value to the layer's lane, attends
-    over the lane and returns the layer's output ``rmsnorm(h + context)``.
-    ``prefill`` must come from a pass of ``model`` itself.
+    """Closed loop's ``attend(layer, t, pos, h) -> (row, h)``, which appends
+    the new position ``pos[-1]``'s key and value to the layer's lane and
+    returns the layer's output ``rmsnorm(h + context)`` over the lane, and
+    ``compact(layer, n, keep)``. ``prefill`` must come from ``model``.
 
     A lane is a pair of head-major (n_heads, prefill_size + steps,
     head_dim) buffers holding the retained entries' keys and values in pool
     order, seeded from the retained rows of the prompt pass (which is only
-    read). Pools only shrink between appends, so ``pos[:-1]`` is a
-    subsequence of the lane's last positions. When the layer's runner
-    evicted below the lane's end, the lane moves the surviving rows from
-    the first evicted one onward down, in order, before it appends."""
+    read). When a step evicts by ``keep``, a :class:`StepDecision` mask over
+    the last ``len(keep)`` of the lane's ``n`` rows, ``compact`` moves the
+    surviving rows from the first evicted one onward down, in order."""
     prompt = prefill.prompt
     if prompt is None or prompt.model != model:
         raise ValueError(f"closed loop needs a prefill computed by the same model, {model}")
     weights = prompt.weights
     heads = model.n_heads
     dh = model.d_model // heads
-    keys, values, held = [], [], []
+    keys, values = [], []
     for (k, v), pool in zip(prompt.prompt_kv, prefill.pools):
         kept = pool.prefill_entries
         for lanes, rows in ((keys, k), (values, v)):
             lane = np.empty((heads, len(kept) + steps, dh))
             lane[:, : len(kept)] = rows[kept].reshape(len(kept), heads, dh).transpose(1, 0, 2)
             lanes.append(lane)
-        held.append(kept)
 
     def attend(layer: int, t: int, pos: np.ndarray, h: np.ndarray) -> tuple[AttentionRow, np.ndarray]:
-        k, v, before, n = keys[layer], values[layer], held[layer], len(pos)
-        survivors = n - 1
-        # survivors are a subsequence of the lane: one differs from its row
-        # exactly when an entry before it was evicted, so the last survivor
-        # tells whether any row must move
-        if survivors and before[survivors - 1] != pos[survivors - 1]:
-            first = int(np.argmax(before[:survivors] != pos[:survivors]))
-            source = first + np.searchsorted(before[first:], pos[first:survivors])
-            k[:, first:survivors] = k.take(source, axis=1)
-            v[:, first:survivors] = v.take(source, axis=1)
+        k, v, n = keys[layer], values[layer], len(pos)
         k[:, n - 1] = (h @ weights.w_k[layer]).reshape(heads, dh)
         v[:, n - 1] = (h @ weights.w_v[layer]).reshape(heads, dh)
-        held[layer] = pos
         row, context = _attend(h, k[:, :n], v[:, :n], pos, model.recency_bias)
         return row, _rmsnorm(h + context)
 
-    return attend
+    def compact(layer: int, n: int, keep: np.ndarray) -> None:
+        drop = int(np.argmin(keep))  # the first evicted row; a selection always evicts
+        first = n - len(keep) + drop
+        source = first + np.flatnonzero(keep[drop:])
+        for lane in (keys[layer], values[layer]):
+            lane[:, first : first + len(source)] = lane.take(source, axis=1)
+
+    return attend, compact

@@ -437,6 +437,33 @@ class TestCLI:
         assert main(["run", str(replay_cfg)]) == 2
         assert "trace error" in capsys.readouterr().err
 
+    def test_sweep_checks_every_grid_against_the_trace_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        trace_path = export_trace(tmp_path)
+        replay_text = (
+            "mode = trace_replay\n"
+            f"trace = {trace_path}\n"
+            "M = 12\nT = 8\npolicies = scope_slide\n"
+            "decoding.beta1 = 2\ndecoding.beta2 = 2\n"
+            f"output_dir = {tmp_path / 'out'}\n"
+        )
+        replay_cfg = write_config(tmp_path, replay_text, "replay.cfg")
+        cells = []
+        run_cell = cli._run_cell
+        monkeypatch.setattr(cli, "_run_cell", lambda *args: cells.append(args) or run_cell(*args))
+        assert main(["sweep", str(replay_cfg), "--axis", "m=12,16"]) == 2
+        assert "does not cover the configured run (M=16, T=8)" in capsys.readouterr().err
+        assert cells == []
+        assert not (tmp_path / "out").exists()
+
+    def test_trace_export_size_guard_names_the_flag(self, tmp_path, capsys):
+        cfg_text = SMOKE_CONFIG.replace("M = 24", "M = 4090").replace("metrics.checkpoints = 4, 16\n", "")
+        path = write_config(tmp_path, cfg_text)
+        assert main(["trace", "export", str(path), str(tmp_path / "big.trace")]) == 1
+        err = capsys.readouterr().err
+        assert "exceeds the guard (4096); pass --allow-large to override" in err
+        assert "allow_large" not in err
+        assert not (tmp_path / "big.trace").exists()
+
     def test_runtime_invariant_violation_exit_three(self, tmp_path, capsys, monkeypatch):
         def broken_decode_loop(*args, **kwargs):
             raise InvariantError("decoding_entries positions must be strictly ascending")

@@ -1,5 +1,7 @@
 """Decode-phase policy semantics: schedules, budgets, and phase separation."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,8 +18,9 @@ from kvsim.decoding import (
     scope_target,
     selection_interval,
 )
-from kvsim.engine import decode_loop, prefill_result_from_positions
+from kvsim.engine import ToyModel, decode_loop, prefill_result_from_positions, run_prefill
 from kvsim.metrics import efficiency
+from kvsim.prefill import PrefillPolicy, PrefillPolicyKind
 from kvsim.selection import AttentionRow, ScoreVector
 from kvsim.traceio import synthetic_trace
 
@@ -435,3 +438,59 @@ def test_window_scores_equal_a_scatter_add_fold(kind, window, extra_steps, m, be
         assert np.array_equal(scores, expected)
         assert np.array_equal(np.signbit(scores), np.signbit(expected))
     assert runner.ranked
+
+
+@given(
+    kind=st.sampled_from(list(PolicyKind)),
+    selector=st.sampled_from(list(SelectorKind)),
+    n_layers=st.integers(0, 3),  # 0: trace replay
+    prompt_kind=st.sampled_from(list(PrefillPolicyKind)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_keep_mask_is_the_record_of_each_eviction(kind, selector, n_layers, prompt_kind, seed):
+    """A step's ``keep``, applied to the last ``len(keep)`` positions of
+    its row, leaves the positions the run retains after the step, and its
+    False entries are the evicted count the layer's log holds."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 14))
+    beta1, beta2 = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+    t_steps = beta1 + beta2 + int(rng.integers(beta1, 14))  # keeps T - beta2 >= beta1
+    budget = BudgetConfig(
+        alpha1=int(rng.integers(1, 6)), alpha2=int(rng.integers(1, 4)),
+        beta1=beta1, beta2=beta2, max_decode_steps=t_steps,
+    )
+    taper = float(rng.uniform(0.3, 1))
+    policy = DecodingPolicy(
+        kind, budget, selector=selector, observation_window=int(rng.integers(1, 6)), taper_ratio=taper
+    )
+    prompt_policy = PrefillPolicy(
+        kind=prompt_kind, alpha1=budget.alpha1, alpha2=budget.alpha2, pooling_width=3, taper_ratio=taper
+    )
+    if n_layers:
+        source = ToyModel(seed % 1000, d_model=8, n_heads=2, n_layers=n_layers, recency_bias=0.05)
+    else:
+        source = synthetic_trace(m, t_steps, seed=seed % 1000)
+    prefill = run_prefill(source, m, prompt_policy)
+    decisions = {}  # runner -> its decisions; runners step in layer order
+    step = PolicyRunner.step
+
+    def recording_step(runner, pool, row, t):
+        new_pool, decision = step(runner, pool, row, t)
+        decisions.setdefault(runner, []).append(decision)
+        return new_pool, decision
+
+    with patch.object(PolicyRunner, "step", recording_step):
+        record = decode_loop(source, prefill, policy, t_steps, capture_positions=True, capture_rows=True)
+    assert len(decisions) == record.num_layers == max(n_layers, 1)
+    for layer, (log, layer_decisions) in enumerate(zip(record.layers, decisions.values())):
+        for t, (row, decision) in enumerate(zip(log.rows, layer_decisions, strict=True), start=1):
+            kept, evicted = row.positions, 0
+            if decision.keep is not None:
+                cut = len(kept) - len(decision.keep)
+                kept = np.concatenate((kept[:cut], kept[cut:][decision.keep]))
+                evicted = len(decision.keep) - np.count_nonzero(decision.keep)
+                assert evicted > 0  # a selection always evicts
+            prompt_side, decode_side = kept[kept < m].tolist(), kept[kept >= m].tolist()
+            assert record.positions_at(t, layer) == (frozenset(prompt_side), frozenset(decode_side))
+            assert evicted == decision.evicted_count == log.evicted[t - 1]

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,6 +263,19 @@ class TestSharedPromptPass:
     def test_empty_prompt_rejected(self):
         with pytest.raises(ValueError, match="prompt length must be >= 1, got 0"):
             PromptPass(self.model, 0, 0)
+
+    def test_layers_do_not_stack_their_square_arrays(self):
+        # each layer frees its (n_heads, m, m) arrays before the next allocates
+        # its own, so a second layer adds little to the pass's peak
+        def peak(n_layers):
+            tracemalloc.start()
+            try:
+                PromptPass(ToyModel(seed=1, n_layers=n_layers), 600, 8)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(2) <= 1.2 * peak(1)
 
 
 class TestDecodeLoop:
