@@ -8,9 +8,9 @@ Subcommands:
 * ``sweep <config> --axis key=v1,v2,...`` — run the cell grid per axis value;
 * ``oracle-check <config>`` — naive-simulator equivalence suite.
 
-Exit codes: 0 success, 1 config error, 2 trace error, 3 invariant violation
-(:class:`~kvsim.core.InvariantError`) detected during a run. Any other
-exception propagates with its traceback.
+Exit codes: 0 success, 1 config or output-path error, 2 trace error, 3
+invariant violation (:class:`~kvsim.core.InvariantError`) detected during a
+run. Any other exception propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -162,7 +162,8 @@ def run_experiment(
     config and seeds (modulo the optional timestamp). An axis outside
     ``SWEEP_AXES``, no or repeated values, or a grid that cannot run raise
     ``ConfigError`` (``TraceError`` if the trace file does not cover it)
-    before any cell runs."""
+    before any cell runs; after those checks, so does an ``output_dir``
+    that cannot be created (``OSError``)."""
     grids: list[tuple[ExperimentConfig, str | None, int | float | None]] = []
     if axis is None:
         grids.append((cfg, None, None))
@@ -185,14 +186,14 @@ def run_experiment(
                 f"trace shape (M={file_trace.M}, T={file_trace.T}) does not cover the configured "
                 f"run (M={sub.M}, T={sub.T})"
             )
+    out_dir = Path(cfg.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     cells = []
     for sub, ax, value in grids:
         for cell in _run_grid(sub, file_trace):
             cell.axis, cell.axis_value = ax, value
             cells.append(cell)
 
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "report.csv"
     txt_path = out_dir / "report.txt"
     csv_path.write_text("\n".join(_csv_lines(cfg, cells, cfg.timestamp)) + "\n")
@@ -241,13 +242,12 @@ def _scaled_for_check(cfg: ExperimentConfig, n_traces: int) -> ExperimentConfig:
     return sub
 
 
-def oracle_check(cfg: ExperimentConfig, n_traces: int = 3, out=None) -> int:
+def oracle_check(cfg: ExperimentConfig, n_traces: int) -> int:
     """Compare the optimized replay path against the naive re-simulations
     for every configured policy over fresh synthetic traces: each prompt
     pool against the naive prompt compressor, then the decode steps
     against the naive policy simulator. Returns the number of mismatches
     (0 = all equal)."""
-    out = out if out is not None else sys.stdout
     sub = _scaled_for_check(cfg, n_traces)
     traces = {seed: synthetic_trace(sub.M, sub.T, seed) for seed in sub.seeds}
     failures = 0
@@ -262,12 +262,9 @@ def oracle_check(cfg: ExperimentConfig, n_traces: int = 3, out=None) -> int:
             for message in (prompt, check_policy_equivalence(decoding_policy, trace, positions, sub.T)):
                 if message:
                     failures += 1
-                    print(f"MISMATCH {token} (trace seed {seed}): {message}", file=out)
+                    print(f"MISMATCH {token} (trace seed {seed}): {message}")
     status = "all policies match the naive simulator" if not failures else f"{failures} mismatch(es)"
-    print(
-        f"oracle-check: {len(sub.policies)} policies x {n_traces} traces at M={sub.M}, T={sub.T}: {status}",
-        file=out,
-    )
+    print(f"oracle-check: {len(sub.policies)} policies x {n_traces} traces at M={sub.M}, T={sub.T}: {status}")
     return failures
 
 
@@ -281,7 +278,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run every (policy, seed) cell of a config")
     p_run.add_argument("config")
-    p_run.add_argument("--no-timestamp", action="store_true", help="omit timestamps from reports")
     p_run.add_argument("--output-dir", default=None)
 
     p_trace = sub.add_parser("trace", help="trace file utilities")
@@ -296,7 +292,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run the cell grid once per axis value")
     p_sweep.add_argument("config")
     p_sweep.add_argument("--axis", required=True, metavar="KEY=V1,V2,...")
-    p_sweep.add_argument("--no-timestamp", action="store_true")
     p_sweep.add_argument("--output-dir", default=None)
 
     p_oracle = sub.add_parser("oracle-check", help="naive-simulator equivalence suite")
@@ -307,8 +302,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config)
-    if getattr(args, "no_timestamp", False):
-        cfg.timestamp = False
     if getattr(args, "output_dir", None):
         cfg.output_dir = args.output_dir
     return cfg
@@ -373,6 +366,9 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # an output path: config and trace reads raise their own errors
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -268,7 +268,7 @@ class LayerLog:
     """One layer's per-step columns, preallocated to the run length; index
     ``t - 1`` holds step ``t``: the section sizes after the step's eviction
     and the entries it ``evicted``, which sum to ``peak_entries``. ``captured``
-    holds captured steps' pools, ``rows`` every step's row with capture_rows."""
+    holds captured steps' pools, ``rows`` their attention rows in step order."""
 
     def __init__(self, initial_prefill_size: int, steps: int) -> None:
         self.initial_prefill_size = initial_prefill_size
@@ -292,13 +292,14 @@ class LayerLog:
         columns = (self.prefill_size, self.decoding_size, self.peak_entries)
         return list(map(StepRow, *(c.tolist() for c in columns)))
 
-    def record(self, t: int, pool: CachePool, decision: StepDecision, capture: set[int]) -> None:
+    def record(self, t: int, pool: CachePool, row: AttentionRow, decision: StepDecision, capture: set[int]) -> None:
         i = t - 1
         self.prefill_size[i] = pool.prefill_size
         self.decoding_size[i] = pool.decoding_size
         self.evicted[i] = decision.evicted_count
         if t in capture:
             self.captured[t] = pool
+            self.rows.append(row)
 
 
 @dataclass
@@ -326,7 +327,6 @@ def decode_loop(
     t_steps: int | None = None,
     *,
     capture_positions: Iterable[int] | bool = (),
-    capture_rows: bool = False,
 ) -> RunRecord:
     """Run ``t_steps`` decode steps (default: the budget's horizon, which
     is also their upper bound) and return the audit record. Layer ``i``
@@ -335,10 +335,10 @@ def decode_loop(
     the retained positions from the mode's source, and lets the layer's
     policy runner evict. Closed loop threads hidden states through the
     layers so eviction feeds back into later outputs; trace replay drives
-    a single policy lane (trace rows are already layer-aggregated). The
-    record keeps the retained positions of the steps in
-    ``capture_positions`` (``True``: every step) and, with
-    ``capture_rows``, every layer's attention rows in its log."""
+    a single policy lane (trace rows are already layer-aggregated). For
+    each step in ``capture_positions`` (``True``: every step; a step
+    outside 1..t_steps raises ``ValueError``), every layer's log keeps its
+    retained positions and its attention row."""
     horizon = policy.budget.max_decode_steps
     steps = t_steps if t_steps is not None else horizon
     if steps < 1:
@@ -351,6 +351,8 @@ def decode_loop(
         attend, compact = _closed_loop_attention(source, prefill, steps)
     m = prefill.prompt_len
     capture = set(range(1, steps + 1)) if capture_positions is True else {int(t) for t in capture_positions}
+    if outside := sorted(t for t in capture if not 1 <= t <= steps):
+        raise ValueError(f"capture_positions {outside} lie outside the run's steps 1..{steps}")
     pools = list(prefill.pools)
     runners = []
     for pool, colsums, layer_policy in zip(pools, prefill.seed_scores, policy.per_layer(len(pools))):
@@ -365,12 +367,10 @@ def decode_loop(
         for layer, runner in enumerate(runners):
             pools[layer] = append_decoding_entry(pools[layer], m + t - 1)
             row, hidden = attend(layer, t, pools[layer].all_positions(), hidden)
-            if capture_rows:
-                logs[layer].rows.append(row)
             pools[layer], decision = runner.step(pools[layer], row, t)
             if compact and decision.keep is not None:
                 compact(layer, len(row), decision.keep)
-            logs[layer].record(t, pools[layer], decision, capture)
+            logs[layer].record(t, pools[layer], row, decision, capture)
         if outputs is not None:
             outputs[t - 1] = hidden
 

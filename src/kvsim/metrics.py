@@ -33,10 +33,11 @@ def efficiency(run: RunRecord) -> EfficiencyReport:
     """Peak-entry and movement accounting for one run. ``peak_entries`` is
     the largest whole-model pool size at any point; ``peak_ratio`` divides
     it by what a full cache would hold (num_layers * (M+T)), transient
-    within-step overshoot included. Every step inserts one entry per layer,
+    within-step overshoot included; step 1's peak tops the prompt pools it
+    appends to, so they never set it. Every step inserts one entry per layer,
     so a layer moves ``num_steps`` entries plus its evictions."""
     whole_model = np.sum([log.peak_entries for log in run.layers], axis=0)
-    peak_total = max(sum(log.initial_prefill_size for log in run.layers), int(whole_model.max()))
+    peak_total = int(whole_model.max())
     return EfficiencyReport(
         peak_entries=peak_total,
         peak_ratio=peak_total / (run.num_layers * (run.prompt_len + run.num_steps)),

@@ -40,9 +40,9 @@ class ScoreVector:
         return len(self.positions)
 
     @classmethod
-    def from_dense(cls, scores, start: int = 0) -> "ScoreVector":
+    def from_dense(cls, scores) -> "ScoreVector":
         scores = np.asarray(scores, dtype=np.float64)
-        return cls(np.arange(start, start + len(scores), dtype=np.int64), scores)
+        return cls(np.arange(len(scores), dtype=np.int64), scores)
 
 
 AttentionRow = ScoreVector

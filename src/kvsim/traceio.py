@@ -93,10 +93,15 @@ def write_trace(trace: Trace, path: str | Path) -> None:
 
 
 def read_trace(path: str | Path) -> Trace:
-    """Read a trace file of format version 1 or 2. Anything malformed,
-    truncated or out of range raises :class:`TraceError`."""
+    """Read a trace file of format version 1 or 2. A file that cannot be
+    opened, or anything malformed, truncated or out of range, raises
+    :class:`TraceError`."""
     path = Path(path)
-    with path.open("rb") as fh:
+    try:
+        fh = path.open("rb")
+    except OSError as exc:
+        raise TraceError(f"{path}: cannot open trace file: {exc.strerror}") from exc
+    with fh:
         head = fh.readline()
         if not head:
             raise TraceError(f"{path}: empty trace file")

@@ -464,6 +464,58 @@ class TestCLI:
         assert "allow_large" not in err
         assert not (tmp_path / "big.trace").exists()
 
+    def test_trace_export_past_the_guard_with_allow_large(self, tmp_path, capsys):
+        # M + T = 4097, one position past the guard
+        cfg_text = (
+            SMOKE_CONFIG.replace("d_model = 16", "d_model = 8").replace("M = 24", "M = 3000")
+            .replace("T = 16", "T = 1097").replace("metrics.checkpoints = 4, 16\n", "")
+        )
+        path, trace_path = write_config(tmp_path, cfg_text), tmp_path / "big.trace"
+        assert main(["trace", "export", str(path), str(trace_path), "--allow-large"]) == 0
+        assert main(["trace", "import-check", str(trace_path)]) == 0
+        assert "ok: M=3000 T=1097 version=2" in capsys.readouterr().out
+
+    def test_trace_export_to_a_missing_directory_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.trace"
+        assert main(["trace", "export", str(write_config(tmp_path, SMOKE_CONFIG)), str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("output error:") and str(out) in err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_output_dir_that_is_a_file_exit_one_before_any_cell(self, tmp_path, capsys, monkeypatch, command):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        cells = []
+        run_cell = cli._run_cell
+        monkeypatch.setattr(cli, "_run_cell", lambda *args: cells.append(args) or run_cell(*args))
+        argv = [command, str(write_config(tmp_path, REPLAY_CONFIG)), "--output-dir", str(taken)]
+        assert main(argv + (["--axis", "beta1=2,4"] if command == "sweep" else [])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("output error:") and str(taken) in err
+        assert cells == []
+
+    @pytest.mark.parametrize("command", ["import-check", "run", "sweep"])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_trace_that_cannot_be_opened_exit_two(self, tmp_path, capsys, command, kind):
+        trace_path = tmp_path / "run.trace"
+        if kind == "directory":
+            trace_path.mkdir()
+        out_dir = tmp_path / "out"
+        replay_text = (
+            f"mode = trace_replay\ntrace = {trace_path}\nM = 12\nT = 8\npolicies = scope_slide\n"
+            f"decoding.beta1 = 2\ndecoding.beta2 = 2\noutput_dir = {out_dir}\n"
+        )
+        path = str(write_config(tmp_path, replay_text))
+        argv = {
+            "import-check": ["trace", "import-check", str(trace_path)],
+            "run": ["run", path],
+            "sweep": ["sweep", path, "--axis", "beta1=2,3"],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("trace error:") and str(trace_path) in err
+        assert not out_dir.exists()
+
     def test_runtime_invariant_violation_exit_three(self, tmp_path, capsys, monkeypatch):
         def broken_decode_loop(*args, **kwargs):
             raise InvariantError("decoding_entries positions must be strictly ascending")

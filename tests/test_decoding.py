@@ -481,7 +481,7 @@ def test_keep_mask_is_the_record_of_each_eviction(kind, selector, n_layers, prom
         return new_pool, decision
 
     with patch.object(PolicyRunner, "step", recording_step):
-        record = decode_loop(source, prefill, policy, t_steps, capture_positions=True, capture_rows=True)
+        record = decode_loop(source, prefill, policy, t_steps, capture_positions=True)
     assert len(decisions) == record.num_layers == max(n_layers, 1)
     for layer, (log, layer_decisions) in enumerate(zip(record.layers, decisions.values())):
         for t, (row, decision) in enumerate(zip(log.rows, layer_decisions, strict=True), start=1):

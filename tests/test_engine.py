@@ -324,6 +324,21 @@ class TestDecodeLoop:
         with pytest.raises(TraceError, match="holds 4 steps"):
             decode_loop(trace, prefill, self.policy(), 10)
 
+    def test_capture_outside_the_run_rejected(self):
+        trace = synthetic_trace(6, 5, seed=0)
+        prefill = prefill_result_from_positions(trace, range(6))
+        with pytest.raises(ValueError, match=r"capture_positions \[0, 99\] lie outside the run's steps 1\.\.5"):
+            decode_loop(trace, prefill, self.policy(), 5, capture_positions=[3, 99, 0])
+
+    def test_captured_steps_keep_their_rows_in_step_order(self):
+        model = ToyModel(seed=7, d_model=16, n_heads=2)
+        prefill = run_prefill(model, 9, PrefillPolicy(kind=PrefillPolicyKind.FULL))
+        every = decode_loop(model, prefill, self.policy(), 12, capture_positions=True)
+        some = decode_loop(model, prefill, self.policy(), 12, capture_positions=[9, 2, 5])
+        assert [row.positions[-1] for row in some.layers[0].rows] == [10, 13, 17]
+        for row, t in zip(some.layers[0].rows, [2, 5, 9], strict=True):
+            assert np.array_equal(row.scores, every.layers[0].rows[t - 1].scores)
+
     def test_non_finite_replay_row_rejected(self):
         trace = synthetic_trace(6, 4, seed=0)
         trace.rows[1] = np.full(8, np.nan)
@@ -337,13 +352,13 @@ class TestDecodeLoop:
         trace.rows[1] = np.zeros(8)
         prefill = prefill_result_from_positions(trace, range(6))
         policy = DecodingPolicy(PolicyKind.PREFILL_ONLY, BudgetConfig(max_decode_steps=4))
-        record = decode_loop(trace, prefill, policy, 4, capture_rows=True)
+        record = decode_loop(trace, prefill, policy, 4, capture_positions=True)
         assert np.array_equal(record.layers[0].rows[1].scores, np.full(8, 1 / 8))
 
     def test_rows_normalized_and_causal(self):
         model = ToyModel(seed=7, d_model=16, n_heads=2)
         prefill = run_prefill(model, 9, PrefillPolicy(kind=PrefillPolicyKind.FULL))
-        record = decode_loop(model, prefill, self.policy(), 12, capture_rows=True)
+        record = decode_loop(model, prefill, self.policy(), 12, capture_positions=True)
         for t, row in enumerate(record.layers[0].rows, start=1):
             assert abs(float(row.scores.sum()) - 1.0) < 1e-9
             assert row.positions.max() < 9 + t
@@ -380,7 +395,7 @@ class TestDecodeLoop:
     def test_multi_layer_runs_have_per_layer_logs(self):
         model = ToyModel(seed=2, d_model=12, n_heads=2, n_layers=3)
         prefill = run_prefill(model, 8, PrefillPolicy(kind=PrefillPolicyKind.FULL))
-        record = decode_loop(model, prefill, self.policy(), 10, capture_rows=True)
+        record = decode_loop(model, prefill, self.policy(), 10, capture_positions=True)
         assert record.num_layers == 3
         assert len(record.layers) == 3
         assert all(len(log.steps) == 10 for log in record.layers)
@@ -452,7 +467,7 @@ def test_closed_loop_head_shapes_pinned():
             passes[model] = PromptPass(model, m, 3)
         policy = DecodingPolicy(kind, budget, selector=selector, observation_window=4)
         prefill = run_prefill(model, m, prompts[(i // 2) % 2], passes[model])
-        record = decode_loop(model, prefill, policy, capture_positions=True, capture_rows=True)
+        record = decode_loop(model, prefill, policy, capture_positions=True)
         for t, layer in itertools.product(range(1, t_steps + 1), range(n_layers)):
             for side in record.positions_at(t, layer):
                 digest.update(np.array([len(side), *sorted(side)], dtype="<i8").tobytes())

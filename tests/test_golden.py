@@ -10,8 +10,11 @@ from pathlib import Path
 import pytest
 
 from kvsim.cli import main
+from kvsim.config import load_config
 
 ROOT = Path(__file__).resolve().parents[1]
+# every directory under out/ that holds a golden the tests below compare against
+GOLDEN_DIRS = ("smoke", "hh_bias", "preset_test", "sweep_test", "hh_origin_demo", "oracle_check")
 
 
 def assert_reports_match(out_dir, golden):
@@ -26,6 +29,14 @@ def assert_reports_match(out_dir, golden):
 def test_closed_loop_reports_match_golden(tmp_path, config, golden):
     assert main(["run", str(ROOT / "configs" / config), "--output-dir", str(tmp_path)]) == 0
     assert_reports_match(tmp_path, golden)
+
+
+def test_shipped_configs_write_outside_the_goldens():
+    # a run of a shipped config that overwrote a golden would turn the next
+    # comparison into one of the build's output with itself
+    goldens = {(ROOT / "out" / golden).resolve() for golden in GOLDEN_DIRS}
+    for config in sorted((ROOT / "configs").glob("*.cfg")):
+        assert (ROOT / load_config(config).output_dir).resolve() not in goldens, config.name
 
 
 def run_script(name, out_dir, monkeypatch):

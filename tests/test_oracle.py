@@ -35,7 +35,7 @@ class TestFullCacheReference:
         prefill = run_prefill(model, m, PrefillPolicy(kind=PrefillPolicyKind.FULL))
         budget = BudgetConfig(max_decode_steps=t_steps)
         record = decode_loop(
-            model, prefill, DecodingPolicy(PolicyKind.PREFILL_ONLY, budget), t_steps, capture_rows=True
+            model, prefill, DecodingPolicy(PolicyKind.PREFILL_ONLY, budget), t_steps, capture_positions=True
         )
         for ref_row, row in zip(reference.rows, record.layers[0].rows, strict=True):
             assert np.allclose(ref_row, row.scores, rtol=1e-9, atol=1e-12)
@@ -268,7 +268,7 @@ def test_closed_loop_decisions_match_naive_simulator(kind, selector, seeded, n_l
     )
     model = ToyModel(seed % 1000, d_model=8, n_heads=2, n_layers=n_layers, recency_bias=bias)
     prefill = run_prefill(model, m, prompt_policy)
-    record = decode_loop(model, prefill, policy, t_steps, capture_positions=True, capture_rows=True)
+    record = decode_loop(model, prefill, policy, t_steps, capture_positions=True)
     for layer, layer_policy in enumerate(policy.per_layer(n_layers)):
         rows = []
         for t, row in enumerate(record.layers[layer].rows, start=1):
@@ -319,7 +319,7 @@ def test_closed_loop_forward_pass_matches_reference(kind, selector, n_layers, n_
     prompt_policy = PrefillPolicy(kind=PrefillPolicyKind.TOPK_LOCAL, alpha1=budget.alpha1, alpha2=budget.alpha2)
     model = ToyModel(seed % 1000, n_heads * head_dim, n_heads, n_layers, bias)
     prefill = run_prefill(model, m, prompt_policy)
-    record = decode_loop(model, prefill, policy, t_steps, capture_positions=True, capture_rows=True)
+    record = decode_loop(model, prefill, policy, t_steps, capture_positions=True)
     attended = []
     for t in range(1, t_steps + 1):
         step = []
