@@ -48,9 +48,10 @@ class CellResult:
 class SeedInputs:
     """What every policy of one seed compresses and is measured against:
     the attention source, the closed-loop prompt pass (None in trace
-    replay; computed where it is built, before the seed's cells run)
-    and, per checkpoint, the full-cache run's prompt-origin heavy-hitter
-    fraction and heavy-hitter set (empty without checkpoints)."""
+    replay; computed where it is built, before the seed's cells run, and
+    shared by every sweep grid of the same M) and, per checkpoint, the
+    full-cache run's prompt-origin heavy-hitter fraction and heavy-hitter
+    set (empty without checkpoints)."""
 
     seed: int
     source: ToyModel | Trace
@@ -59,14 +60,21 @@ class SeedInputs:
     heavy_hitters: dict[int, set[int]]
 
 
-def _seed_inputs(cfg: ExperimentConfig, seed: int, file_trace: Trace | None) -> SeedInputs:
+def _seed_inputs(
+    cfg: ExperimentConfig, seed: int, file_trace: Trace | None, passes: dict[int, PromptPass], rows: int
+) -> SeedInputs:
+    """``passes`` holds each seed's closed-loop prompt pass, which serves
+    every grid of the same M; ``rows`` is the widest observation window of
+    them all, clipped here to M."""
     if cfg.mode == "trace_replay":
         source: ToyModel | Trace = file_trace or synthetic_trace(cfg.M, cfg.T, seed)
         prompt = None
     else:
         source = ToyModel(seed, cfg.d_model, cfg.n_heads, cfg.n_layers, cfg.recency_bias)
-        # the widest observation window among the grid's policies
-        prompt = PromptPass(source, cfg.M, max(cfg.pipeline(t)[0].observed_rows(cfg.M) for t in cfg.policies))
+        prompt = passes.get(seed)
+        if prompt is None or prompt.m != cfg.M:
+            passes.pop(seed, None)  # the last M's pass goes before this one is built
+            prompt = passes[seed] = PromptPass(source, cfg.M, min(rows, cfg.M))
     inputs = SeedInputs(seed, source, prompt, {}, {})
     if cfg.checkpoints:
         # dense full-prefix rows: the trace's own, or a full-cache reference run's at the checkpoints
@@ -93,11 +101,14 @@ def _run_cell(cfg: ExperimentConfig, token: str, inputs: SeedInputs) -> CellResu
     return CellResult(policy=token, seed=inputs.seed, report=report, hh_prefill=inputs.hh_prefill, recall=recall)
 
 
-def _run_grid(cfg: ExperimentConfig, file_trace: Trace | None) -> list[CellResult]:
+def _run_grid(
+    cfg: ExperimentConfig, file_trace: Trace | None, passes: dict[int, PromptPass], rows: int
+) -> list[CellResult]:
     """Every (policy, seed) cell of one config, token-major, on inputs
-    built once per seed before the cells run. The inputs go when it
-    returns, before the next sweep value builds its own."""
-    inputs = [_seed_inputs(cfg, seed, file_trace) for seed in cfg.seeds]
+    built once per seed before the cells run (see :func:`_seed_inputs`).
+    The inputs go when it returns, before the next sweep value builds its
+    own; only the prompt passes in ``passes`` outlive it."""
+    inputs = [_seed_inputs(cfg, seed, file_trace, passes, rows) for seed in cfg.seeds]
     return [_run_cell(cfg, token, seed_inputs) for token in cfg.policies for seed_inputs in inputs]
 
 
@@ -177,8 +188,11 @@ def run_experiment(
     for sub, _, _ in grids:
         sub.validate()
 
-    # a trace file is read once; every other per-seed input depends on the
-    # axis value and is rebuilt per grid
+    # a trace file is read once, and a closed-loop prompt pass once per seed
+    # and M, holding the widest observation window of every grid; every
+    # other per-seed input depends on the axis value and is rebuilt per grid
+    rows = max(sub.pipeline(t)[0].observed_rows(sub.M) for sub, _, _ in grids for t in sub.policies)
+    passes: dict[int, PromptPass] = {}
     file_trace = read_trace(cfg.trace_path) if cfg.trace_path else None
     for sub, _, _ in grids:
         if file_trace is not None and (file_trace.M != sub.M or file_trace.T < sub.T):
@@ -190,7 +204,7 @@ def run_experiment(
     out_dir.mkdir(parents=True, exist_ok=True)
     cells = []
     for sub, ax, value in grids:
-        for cell in _run_grid(sub, file_trace):
+        for cell in _run_grid(sub, file_trace, passes, rows):
             cell.axis, cell.axis_value = ax, value
             cells.append(cell)
 

@@ -130,11 +130,15 @@ def new_pool(retained_prefill: Iterable[int]) -> CachePool:
 
 
 def append_decoding_entry(pool: CachePool, position: int) -> CachePool:
-    """Add one newly generated position to the end of the decoding side."""
+    """Add one newly generated position to the end of the decoding side,
+    copying the side once into a new array one slot longer."""
     tail = pool.decoding_entries if len(pool.decoding_entries) else pool.prefill_entries
     if len(tail) and position <= tail[-1]:
         raise InvariantError(f"position {position} does not extend the pool (max is {tail[-1]})")
-    return CachePool(pool.prefill_entries, np.append(pool.decoding_entries, position))
+    entries = np.empty(len(pool.decoding_entries) + 1, dtype=np.int64)
+    entries[:-1] = pool.decoding_entries
+    entries[-1] = position
+    return CachePool(pool.prefill_entries, entries)
 
 
 def evict_decoding(pool: CachePool, keep) -> CachePool:

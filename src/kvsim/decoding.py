@@ -16,8 +16,9 @@ earliest position winning ties), and evicts the rest:
 
 with ``total = total_budget``. The three phase-separated strategies differ
 only in their target's schedule. Streaming's sink and local fill its
-target, so it never scores. Only the SCOPE region leaves the prompt side
-whole; it observes and evicts (by mask) only the decode side of a row.
+target, so it never scores; it and the append-only policy read no
+attention rows. Only the SCOPE region leaves the prompt side whole; it
+observes and evicts (by mask) only the decode side of a row.
 
 Step indices are decoding-relative: t = 1 is the first generated token, so
 a policy's trigger conditions read off t directly instead of absolute
@@ -59,6 +60,7 @@ SCOPE_KINDS = frozenset(
     {PolicyKind.SCOPE_SLIDE, PolicyKind.SCOPE_ADAPTIVE, PolicyKind.SCOPE_DISCONTINUOUS}
 )
 _SCORED_UNIFIED = frozenset({PolicyKind.UNIFIED_H2O, PolicyKind.PYRAMID_INFER})
+_ROWLESS = frozenset({PolicyKind.PREFILL_ONLY, PolicyKind.UNIFIED_STREAMING})
 
 
 class SelectorKind(Enum):
@@ -113,8 +115,9 @@ class DecodingPolicy:
 @dataclass(frozen=True, eq=False)  # a field-wise == would ask an array for one truth value
 class StepDecision:
     """One policy step's eviction. ``keep`` masks its region, a suffix of the
-    step's row (the decode side for SCOPE, the whole row otherwise): the step
-    evicts ``row.positions[-len(keep):][~keep]``. None: no selection ran."""
+    pool's positions after the step's append, which its row covers (the
+    decode side for SCOPE, the whole pool otherwise): the step evicts
+    ``row.positions[-len(keep):][~keep]``. None: no selection ran."""
 
     ran_selection: bool
     evicted_count: int
@@ -178,8 +181,12 @@ class PolicyRunner:
     region, sink, local and target of the module docstring's one rule from
     the policy's kind and budget. Call :meth:`step` once per decode step,
     after the new entry has been appended to the pool and the attention
-    row over the retained entries (including the new one) is computed.
+    row over the retained entries (including the new one) is computed;
+    ``reads_rows`` is False for a policy that never reads that row, which
+    may then pass None.
 
+    A cumulative selector keeps its sums in a :class:`ScoreAccumulator`
+    lane aligned with the region, compacted by each step's ``keep``.
     A window selector keeps its last ``observation_window`` rows in a
     float64 ring (row i in slot i % window), dense over the positions it
     observes: the decode side for SCOPE, every position otherwise. Each
@@ -199,12 +206,11 @@ class PolicyRunner:
         else:
             self._sink, self._local = 0, min(b.alpha2 + b.beta2, total)
         self._total = total
-        # streaming's sink and local fill its target: it never scores, so it keeps no scores
-        self._observes = policy.kind is not PolicyKind.UNIFIED_STREAMING
-        self._cumulative = self._observes and policy.selector is SelectorKind.CUMULATIVE
-        self._acc = ScoreAccumulator(prompt_len + b.max_decode_steps)
+        self.reads_rows = policy.kind not in _ROWLESS
+        self._cumulative = self.reads_rows and policy.selector is SelectorKind.CUMULATIVE
+        self._acc = ScoreAccumulator()
         self._first = prompt_len if self._scope else 0
-        window = policy.observation_window if self._observes and not self._cumulative else 0
+        window = policy.observation_window if self.reads_rows and not self._cumulative else 0
         self._ring = np.zeros((window, prompt_len + b.max_decode_steps - self._first))
         self._observed = 0
 
@@ -219,16 +225,19 @@ class PolicyRunner:
         ):
             self._acc.add_row(ScoreVector(positions, colsums[positions], validate=False))
 
-    def step(self, pool: CachePool, row: AttentionRow, t: int) -> tuple[CachePool, StepDecision]:
+    def step(self, pool: CachePool, row: AttentionRow | None, t: int) -> tuple[CachePool, StepDecision]:
         policy = self.policy
-        if len(row) != pool.total_size:
+        if row is None:
+            if self.reads_rows:
+                raise InvariantError(f"{policy.kind.value} reads attention rows, and step {t} has none")
+        elif len(row) != pool.total_size:
             raise InvariantError(f"attention row covers {len(row)} positions, the pool holds {pool.total_size}")
         if policy.kind is PolicyKind.PREFILL_ONLY:
             return pool, _APPEND_ONLY
-        if self._scope:  # SCOPE's region is the decode side of a row over pool.all_positions()
-            cut = pool.prefill_size
-            row = ScoreVector(row.positions[cut:], row.scores[cut:], validate=False)
-        if self._observes:
+        if self.reads_rows:
+            if self._scope:  # SCOPE's region is the decode side of a row over pool.all_positions()
+                cut = pool.prefill_size
+                row = ScoreVector(row.positions[cut:], row.scores[cut:], validate=False)
             if self._cumulative:
                 self._acc.add_row(row)
             else:
@@ -237,14 +246,15 @@ class PolicyRunner:
                 slot[row.positions - self._first] = row.scores
                 self._observed += 1
         target = scope_target(policy.kind, t, policy.budget) if self._scope else self._total
-        region = row.positions
-        if target is None or len(region) <= target:
+        size = pool.decoding_size if self._scope else pool.total_size
+        if target is None or size <= target:
             return pool, _APPEND_ONLY
-        sink, end, k = self._sink, len(region) - self._local, target - self._sink - self._local
-        keep = np.ones(len(region), dtype=bool)
-        keep[sink:end] = top_k_mask(self._selector_scores(region[sink:end]), k) if k > 0 else False
+        sink, end, k = self._sink, size - self._local, target - self._sink - self._local
+        keep = np.ones(size, dtype=bool)
+        # k > 0 only for a policy that reads rows: streaming's sink and local fill its target
+        keep[sink:end] = top_k_mask(self._selector_scores(row.positions[sink:end]), k) if k > 0 else False
         if self._cumulative:
-            self._acc.drop(region[~keep])
+            self._acc.drop(keep)
         if self._scope:
             new_pool = evict_decoding(pool, keep)
         else:
@@ -254,8 +264,9 @@ class PolicyRunner:
         return new_pool, StepDecision(True, pool.total_size - new_pool.total_size, keep)
 
     def _selector_scores(self, candidates: np.ndarray) -> np.ndarray:
+        """Scores of ``candidates``, the region's entries ``sink:sink + len(candidates)``."""
         if self.policy.selector is SelectorKind.CUMULATIVE:
-            return self._acc.scores_for(candidates).scores
+            return self._acc.scores_for(self._sink, self._sink + len(candidates))
         ring, seen = self._ring, self._observed
         oldest_first = np.arange(seen - min(seen, len(ring)), seen) % len(ring)
         return observation_window_scores(ring[:, candidates - self._first][oldest_first])

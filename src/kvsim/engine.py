@@ -13,6 +13,7 @@ only a small per-mode function differs:
 * trace replay — prerecorded full-prefix rows are sliced to the retained
   positions and renormalized, which isolates policy accounting from model
   dynamics (an idealization: real models change scores under eviction).
+  A lane whose policy reads no rows slices one only at captured steps.
 
 Model weights and prompt embeddings are drawn uniformly from
 [-1/sqrt(d_model), 1/sqrt(d_model)] using numpy's PCG64 generator seeded
@@ -335,10 +336,12 @@ def decode_loop(
     the retained positions from the mode's source, and lets the layer's
     policy runner evict. Closed loop threads hidden states through the
     layers so eviction feeds back into later outputs; trace replay drives
-    a single policy lane (trace rows are already layer-aggregated). For
-    each step in ``capture_positions`` (``True``: every step; a step
-    outside 1..t_steps raises ``ValueError``), every layer's log keeps its
-    retained positions and its attention row."""
+    a single policy lane (trace rows are already layer-aggregated), and
+    takes no row for a step whose policy reads none
+    (``PolicyRunner.reads_rows``). For each step in ``capture_positions``
+    (``True``: every step; a step outside 1..t_steps raises
+    ``ValueError``), every layer's log keeps its retained positions and its
+    attention row."""
     horizon = policy.budget.max_decode_steps
     steps = t_steps if t_steps is not None else horizon
     if steps < 1:
@@ -360,14 +363,18 @@ def decode_loop(
         runner.seed_scores(pool.prefill_entries, colsums)
         runners.append(runner)
     logs = [LayerLog(pool.prefill_size, steps) for pool in pools]
+    # closed loop attends at every step: that attention is its forward pass
+    attends = [compact is not None or runner.reads_rows for runner in runners]
     hidden = None if prefill.prompt is None else prefill.prompt.next_input
     outputs = None if hidden is None else np.zeros((steps, len(hidden)))
 
     for t in range(1, steps + 1):
         for layer, runner in enumerate(runners):
-            pools[layer] = append_decoding_entry(pools[layer], m + t - 1)
-            row, hidden = attend(layer, t, pools[layer].all_positions(), hidden)
-            pools[layer], decision = runner.step(pools[layer], row, t)
+            pool = append_decoding_entry(pools[layer], m + t - 1)
+            row = None
+            if attends[layer] or t in capture:
+                row, hidden = attend(layer, t, pool.all_positions(), hidden)
+            pools[layer], decision = runner.step(pool, row, t)
             if compact and decision.keep is not None:
                 compact(layer, len(row), decision.keep)
             logs[layer].record(t, pools[layer], row, decision, capture)
@@ -384,8 +391,9 @@ def _replay_attention(trace: Trace, prefill: PrefillResult, steps: int):
     """Trace replay's ``attend(layer, t, pos, h) -> (row, h)``: step t's
     recorded full-prefix row sliced to ``pos`` and renormalized (uniform
     when the slice has no mass, a ``TraceError`` when its mass is NaN or
-    infinite); ``h`` passes through. ``prefill`` must be a replay prefill
-    of the trace's own prompt length."""
+    infinite); ``h`` passes through. Only a step that needs the row calls
+    it, so a row no step reads is never checked. ``prefill`` must be a
+    replay prefill of the trace's own prompt length."""
     if prefill.prompt is not None or prefill.prompt_len != trace.M:
         kind = "closed-loop prefill" if prefill.prompt is not None else f"prefill of M={prefill.prompt_len}"
         raise TraceError(f"replay of a trace recorded with M={trace.M} was given a {kind}")

@@ -1,8 +1,9 @@
 """Top-k retention scoring.
 
 The selector itself plus the two score-construction schemes that feed it:
-running cumulative attention sums, and the mean of a short observation
-window of recent attention rows, taken over the candidates alone.
+running cumulative attention sums in region order, and the mean of a short
+observation window of recent attention rows, taken over the candidates
+alone.
 
 Ties are broken toward the smaller position everywhere. That keeps early
 tokens (attention sinks) alive under uniform scores and makes every run
@@ -51,17 +52,19 @@ AttentionRow = ScoreVector
 def top_k_mask(scores: np.ndarray, k: int) -> np.ndarray:
     """Boolean mask over ``scores`` (aligned to ascending positions) that
     marks the ``min(k, len)`` largest, earliest position winning ties.
-    O(n): everything above the k-th largest score is kept, and the slots
-    left over go to the earliest positions that score exactly that."""
+    O(n): everything at or above the k-th largest score is kept, and then,
+    if that is more than k, the latest positions that score exactly that
+    are let go."""
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     n, k = len(scores), min(k, len(scores))
     if k == 0:
         return np.zeros(n, dtype=bool)
-    kth = scores[np.argpartition(scores, n - k)[n - k]]
-    keep = scores > kth
-    tied = np.flatnonzero(scores == kth)
-    keep[tied[: k - np.count_nonzero(keep)]] = True
+    kth = np.partition(scores, n - k)[n - k]
+    keep = scores >= kth
+    extra = np.count_nonzero(keep) - k
+    if extra:
+        keep[np.flatnonzero(scores == kth)[-extra:]] = False
     return keep
 
 
@@ -72,33 +75,48 @@ def top_k(scores: ScoreVector, k: int) -> set[int]:
 
 
 class ScoreAccumulator:
-    """Running per-position attention mass over the retained entries, in
-    dense arrays indexed by absolute position below ``size``.
+    """Running attention mass of one region's retained entries, in a float
+    lane aligned with their ascending ``positions``: ``sums[i]`` is the
+    mass of ``positions[i]``.
 
-    Dropping a position discards its accumulated mass for good; scoring an
-    already-dropped position again is an invariant violation because rows
-    are only ever computed over retained entries.
+    A row must extend the lane: it starts with the lane's positions, and
+    every position after them lies past all positions ever scored. Adding
+    it is one contiguous add over the grown lane, and every sum has the
+    bits of a dense scatter-add fold from 0.0. Dropping compacts the lane
+    by a keep mask and discards the dropped positions' mass for good; a
+    row that names one again does not extend the lane and is an invariant
+    violation, because rows are only ever computed over retained entries.
     """
 
-    def __init__(self, size: int) -> None:
-        self.sums = np.zeros(size)
-        self.evicted = np.zeros(size, dtype=bool)
+    def __init__(self) -> None:
+        self.positions = np.zeros(0, dtype=np.int64)
+        self.sums = np.zeros(0)
+        self._end = 0  # one past the largest position ever scored
 
     def add_row(self, row: ScoreVector) -> None:
-        stale = self.evicted[row.positions]
-        if stale.any():
-            raise InvariantError(f"row references evicted position {row.positions[stale.argmax()]}")
-        self.sums[row.positions] += row.scores
+        n, positions = len(self.sums), row.positions
+        if len(positions) < n or not (positions[:n] == self.positions).all() or (
+            len(positions) > n and positions[n] < self._end
+        ):
+            raise InvariantError(
+                f"row does not extend the {n} scored positions: it must start with them "
+                f"and add only positions from {self._end} on"
+            )
+        # score + 0.0 starts a new position's sum as a dense fold from 0.0 does; such a
+        # sum is never -0.0, so (score + 0.0) + sum has the bits of sum + score
+        sums = row.scores + 0.0
+        sums[:n] += self.sums
+        self.positions, self.sums = positions, sums
+        if len(positions):
+            self._end = int(positions[-1]) + 1
 
-    def drop(self, positions) -> None:
-        self.sums[positions] = 0.0
-        self.evicted[positions] = True
+    def drop(self, keep: np.ndarray) -> None:
+        """Compact the lane to the entries that ``keep``, a bool mask over it, marks."""
+        self.positions, self.sums = self.positions[keep], self.sums[keep]
 
-    def scores_for(self, positions) -> ScoreVector:
-        """Current sums for the given ascending positions; never-scored
-        positions count as zero mass."""
-        positions = np.asarray(positions, dtype=np.int64)
-        return ScoreVector(positions, self.sums[positions], validate=False)
+    def scores_for(self, start: int, stop: int) -> np.ndarray:
+        """The sums of lane entries ``start:stop`` (a view)."""
+        return self.sums[start:stop]
 
 
 def observation_window_scores(rows: np.ndarray) -> np.ndarray:

@@ -77,7 +77,8 @@ def _row_start(m, t):
 
 
 def write_trace(trace: Trace, path: str | Path) -> None:
-    """Write ``trace`` in format version 2."""
+    """Write ``trace`` in format version 2: the header line, then each row
+    in turn, so no copy of the payload is ever built."""
     header = {
         "version": TRACE_VERSION,
         "M": trace.M,
@@ -86,10 +87,10 @@ def write_trace(trace: Trace, path: str | Path) -> None:
         "heads": trace.heads,
         "aggregation": trace.aggregation,
     }
-    payload = np.concatenate([trace.prefill_scores, *trace.rows]).astype("<f8", copy=False)
     with Path(path).open("wb") as fh:
         fh.write(json.dumps(header).encode("ascii") + b"\n")
-        payload.tofile(fh)
+        for row in (trace.prefill_scores, *trace.rows):
+            fh.write(np.ascontiguousarray(row, dtype="<f8"))  # no copy of a float64 row on a little-endian host
 
 
 def read_trace(path: str | Path) -> Trace:

@@ -268,6 +268,35 @@ class TestRunExperiment:
         assert sorted(args[1] for args in calls["hh_origin_distribution"]) == [20, 20, 24, 24]
         assert len(calls["heavy_hitter_set"]) == 4 * 2  # once per checkpoint
 
+    @pytest.mark.parametrize(
+        "axis, values, built",
+        [
+            ("beta1", "1,2,3", [(1, 24, 2), (2, 24, 2)]),
+            ("alpha2", "2,5", [(1, 24, 5), (2, 24, 5)]),  # the widest window of both grids
+            ("m", "20,24", [(1, 20, 2), (2, 20, 2), (1, 24, 2), (2, 24, 2)]),
+        ],
+    )
+    def test_prompt_pass_built_once_per_seed_and_m(self, tmp_path, monkeypatch, axis, values, built):
+        passes = []
+
+        class CountedPass(cli.PromptPass):
+            def __init__(self, model, m, rows):
+                passes.append((model.seed, m, rows))
+                super().__init__(model, m, rows)
+
+        monkeypatch.setattr(cli, "PromptPass", CountedPass)
+        path = write_config(tmp_path, SMOKE_CONFIG)
+        assert main(["sweep", str(path), "--axis", f"{axis}={values}", "--output-dir", str(tmp_path / "sweep")]) == 0
+        assert passes == built
+        rows = (tmp_path / "sweep" / "report.csv").read_text().splitlines()[1:]
+        line = {"beta1": "decoding.beta1 = 3", "alpha2": "prefill.alpha2 = 2", "m": "M = 24"}[axis]
+        for i, value in enumerate(values.split(",")):
+            text = SMOKE_CONFIG.replace(line, f"{line.split(' = ')[0]} = {value}")
+            run = write_config(tmp_path, text, name=f"run{i}.cfg")
+            assert main(["run", str(run), "--output-dir", str(tmp_path / f"run{i}")]) == 0
+            want = (tmp_path / f"run{i}" / "report.csv").read_text().splitlines()[1:]
+            assert [row.rsplit(",", 2)[0] for row in rows if row.endswith(f",{value}")] == want
+
     def test_replay_grid_runs_every_policy(self, tmp_path):
         cfg = load_config(write_config(tmp_path, REPLAY_CONFIG))
         cfg.output_dir = str(tmp_path / "out")

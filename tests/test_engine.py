@@ -347,6 +347,31 @@ class TestDecodeLoop:
         with pytest.raises(TraceError, match="step 2 has non-finite mass"):
             decode_loop(trace, prefill, policy, 4)
 
+    @pytest.mark.parametrize("kind", [PolicyKind.PREFILL_ONLY, PolicyKind.UNIFIED_STREAMING])
+    def test_non_finite_replay_row_no_step_reads_runs(self, kind):
+        # read_trace rejects such a row at load; an in-memory one is checked where it is read
+        trace = synthetic_trace(6, 4, seed=0)
+        trace.rows[1] = np.full(8, np.nan)
+        prefill = prefill_result_from_positions(trace, range(6))
+        policy = DecodingPolicy(kind, BudgetConfig(alpha1=2, alpha2=2, max_decode_steps=4))
+        record = decode_loop(trace, prefill, policy, 4, capture_positions=[1, 3])
+        assert len(record.layers[0].rows) == 2
+        with pytest.raises(TraceError, match="step 2 has non-finite mass"):
+            decode_loop(trace, prefill, policy, 4, capture_positions=[2])
+
+    @pytest.mark.parametrize(
+        "kind, reads", [(PolicyKind.PREFILL_ONLY, False), (PolicyKind.UNIFIED_STREAMING, False), (PolicyKind.UNIFIED_H2O, True)]
+    )
+    def test_replay_slices_rows_only_where_a_step_reads_them(self, kind, reads):
+        trace = synthetic_trace(6, 5, seed=0)
+        sliced = []
+        trace.row = lambda t, row=trace.row: sliced.append(t) or row(t)
+        prefill = prefill_result_from_positions(trace, range(6))
+        policy = DecodingPolicy(kind, BudgetConfig(alpha1=2, alpha2=2, max_decode_steps=5))
+        record = decode_loop(trace, prefill, policy, 5, capture_positions=[4])
+        assert sliced == ([1, 2, 3, 4, 5] if reads else [4])
+        assert record.layers[0].steps == decode_loop(trace, prefill, policy, 5, capture_positions=True).layers[0].steps
+
     def test_zero_mass_replay_row_is_uniform(self):
         trace = synthetic_trace(6, 4, seed=0)
         trace.rows[1] = np.zeros(8)

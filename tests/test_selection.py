@@ -75,6 +75,27 @@ class TestTopK:
         mask = top_k_mask(np.array([s for _, s in pairs]), k)
         assert set(np.flatnonzero(mask).tolist()) == expected
 
+    @given(
+        n=st.integers(1, 3000),
+        which=st.sampled_from(["n-1", "n-2", "n-3", "n//2"]),
+        levels=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_k_near_n_matches_a_stable_sort(self, n, which, levels, seed):
+        """The hot case evicts 1 to 3 entries from pools of thousands: the
+        mask keeps what a stable sort by descending score, earlier position
+        first, puts in front. Scores take a few levels, so ties are heavy,
+        and the zero level mixes -0.0 with 0.0, which compare equal."""
+        rng = np.random.default_rng(seed)
+        k = max({"n-1": n - 1, "n-2": n - 2, "n-3": n - 3, "n//2": n // 2}[which], 0)
+        values = np.concatenate(([-0.0, 0.0], rng.random(levels)))
+        scores = values[rng.integers(0, len(values), n)]
+        order = np.lexsort((np.arange(n), -scores))
+        expected = np.zeros(n, dtype=bool)
+        expected[order[:k]] = True
+        assert np.array_equal(top_k_mask(scores, k), expected)
+
     @given(scores=score_lists, k=st.integers(0, 10))
     @settings(max_examples=100)
     def test_scale_invariance(self, scores, k):
@@ -95,25 +116,32 @@ class TestTopK:
 
 class TestAccumulator:
     def test_first_row_copies_scores(self):
-        acc = ScoreAccumulator(2)
+        acc = ScoreAccumulator()
         row = from_pairs([(0, 0.25), (1, 0.75)])
         acc.add_row(row)
-        assert acc.scores_for([0, 1]).scores.tolist() == [0.25, 0.75]
+        assert acc.scores_for(0, 2).tolist() == [0.25, 0.75]
 
     def test_two_identical_rows_double(self):
-        acc = ScoreAccumulator(2)
+        acc = ScoreAccumulator()
         row = from_pairs([(0, 0.25), (1, 0.75)])
         acc.add_row(row)
         acc.add_row(row)
-        assert acc.scores_for([0, 1]).scores.tolist() == [0.5, 1.5]
+        assert acc.scores_for(0, 2).tolist() == [0.5, 1.5]
 
     def test_evicted_position_rejected(self):
-        acc = ScoreAccumulator(2)
+        acc = ScoreAccumulator()
         acc.add_row(from_pairs([(0, 1.0), (1, 1.0)]))
-        acc.drop([1])
-        assert acc.scores_for([1]).scores.tolist() == [0.0]
-        with pytest.raises(InvariantError, match="evicted position 1"):
+        acc.drop(np.array([True, False]))
+        assert acc.positions.tolist() == [0]
+        assert acc.scores_for(0, 1).tolist() == [1.0]
+        with pytest.raises(InvariantError, match="does not extend the 1 scored positions"):
             acc.add_row(from_pairs([(0, 1.0), (1, 1.0)]))
+        # a row that skips a retained position, or omits one, does not extend the lane either
+        acc.add_row(from_pairs([(0, 1.0), (2, 1.0)]))
+        for pairs in ([(2, 1.0), (3, 1.0)], [(0, 1.0)]):
+            with pytest.raises(InvariantError, match="does not extend"):
+                acc.add_row(from_pairs(pairs))
+        assert acc.scores_for(0, 2).tolist() == [2.0, 1.0]
 
     @given(
         n_steps=st.integers(1, 100),
@@ -124,15 +152,44 @@ class TestAccumulator:
         rng = np.random.default_rng(seed)
         n_pos = int(rng.integers(1, 8))
         rows = [rng.random(n_pos) for _ in range(n_steps)]
-        acc = ScoreAccumulator(n_pos)
+        acc = ScoreAccumulator()
         for row in rows:
             acc.add_row(ScoreVector.from_dense(row))
-        got = acc.scores_for(list(range(n_pos))).scores
+        got = acc.scores_for(0, n_pos)
         for p in range(n_pos):
             naive = 0.0
             for row in rows:
                 naive += float(row[p])
             assert got[p] == pytest.approx(naive, rel=1e-12)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_steps=st.integers(1, 40), start=st.integers(0, 6))
+@settings(max_examples=150, deadline=None)
+def test_region_sums_equal_a_dense_scatter_add_fold(seed, n_steps, start):
+    """Over random appends and keep masks, the lane holds the bits of a
+    dense scatter-add into zeros indexed by position, with dropped
+    positions zeroed, at the retained positions. Half the scores are
+    -0.0, 0.0 or a tied 0.25, so the order of the adds shows."""
+    rng = np.random.default_rng(seed)
+    acc = ScoreAccumulator()
+    retained = np.flatnonzero(rng.random(start) < 0.6)
+    dense = np.zeros(start + n_steps)
+    for t in range(n_steps):
+        positions = np.append(retained, start + t) if rng.random() < 0.8 else retained
+        n = len(positions)
+        scores = np.where(rng.random(n) < 0.5, rng.choice([-0.0, 0.0, 0.25], n), rng.random(n))
+        acc.add_row(ScoreVector(positions, scores, validate=False))
+        dense[positions] += scores
+        keep = rng.random(n) < 0.7
+        if rng.random() < 0.5:
+            acc.drop(keep)
+            dense[positions[~keep]] = 0.0
+            positions = positions[keep]
+        retained = positions
+        assert np.array_equal(acc.positions, retained)
+        got, expected = acc.scores_for(0, len(retained)), dense[retained]
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 class TestObservationWindow:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,6 +71,24 @@ class TestRoundTrip:
         for t, row in enumerate(trace.rows, start=1):
             start = 3 * t + t * (t - 1) // 2
             assert np.array_equal(values[start:start + 3 + t], row)
+
+    def test_file_is_the_header_line_then_the_concatenated_rows(self, tmp_path):
+        trace = synthetic_trace(5, 7, seed=1)
+        path = tmp_path / "bytes.trace"
+        write_trace(trace, path)
+        header = {"version": 2, "M": 5, "T": 7, "layers": 1, "heads": 1, "aggregation": "synthetic=exponential"}
+        payload = np.concatenate([trace.prefill_scores, *trace.rows]).astype("<f8")
+        assert path.read_bytes() == json.dumps(header).encode("ascii") + b"\n" + payload.tobytes()
+
+    def test_write_holds_no_copy_of_the_payload(self, tmp_path):
+        trace = synthetic_trace(512, 2048, seed=0)  # a 24 MiB payload
+        tracemalloc.start()
+        try:
+            write_trace(trace, tmp_path / "big.trace")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024
 
     def test_rows_are_read_only_views_of_one_buffer(self, tmp_path):
         path = tmp_path / "shared.trace"
