@@ -3,8 +3,8 @@
 
 Replays synthetic traces at full scale (M=3413, T=4096), so this is pure
 accounting: peak entries, compression ratios, selection-op counts, and
-transfer volumes per policy. Takes about 7 s on one core of a 2-vCPU
-x86-64 VM.
+transfer volumes per policy. Takes about 3 s on one core of a 2-vCPU
+x86-64 VM, with one synthetic trace shared by both budgets.
 
 Usage: python scripts/run_preset_4k.py [output_dir]
 """

@@ -21,6 +21,8 @@ import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from .config import SWEEP_AXES, ConfigError, ExperimentConfig, load_config
 from .core import InvariantError
 from .engine import PromptPass, ToyModel, decode_loop, run_prefill
@@ -48,68 +50,57 @@ class CellResult:
 class SeedInputs:
     """What every policy of one seed compresses and is measured against:
     the attention source, the closed-loop prompt pass (None in trace
-    replay; computed where it is built, before the seed's cells run, and
-    shared by every sweep grid of the same M) and, per checkpoint, the
-    full-cache run's prompt-origin heavy-hitter fraction and heavy-hitter
-    set (empty without checkpoints)."""
+    replay; computed where it is built, before the seed's cells run) and
+    the full-cache run's dense rows, ``rows[t - 1]`` at each checkpoint t:
+    the trace's own, or a reference run's (none without checkpoints)."""
 
     seed: int
     source: ToyModel | Trace
     prompt: PromptPass | None
-    hh_prefill: dict[int, float]
-    heavy_hitters: dict[int, set[int]]
+    rows: list[np.ndarray | None]
 
 
-def _seed_inputs(
-    cfg: ExperimentConfig, seed: int, file_trace: Trace | None, passes: dict[int, PromptPass], rows: int
-) -> SeedInputs:
-    """``passes`` holds each seed's closed-loop prompt pass, which serves
-    every grid of the same M; ``rows`` is the widest observation window of
-    them all, clipped here to M."""
+def _seed_inputs(cfg: ExperimentConfig, seed: int, file_trace: Trace | None, window: int) -> SeedInputs:
+    """``window`` is the widest observation window of every grid, clipped
+    here to M. The reference stops at the last checkpoint: its rows up to
+    step t do not depend on T."""
     if cfg.mode == "trace_replay":
-        source: ToyModel | Trace = file_trace or synthetic_trace(cfg.M, cfg.T, seed)
-        prompt = None
-    else:
-        source = ToyModel(seed, cfg.d_model, cfg.n_heads, cfg.n_layers, cfg.recency_bias)
-        prompt = passes.get(seed)
-        if prompt is None or prompt.m != cfg.M:
-            passes.pop(seed, None)  # the last M's pass goes before this one is built
-            prompt = passes[seed] = PromptPass(source, cfg.M, min(rows, cfg.M))
-    inputs = SeedInputs(seed, source, prompt, {}, {})
-    if cfg.checkpoints:
-        # dense full-prefix rows: the trace's own, or a full-cache reference run's at the checkpoints
-        if prompt is None:
-            rows = source.rows
-        else:
-            rows = full_cache_reference(source, cfg.M, cfg.T, rows_at=cfg.checkpoints).rows
-        hh_report = hh_origin_distribution(rows, cfg.M, cfg.checkpoints, cfg.hh_fraction)
-        for cp in hh_report.checkpoints:
-            inputs.hh_prefill[cp.t] = cp.prefill_fraction
-            inputs.heavy_hitters[cp.t] = heavy_hitter_set(rows[cp.t - 1], cfg.hh_fraction)
-    return inputs
+        source = file_trace or synthetic_trace(cfg.M, cfg.T, seed)
+        return SeedInputs(seed, source, None, source.rows)
+    model = ToyModel(seed, cfg.d_model, cfg.n_heads, cfg.n_layers, cfg.recency_bias)
+    prompt = PromptPass(model, cfg.M, min(window, cfg.M))
+    checkpoints = cfg.checkpoints
+    rows = full_cache_reference(model, cfg.M, max(checkpoints), rows_at=checkpoints).rows if checkpoints else []
+    return SeedInputs(seed, model, prompt, rows)
 
 
-def _run_cell(cfg: ExperimentConfig, token: str, inputs: SeedInputs) -> CellResult:
+def _run_cell(
+    cfg: ExperimentConfig, token: str, inputs: SeedInputs, hh_prefill: dict[int, float], hh: dict[int, set[int]]
+) -> CellResult:
     prefill_policy, decoding_policy = cfg.pipeline(token)
     prefill = run_prefill(inputs.source, cfg.M, prefill_policy, inputs.prompt)
     record = decode_loop(inputs.source, prefill, decoding_policy, cfg.T, capture_positions=cfg.checkpoints)
     report = efficiency(record)
     recall: dict[int, float] = {}
-    for t, oracle_hh in inputs.heavy_hitters.items():
+    for t, oracle_hh in hh.items():
         kept_prefill, kept_decoding = record.positions_at(t)
         recall[t] = retained_recall(kept_prefill | kept_decoding, oracle_hh)
-    return CellResult(policy=token, seed=inputs.seed, report=report, hh_prefill=inputs.hh_prefill, recall=recall)
+    return CellResult(policy=token, seed=inputs.seed, report=report, hh_prefill=hh_prefill, recall=recall)
 
 
-def _run_grid(
-    cfg: ExperimentConfig, file_trace: Trace | None, passes: dict[int, PromptPass], rows: int
-) -> list[CellResult]:
-    """Every (policy, seed) cell of one config, token-major, on inputs
-    built once per seed before the cells run (see :func:`_seed_inputs`).
-    The inputs go when it returns, before the next sweep value builds its
-    own; only the prompt passes in ``passes`` outlive it."""
-    inputs = [_seed_inputs(cfg, seed, file_trace, passes, rows) for seed in cfg.seeds]
-    return [_run_cell(cfg, token, seed_inputs) for token in cfg.policies for seed_inputs in inputs]
+def _run_grid(cfg: ExperimentConfig, inputs: list[SeedInputs]) -> list[CellResult]:
+    """Every (policy, seed) cell of one config, token-major, on the seeds'
+    shared inputs. The heavy-hitter figures follow ``hh_fraction``, so the
+    grid derives dicts of its own from each seed's rows: per checkpoint,
+    the prompt-origin fraction and the heavy-hitter set."""
+    measured = []
+    for seed_inputs in inputs:
+        rows, hh_prefill, heavy_hitters = seed_inputs.rows, {}, {}
+        for cp in hh_origin_distribution(rows, cfg.M, cfg.checkpoints, cfg.hh_fraction).checkpoints:
+            hh_prefill[cp.t] = cp.prefill_fraction
+            heavy_hitters[cp.t] = heavy_hitter_set(rows[cp.t - 1], cfg.hh_fraction)
+        measured.append((seed_inputs, hh_prefill, heavy_hitters))
+    return [_run_cell(cfg, token, *seed) for token in cfg.policies for seed in measured]
 
 
 def _csv_lines(cfg: ExperimentConfig, cells: list[CellResult], stamped: bool) -> list[str]:
@@ -144,7 +135,10 @@ def _summary_lines(cfg: ExperimentConfig, cells: list[CellResult], stamped: bool
     lines = []
     if stamped:
         lines.append(f"generated_at: {time.strftime('%Y-%m-%dT%H:%M:%S')}")
-    lines.append(f"mode={cfg.mode} M={cfg.M} T={cfg.T} d_model={cfg.d_model} layers={cfg.n_layers}")
+    shape = {"M": cfg.M, "T": cfg.T}
+    if cells[0].axis in ("m", "t"):  # name the values the cells ran, not the base config's
+        shape[SWEEP_AXES[cells[0].axis][0]] = ",".join(dict.fromkeys(str(c.axis_value) for c in cells))
+    lines.append(f"mode={cfg.mode} M={shape['M']} T={shape['T']} d_model={cfg.d_model} layers={cfg.n_layers}")
     entry_bytes = 2 * cfg.d_model * SCALAR_BYTES
     lines.append(f"bytes per entry (display only): {entry_bytes}")
     for c in cells:
@@ -188,11 +182,6 @@ def run_experiment(
     for sub, _, _ in grids:
         sub.validate()
 
-    # a trace file is read once, and a closed-loop prompt pass once per seed
-    # and M, holding the widest observation window of every grid; every
-    # other per-seed input depends on the axis value and is rebuilt per grid
-    rows = max(sub.pipeline(t)[0].observed_rows(sub.M) for sub, _, _ in grids for t in sub.policies)
-    passes: dict[int, PromptPass] = {}
     file_trace = read_trace(cfg.trace_path) if cfg.trace_path else None
     for sub, _, _ in grids:
         if file_trace is not None and (file_trace.M != sub.M or file_trace.T < sub.T):
@@ -202,9 +191,17 @@ def run_experiment(
             )
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cells = []
+    # A seed's inputs depend on M and, for a synthetic trace, T: grids that
+    # keep both share them. The prompt pass holds the widest observation
+    # window of all grids.
+    window = max(sub.pipeline(t)[0].observed_rows(sub.M) for sub, _, _ in grids for t in sub.policies)
+    cells, inputs, built_for = [], [], None
     for sub, ax, value in grids:
-        for cell in _run_grid(sub, file_trace, passes, rows):
+        depends_on = (sub.M, sub.T if sub.mode == "trace_replay" and file_trace is None else None)
+        if depends_on != built_for:
+            inputs = []  # the old inputs go before the new ones are built
+            inputs, built_for = [_seed_inputs(sub, seed, file_trace, window) for seed in sub.seeds], depends_on
+        for cell in _run_grid(sub, inputs):
             cell.axis, cell.axis_value = ax, value
             cells.append(cell)
 
@@ -340,6 +337,10 @@ def main(argv: list[str] | None = None) -> int:
                 )
                 return 0
             cfg = _load(args)
+            if cfg.mode != "closed_loop":
+                raise ConfigError(f"mode: trace export records the toy model's closed loop, got {cfg.mode!r}")
+            if len(cfg.seeds) != 1:
+                raise ConfigError(f"seeds: trace export records one seed's run, so give one seed, got {cfg.seeds}")
             model = ToyModel(cfg.seeds[0], cfg.d_model, cfg.n_heads, cfg.n_layers, cfg.recency_bias)
             try:
                 reference = full_cache_reference(model, cfg.M, cfg.T, allow_large=args.allow_large)

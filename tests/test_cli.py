@@ -70,9 +70,10 @@ def write_trace_v1(trace, path):
 
 
 def export_trace(tmp_path):
-    """Record the smoke model at M=12, T=8 as a trace file; return its path."""
+    """Record the smoke model at M=12, T=8, seed 1, as a trace file; return its path."""
     cfg_text = (
-        SMOKE_CONFIG.replace("M = 24", "M = 12")
+        SMOKE_CONFIG.replace("seeds = 1, 2", "seeds = 1")
+        .replace("M = 24", "M = 12")
         .replace("T = 16", "T = 8")
         .replace("metrics.checkpoints = 4, 16", "metrics.checkpoints = 4, 8")
     )
@@ -242,31 +243,47 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("mode", ["closed_loop", "trace_replay"])
     def test_seed_inputs_built_once_per_axis_value_and_seed(self, tmp_path, monkeypatch, mode):
-        # 3 tokens x 2 seeds x 2 values of M, checkpoints 4 and 16
-        text = SMOKE_CONFIG.replace("policies = full, scope_slide", "policies = full, h2o, scope_slide")
+        # 3 tokens x 2 seeds, checkpoints 4 and 12, swept over M, T and beta1:
+        # closed loop builds a seed's inputs once per M, synthetic replay once
+        # per (M, T), and the reference stops at the last checkpoint
+        text = (
+            SMOKE_CONFIG.replace("policies = full, scope_slide", "policies = full, h2o, scope_slide")
+            .replace("metrics.checkpoints = 4, 16", "metrics.checkpoints = 4, 12")
+        )
         if mode == "trace_replay":
             text = text.replace("mode = closed_loop", "mode = trace_replay\ntrace.synthetic = true")
-        names = ("full_cache_reference", "synthetic_trace", "hh_origin_distribution", "heavy_hitter_set")
-        calls = {name: [] for name in names}
-        for name in names:
-            def counted(*args, _fn=getattr(cli, name), _calls=calls[name], **kwargs):
-                _calls.append(args)
-                return _fn(*args, **kwargs)
-
-            monkeypatch.setattr(cli, name, counted)
         path = write_config(tmp_path, text + f"output_dir = {tmp_path / 'out'}\n")
-        assert main(["sweep", str(path), "--axis", "m=20,24"]) == 0
-        assert len((tmp_path / "out" / "report.csv").read_text().splitlines()) == 1 + 2 * 3 * 2
-        # one dense source of reference rows per (M, seed)
-        if mode == "closed_loop":
-            built = sorted((model.seed, m) for model, m, _ in calls["full_cache_reference"])
-            assert calls["synthetic_trace"] == []
-        else:
-            built = sorted((seed, m) for m, _, seed in calls["synthetic_trace"])
-            assert calls["full_cache_reference"] == []
-        assert built == [(1, 20), (1, 24), (2, 20), (2, 24)]
-        assert sorted(args[1] for args in calls["hh_origin_distribution"]) == [20, 20, 24, 24]
-        assert len(calls["heavy_hitter_set"]) == 4 * 2  # once per checkpoint
+        names = ["PromptPass", "full_cache_reference", "synthetic_trace"]
+        names += ["hh_origin_distribution", "heavy_hitter_set"]
+        for axis, values in [("m", [20, 24]), ("t", [16, 20]), ("beta1", [2, 4, 6])]:
+            calls = {name: [] for name in names}
+            with monkeypatch.context() as patch:
+                for name in names:
+                    def counted(*args, _fn=getattr(cli, name), _calls=calls[name], **kwargs):
+                        _calls.append(args)
+                        return _fn(*args, **kwargs)
+
+                    patch.setattr(cli, name, counted)
+                assert main(["sweep", str(path), "--axis", f"{axis}={','.join(map(str, values))}"]) == 0
+            assert len((tmp_path / "out" / "report.csv").read_text().splitlines()) == 1 + 3 * 2 * len(values)
+            # (seed, M, T) of each grid's seeds, in run order
+            grids = [
+                (seed, value if axis == "m" else 24, value if axis == "t" else 16) for value in values for seed in (1, 2)
+            ]
+            if mode == "closed_loop":
+                want = list(dict.fromkeys((seed, m) for seed, m, _ in grids))
+                assert [(model.seed, m) for model, m, _ in calls["PromptPass"]] == want, axis
+                assert [(model.seed, m, t) for model, m, t in calls["full_cache_reference"]] == [
+                    (seed, m, 12) for seed, m in want
+                ], axis
+                assert calls["synthetic_trace"] == []
+            else:
+                want = list(dict.fromkeys(grids))
+                assert [(seed, m, t) for m, t, seed in calls["synthetic_trace"]] == want, axis
+                assert calls["PromptPass"] == calls["full_cache_reference"] == []
+            # each grid measures its own heavy hitters, once per seed and checkpoint
+            assert len(calls["hh_origin_distribution"]) == 2 * len(values), axis
+            assert len(calls["heavy_hitter_set"]) == 2 * 2 * len(values), axis
 
     @pytest.mark.parametrize(
         "axis, values, built",
@@ -274,6 +291,9 @@ class TestRunExperiment:
             ("beta1", "1,2,3", [(1, 24, 2), (2, 24, 2)]),
             ("alpha2", "2,5", [(1, 24, 5), (2, 24, 5)]),  # the widest window of both grids
             ("m", "20,24", [(1, 20, 2), (2, 20, 2), (1, 24, 2), (2, 24, 2)]),
+            ("t", "16,20", [(1, 24, 2), (2, 24, 2)]),
+            # the grids share the reference rows, not the heavy-hitter figures drawn from them
+            ("hh_fraction", "0.15,0.5", [(1, 24, 2), (2, 24, 2)]),
         ],
     )
     def test_prompt_pass_built_once_per_seed_and_m(self, tmp_path, monkeypatch, axis, values, built):
@@ -285,13 +305,20 @@ class TestRunExperiment:
                 super().__init__(model, m, rows)
 
         monkeypatch.setattr(cli, "PromptPass", CountedPass)
-        path = write_config(tmp_path, SMOKE_CONFIG)
+        base = SMOKE_CONFIG + "metrics.hh_fraction = 0.15\n"
+        path = write_config(tmp_path, base)
         assert main(["sweep", str(path), "--axis", f"{axis}={values}", "--output-dir", str(tmp_path / "sweep")]) == 0
         assert passes == built
         rows = (tmp_path / "sweep" / "report.csv").read_text().splitlines()[1:]
-        line = {"beta1": "decoding.beta1 = 3", "alpha2": "prefill.alpha2 = 2", "m": "M = 24"}[axis]
+        line = {
+            "beta1": "decoding.beta1 = 3",
+            "alpha2": "prefill.alpha2 = 2",
+            "m": "M = 24",
+            "t": "T = 16",
+            "hh_fraction": "metrics.hh_fraction = 0.15",
+        }[axis]
         for i, value in enumerate(values.split(",")):
-            text = SMOKE_CONFIG.replace(line, f"{line.split(' = ')[0]} = {value}")
+            text = base.replace(line, f"{line.split(' = ')[0]} = {value}")
             run = write_config(tmp_path, text, name=f"run{i}.cfg")
             assert main(["run", str(run), "--output-dir", str(tmp_path / f"run{i}")]) == 0
             want = (tmp_path / f"run{i}" / "report.csv").read_text().splitlines()[1:]
@@ -437,6 +464,20 @@ class TestCLI:
         assert lines[0].endswith("axis,axis_value")
         assert [l.split(",")[-1] for l in lines[1:]] == ["2", "4", "6", "8"]
 
+    @pytest.mark.parametrize(
+        "axis, header",
+        [
+            ("m=20,24", "mode=closed_loop M=20,24 T=16 d_model=16 layers=1"),
+            ("t=20,16", "mode=closed_loop M=24 T=20,16 d_model=16 layers=1"),
+            ("beta1=2,4", "mode=closed_loop M=24 T=16 d_model=16 layers=1"),
+        ],
+    )
+    def test_sweep_report_header_names_the_swept_shape(self, tmp_path, axis, header):
+        out_dir = tmp_path / "sweep_out"
+        path = write_config(tmp_path, SMOKE_CONFIG)
+        assert main(["sweep", str(path), "--axis", axis, "--output-dir", str(out_dir)]) == 0
+        assert (out_dir / "report.txt").read_text().splitlines()[0] == header
+
     def test_sweep_bad_axis_exit_one(self, tmp_path, capsys):
         path = write_config(tmp_path, REPLAY_CONFIG)
         assert main(["sweep", str(path), "--axis", "gamma=1,2"]) == 1
@@ -485,7 +526,10 @@ class TestCLI:
         assert not (tmp_path / "out").exists()
 
     def test_trace_export_size_guard_names_the_flag(self, tmp_path, capsys):
-        cfg_text = SMOKE_CONFIG.replace("M = 24", "M = 4090").replace("metrics.checkpoints = 4, 16\n", "")
+        cfg_text = (
+            SMOKE_CONFIG.replace("seeds = 1, 2", "seeds = 1").replace("M = 24", "M = 4090")
+            .replace("metrics.checkpoints = 4, 16\n", "")
+        )
         path = write_config(tmp_path, cfg_text)
         assert main(["trace", "export", str(path), str(tmp_path / "big.trace")]) == 1
         err = capsys.readouterr().err
@@ -496,8 +540,9 @@ class TestCLI:
     def test_trace_export_past_the_guard_with_allow_large(self, tmp_path, capsys):
         # M + T = 4097, one position past the guard
         cfg_text = (
-            SMOKE_CONFIG.replace("d_model = 16", "d_model = 8").replace("M = 24", "M = 3000")
-            .replace("T = 16", "T = 1097").replace("metrics.checkpoints = 4, 16\n", "")
+            SMOKE_CONFIG.replace("seeds = 1, 2", "seeds = 1").replace("d_model = 16", "d_model = 8")
+            .replace("M = 24", "M = 3000").replace("T = 16", "T = 1097")
+            .replace("metrics.checkpoints = 4, 16\n", "")
         )
         path, trace_path = write_config(tmp_path, cfg_text), tmp_path / "big.trace"
         assert main(["trace", "export", str(path), str(trace_path), "--allow-large"]) == 0
@@ -506,9 +551,28 @@ class TestCLI:
 
     def test_trace_export_to_a_missing_directory_exit_one(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.trace"
-        assert main(["trace", "export", str(write_config(tmp_path, SMOKE_CONFIG)), str(out)]) == 1
+        path = write_config(tmp_path, SMOKE_CONFIG.replace("seeds = 1, 2", "seeds = 1"))
+        assert main(["trace", "export", str(path), str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("output error:") and str(out) in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (SMOKE_CONFIG, "seeds: trace export records one seed's run, so give one seed, got [1, 2]"),
+            (
+                SMOKE_CONFIG.replace("seeds = 1, 2", "seeds = 1")
+                .replace("mode = closed_loop", "mode = trace_replay\ntrace.synthetic = true"),
+                "mode: trace export records the toy model's closed loop, got 'trace_replay'",
+            ),
+        ],
+        ids=["two_seeds", "trace_replay"],
+    )
+    def test_trace_export_of_a_config_it_cannot_record_exit_one(self, tmp_path, capsys, text, message):
+        out = tmp_path / "x.trace"
+        assert main(["trace", "export", str(write_config(tmp_path, text)), str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_output_dir_that_is_a_file_exit_one_before_any_cell(self, tmp_path, capsys, monkeypatch, command):

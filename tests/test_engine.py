@@ -501,6 +501,35 @@ def test_closed_loop_head_shapes_pinned():
     assert digest.hexdigest() == HEAD_SHAPE_DIGEST
 
 
+# sha256 over every array a PromptPass keeps: each layer's column sums,
+# observation rows, prompt keys and values, then the first decode input
+# (shape, then little-endian float64). Prompt lengths 1 to 997 (257 is one
+# row past 256, 129 and 997 are no multiple of 64), head_dim 1-16, 1-3
+# layers and recency_bias 0/0.05: a pass computed in row blocks must keep
+# these bits.
+PROMPT_PASS_DIGEST = "a46f8fa9e2147d622160d7f25cbffc9fd920fb7fa4b7f979a14316a4830c736c"
+
+
+def test_prompt_pass_arrays_pinned():
+    digest = hashlib.sha256()
+    cases = [  # (M, observation rows, d_model, n_heads, n_layers, recency_bias)
+        (300, 40, 32, 2, 1, 0.0),
+        (997, 64, 8, 8, 2, 0.05),
+        (257, 257, 32, 16, 3, 0.05),
+        (64, 1, 3, 3, 2, 0.0),
+        (129, 8, 16, 1, 1, 0.05),
+        (1, 1, 8, 2, 2, 0.05),
+    ]
+    for seed, (m, rows, d_model, n_heads, n_layers, bias) in enumerate(cases):
+        shared = PromptPass(ToyModel(seed, d_model, n_heads, n_layers, bias), m, rows)
+        layers = zip(shared.colsums, shared.obs_rows, shared.prompt_kv, strict=True)
+        kept = [array for colsums, obs, (k, v) in layers for array in (colsums, obs, k, v)]
+        for array in [*kept, shared.next_input]:
+            digest.update(np.array(array.shape, dtype="<i8").tobytes())
+            digest.update(array.astype("<f8").tobytes())
+    assert digest.hexdigest() == PROMPT_PASS_DIGEST
+
+
 class TestModelWeights:
     def test_weights_reproducible_across_instances(self):
         model = ToyModel(seed=21, d_model=8, n_heads=1, n_layers=2)
