@@ -135,10 +135,12 @@ def _summary_lines(cfg: ExperimentConfig, cells: list[CellResult], stamped: bool
     lines = []
     if stamped:
         lines.append(f"generated_at: {time.strftime('%Y-%m-%dT%H:%M:%S')}")
-    shape = {"M": cfg.M, "T": cfg.T}
-    if cells[0].axis in ("m", "t"):  # name the values the cells ran, not the base config's
-        shape[SWEEP_AXES[cells[0].axis][0]] = ",".join(dict.fromkeys(str(c.axis_value) for c in cells))
-    lines.append(f"mode={cfg.mode} M={shape['M']} T={shape['T']} d_model={cfg.d_model} layers={cfg.n_layers}")
+    # an m or t sweep names the values its cells ran, not the base config's
+    swept = ",".join(dict.fromkeys(str(c.axis_value) for c in cells))
+    lines.append(
+        f"mode={cfg.mode} M={swept if cells[0].axis == 'm' else cfg.M}"
+        f" T={swept if cells[0].axis == 't' else cfg.T} d_model={cfg.d_model} layers={cfg.n_layers}"
+    )
     entry_bytes = 2 * cfg.d_model * SCALAR_BYTES
     lines.append(f"bytes per entry (display only): {entry_bytes}")
     for c in cells:
@@ -191,13 +193,13 @@ def run_experiment(
             )
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # A seed's inputs depend on M and, for a synthetic trace, T: grids that
-    # keep both share them. The prompt pass holds the widest observation
+    # A seed's inputs depend on M and, in trace replay, T: grids that keep
+    # both share them. The prompt pass holds the widest observation
     # window of all grids.
     window = max(sub.pipeline(t)[0].observed_rows(sub.M) for sub, _, _ in grids for t in sub.policies)
     cells, inputs, built_for = [], [], None
     for sub, ax, value in grids:
-        depends_on = (sub.M, sub.T if sub.mode == "trace_replay" and file_trace is None else None)
+        depends_on = (sub.M, sub.T if sub.mode == "trace_replay" else None)
         if depends_on != built_for:
             inputs = []  # the old inputs go before the new ones are built
             inputs, built_for = [_seed_inputs(sub, seed, file_trace, window) for seed in sub.seeds], depends_on

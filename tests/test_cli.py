@@ -282,7 +282,7 @@ class TestRunExperiment:
                 assert [(seed, m, t) for m, t, seed in calls["synthetic_trace"]] == want, axis
                 assert calls["PromptPass"] == calls["full_cache_reference"] == []
             # each grid measures its own heavy hitters, once per seed and checkpoint
-            assert len(calls["hh_origin_distribution"]) == 2 * len(values), axis
+            assert [args[1] for args in calls["hh_origin_distribution"]] == [m for _, m, _ in grids], axis
             assert len(calls["heavy_hitter_set"]) == 2 * 2 * len(values), axis
 
     @pytest.mark.parametrize(
