@@ -22,7 +22,7 @@ CHECKPOINTS = [1, 100, 300, 500]
 def main() -> int:
     model = ToyModel(seed=8, d_model=32, n_heads=2, n_layers=1, recency_bias=0.05)
     print(f"full-cache reference: M={M}, T={T}, recency_bias={model.recency_bias}")
-    reference = full_cache_reference(model, M, T)
+    reference = full_cache_reference(model, M, T, rows_at=CHECKPOINTS)
     report = hh_origin_distribution(reference.rows, M, CHECKPOINTS, fraction=0.15)
     for cp in report.checkpoints:
         print(

@@ -34,7 +34,7 @@ from .metrics import (
     hh_origin_distribution,
     retained_recall,
 )
-from .oracle import full_cache_reference, naive_policy_simulator
+from .oracle import full_cache_reference, naive_policy_simulator, reference_rows
 from .prefill import (
     PrefillPolicy,
     PrefillPolicyKind,
@@ -42,13 +42,12 @@ from .prefill import (
     compress_prefill_topk,
 )
 from .selection import (
-    AttentionRow,
     ScoreAccumulator,
     ScoreVector,
     observation_window_scores,
     top_k,
     top_k_mask,
 )
-from .traceio import Trace, TraceError, read_trace, synthetic_trace, write_trace
+from .traceio import Trace, TraceError, TraceHeader, read_trace, stream_trace, synthetic_trace, write_trace
 
 __version__ = "0.1.0"

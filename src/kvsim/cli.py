@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``run <config>`` — execute every (policy, seed) cell and write reports;
-* ``trace export <config> <out>`` — record a full-cache run as a trace file;
+* ``trace export <config> <out>`` — record a full-cache run as a trace file,
+  writing each row as the run computes it;
 * ``trace import-check <file>`` — validate a trace file and print its format version;
 * ``sweep <config> --axis key=v1,v2,...`` — run the cell grid per axis value;
 * ``oracle-check <config>`` — naive-simulator equivalence suite.
@@ -27,8 +28,8 @@ from .config import SWEEP_AXES, ConfigError, ExperimentConfig, load_config
 from .core import InvariantError
 from .engine import PromptPass, ToyModel, decode_loop, run_prefill
 from .metrics import EfficiencyReport, efficiency, heavy_hitter_set, hh_origin_distribution, retained_recall
-from .oracle import check_policy_equivalence, full_cache_reference, naive_prompt_compressor
-from .traceio import Trace, TraceError, read_trace, synthetic_trace, write_trace
+from .oracle import check_policy_equivalence, full_cache_reference, naive_prompt_compressor, reference_rows
+from .traceio import TRACE_VERSION, Trace, TraceError, TraceHeader, read_trace, stream_trace, synthetic_trace
 
 
 # report.txt's display-only byte figures assume 16-bit keys and values
@@ -295,11 +296,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_trace = sub.add_parser("trace", help="trace file utilities")
     trace_sub = p_trace.add_subparsers(dest="trace_command", required=True)
-    p_export = trace_sub.add_parser("export", help="record a full-cache run as a trace file")
+    p_export = trace_sub.add_parser(
+        "export", help="record a full-cache run as a trace file, writing each row as it is computed"
+    )
     p_export.add_argument("config")
     p_export.add_argument("out")
-    p_export.add_argument("--allow-large", action="store_true", help="override the dense-size guard")
-    p_import = trace_sub.add_parser("import-check", help="validate a trace file")
+    p_import = trace_sub.add_parser("import-check", help=f"validate a trace file (format version {TRACE_VERSION})")
     p_import.add_argument("file")
 
     p_sweep = sub.add_parser("sweep", help="run the cell grid once per axis value")
@@ -334,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.trace_command == "import-check":
                 trace = read_trace(args.file)
                 print(
-                    f"ok: M={trace.M} T={trace.T} version={trace.version} layers={trace.layers} "
+                    f"ok: M={trace.M} T={trace.T} version={TRACE_VERSION} layers={trace.layers} "
                     f"heads={trace.heads} aggregation={trace.aggregation}"
                 )
                 return 0
@@ -344,13 +346,9 @@ def main(argv: list[str] | None = None) -> int:
             if len(cfg.seeds) != 1:
                 raise ConfigError(f"seeds: trace export records one seed's run, so give one seed, got {cfg.seeds}")
             model = ToyModel(cfg.seeds[0], cfg.d_model, cfg.n_heads, cfg.n_layers, cfg.recency_bias)
-            try:
-                reference = full_cache_reference(model, cfg.M, cfg.T, allow_large=args.allow_large)
-            except ValueError as exc:  # the dense-size guard, whose override is a flag here
-                print(f"config error: {str(exc).replace('allow_large=True', '--allow-large')}", file=sys.stderr)
-                return 1
-            write_trace(reference.to_trace(), args.out)
-            print(f"wrote trace M={cfg.M} T={cfg.T} -> {args.out}")
+            header = TraceHeader(cfg.M, cfg.T, model.n_layers, model.n_heads)
+            size = stream_trace(header, reference_rows(model, cfg.M, cfg.T), args.out)
+            print(f"wrote trace M={cfg.M} T={cfg.T}, {size} bytes -> {args.out}")
             return 0
 
         if args.command == "sweep":

@@ -37,7 +37,6 @@ import numpy as np
 from .core import BudgetConfig, CachePool, InvariantError, evict_decoding
 from .prefill import layer_splits
 from .selection import (
-    AttentionRow,
     ScoreAccumulator,
     ScoreVector,
     observation_window_scores,
@@ -225,7 +224,7 @@ class PolicyRunner:
         ):
             self._acc.add_row(ScoreVector(positions, colsums[positions], validate=False))
 
-    def step(self, pool: CachePool, row: AttentionRow | None, t: int) -> tuple[CachePool, StepDecision]:
+    def step(self, pool: CachePool, row: ScoreVector | None, t: int) -> tuple[CachePool, StepDecision]:
         policy = self.policy
         if row is None:
             if self.reads_rows:

@@ -31,7 +31,7 @@ import numpy as np
 from .core import CachePool, append_decoding_entry, new_pool
 from .decoding import DecodingPolicy, PolicyRunner, StepDecision
 from .prefill import PrefillPolicy, apply_prefill_policy
-from .selection import AttentionRow
+from .selection import ScoreVector
 from .traceio import Trace, TraceError
 
 
@@ -93,7 +93,7 @@ def _rmsnorm_rows(x: np.ndarray) -> np.ndarray:
 
 def _attend(
     hidden: np.ndarray, keys: np.ndarray, values: np.ndarray, pos: np.ndarray, bias: float
-) -> tuple[AttentionRow, np.ndarray]:
+) -> tuple[ScoreVector, np.ndarray]:
     """Multi-head attention of one hidden state over the retained entries:
     ``keys``/``values`` are their head-major (n_heads, n, head_dim) rows,
     ``pos`` their ascending positions. Returns the head-averaged row
@@ -126,7 +126,7 @@ def _attend(
         row = weights.sum(axis=0) / n_heads
     else:
         row = np.ascontiguousarray(weights.T).sum(axis=1) / n_heads
-    return AttentionRow(pos, row, validate=False), context
+    return ScoreVector(pos, row, validate=False), context
 
 
 # ----------------------------------------------------------------------
@@ -217,11 +217,17 @@ def run_prefill(
 
     In closed loop, ``prompt`` passes a pass shared with other calls for
     the same model and M, so each call only compresses; by default the
-    call builds, and so computes, a pass of its own.
+    call builds, and so computes, a pass of its own. A pass given with a
+    trace raises ``ValueError``.
     """
     if m < 1:
         raise ValueError("prompt length must be >= 1")
     if isinstance(source, Trace):
+        if prompt is not None:
+            raise ValueError(
+                f"prompt pass (seed {prompt.model.seed}, M={prompt.m}) does not serve a trace, "
+                "which brings its own prompt row"
+            )
         if source.M < m:
             raise TraceError(f"trace prompt covers {source.M} positions, shorter than M={m}")
         if source.M != m:
@@ -277,7 +283,7 @@ class LayerLog:
         self.decoding_size = np.zeros(steps, dtype=np.int64)
         self.evicted = np.zeros(steps, dtype=np.int64)
         self.captured: dict[int, CachePool] = {}
-        self.rows: list[AttentionRow] = []
+        self.rows: list[ScoreVector] = []
 
     @property
     def peak_entries(self) -> np.ndarray:
@@ -293,7 +299,7 @@ class LayerLog:
         columns = (self.prefill_size, self.decoding_size, self.peak_entries)
         return list(map(StepRow, *(c.tolist() for c in columns)))
 
-    def record(self, t: int, pool: CachePool, row: AttentionRow, decision: StepDecision, capture: set[int]) -> None:
+    def record(self, t: int, pool: CachePool, row: ScoreVector, decision: StepDecision, capture: set[int]) -> None:
         i = t - 1
         self.prefill_size[i] = pool.prefill_size
         self.decoding_size[i] = pool.decoding_size
@@ -400,13 +406,13 @@ def _replay_attention(trace: Trace, prefill: PrefillResult, steps: int):
     if steps > trace.T:
         raise TraceError(f"trace holds {trace.T} steps, run requested {steps}")
 
-    def attend(layer: int, t: int, pos: np.ndarray, h: None) -> tuple[AttentionRow, None]:
+    def attend(layer: int, t: int, pos: np.ndarray, h: None) -> tuple[ScoreVector, None]:
         sliced = trace.row(t)[pos]
         mass = sliced.sum()
         if not math.isfinite(mass):
             raise TraceError(f"trace row of step {t} has non-finite mass {mass} over the retained positions")
         sliced = sliced / mass if mass > 0 else np.full(len(pos), 1.0 / len(pos))
-        return AttentionRow(pos, sliced, validate=False), h
+        return ScoreVector(pos, sliced, validate=False), h
 
     return attend
 
@@ -437,7 +443,7 @@ def _closed_loop_attention(model: ToyModel, prefill: PrefillResult, steps: int):
             lane[:, : len(kept)] = rows[kept].reshape(len(kept), heads, dh).transpose(1, 0, 2)
             lanes.append(lane)
 
-    def attend(layer: int, t: int, pos: np.ndarray, h: np.ndarray) -> tuple[AttentionRow, np.ndarray]:
+    def attend(layer: int, t: int, pos: np.ndarray, h: np.ndarray) -> tuple[ScoreVector, np.ndarray]:
         k, v, n = keys[layer], values[layer], len(pos)
         k[:, n - 1] = (h @ weights.w_k[layer]).reshape(heads, dh)
         v[:, n - 1] = (h @ weights.w_v[layer]).reshape(heads, dh)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -18,8 +18,6 @@ from .decoding import DecodingPolicy, PolicyKind, SelectorKind
 from .engine import ModelWeights, ToyModel, decode_loop, prefill_result_from_positions
 from .prefill import PrefillPolicy, PrefillPolicyKind
 from .traceio import Trace
-
-DEFAULT_SIZE_GUARD = 4096
 
 
 @dataclass
@@ -58,17 +56,16 @@ def full_cache_reference(
     *,
     rows_at: Sequence[int] | None = None,
     attended: Sequence[Sequence[Sequence[int]]] | None = None,
-    allow_large: bool = False,
 ) -> ReferenceRun:
     """Run the toy model, storing full-prefix rows densely: every step's by
-    default ((m + t_steps)^2 / 2 floats, refused above
-    ``DEFAULT_SIZE_GUARD`` positions unless ``allow_large``), or only the
-    steps in ``rows_at`` (within 1..t_steps), with ``None`` at the others
-    and no guard. Re-derives the forward pass stepwise rather than reusing
-    the engine, so the two can be cross-checked: one loop over positions,
-    prompt and decode alike, and a literal loop over heads. Each new key
-    and value is written into a preallocated (m + t_steps) x d_model
-    buffer per layer, indexed by position.
+    default ((m + t_steps)^2 / 2 floats), or only the steps in ``rows_at``
+    (within 1..t_steps), with ``None`` at the others. :func:`reference_rows`
+    gives every row without keeping one. Re-derives the forward pass
+    stepwise rather than reusing the engine, so the two can be
+    cross-checked: one loop over positions, prompt and decode alike, and a
+    literal loop over heads. Each new key and value is written into a
+    preallocated (m + t_steps) x d_model buffer per layer, indexed by
+    position.
 
     The prompt attends causally over every earlier position. A decode
     step attends over the whole prefix too (no eviction), unless
@@ -77,11 +74,6 @@ def full_cache_reference(
     the run then also returns each layer's own rows (``layer_rows``)."""
     if m < 1 or t_steps < 0:
         raise ValueError("need m >= 1 and t_steps >= 0")
-    if rows_at is None and m + t_steps > DEFAULT_SIZE_GUARD and not allow_large:
-        raise ValueError(
-            f"dense reference for {m + t_steps} positions exceeds the guard ({DEFAULT_SIZE_GUARD}); "
-            "pass allow_large=True to override"
-        )
     kept = set(range(1, t_steps + 1) if rows_at is None else rows_at)
     if not all(1 <= t <= t_steps for t in kept):
         raise ValueError(f"rows_at: steps must lie in 1..{t_steps}, got {sorted(kept)}")
@@ -93,6 +85,37 @@ def full_cache_reference(
                 listed = [int(q) for q in positions]
                 if not listed or listed != sorted(set(listed)) or listed[0] < 0 or listed[-1] != m + t - 1:
                     raise ValueError(f"attended: step {t} must list ascending positions ending at {m + t - 1}")
+    steps = _forward(model, m, t_steps, attended)
+    prompt_scores, _, _ = next(steps)
+    rows: list[np.ndarray | None] = []
+    layer_rows: list[list[np.ndarray] | None] = []
+    outputs = np.zeros((t_steps, model.d_model))
+    for t, (row, own, output) in enumerate(steps, start=1):
+        rows.append(row if t in kept else None)
+        layer_rows.append(own if t in kept else None)
+        outputs[t - 1] = output
+    return ReferenceRun(
+        model=model, prompt_len=m, steps=t_steps, rows=rows,
+        prompt_scores=prompt_scores, outputs=outputs,
+        layer_rows=None if attended is None else layer_rows,
+    )
+
+
+def reference_rows(model: ToyModel, m: int, t_steps: int) -> Iterator[np.ndarray]:
+    """Rows 0..t_steps of :func:`full_cache_reference`'s run, each yielded
+    as its loop completes it and kept by no one here: the prompt's column
+    sums once the prompt is done, then each step's full-prefix row."""
+    if m < 1 or t_steps < 0:
+        raise ValueError("need m >= 1 and t_steps >= 0")
+    return (row for row, _, _ in _forward(model, m, t_steps, None))
+
+
+def _forward(
+    model: ToyModel, m: int, t_steps: int, attended: Sequence[Sequence[Sequence[int]]] | None
+) -> Iterator[tuple[np.ndarray, list[np.ndarray] | None, np.ndarray | None]]:
+    """The stepwise loop: yields the prompt's column sums once the prompt
+    is done, then for each step its layer-mean row, each layer's own row
+    (an empty list unless ``attended`` is given) and its output."""
     weights = ModelWeights(model)
     heads, d = model.n_heads, model.d_model
     dh = d // heads
@@ -125,9 +148,6 @@ def full_cache_reference(
         return x / r if r > 0 else x
 
     prompt_colsums = np.zeros(m)
-    rows: list[np.ndarray | None] = []
-    layer_rows: list[list[np.ndarray] | None] = []
-    outputs = np.zeros((t_steps, d))
     embeddings = weights.embeddings(m)
     for p in range(m + t_steps):
         if p < m:
@@ -148,16 +168,10 @@ def full_cache_reference(
             h = norm(h + ctx)
         if p < m:
             prompt_colsums[: p + 1] += layer_mean
+            if p == m - 1:
+                yield prompt_colsums, None, None
         else:
-            rows.append(layer_mean if p - m + 1 in kept else None)
-            layer_rows.append(own if p - m + 1 in kept else None)
-            outputs[p - m] = h
-
-    return ReferenceRun(
-        model=model, prompt_len=m, steps=t_steps, rows=rows,
-        prompt_scores=prompt_colsums, outputs=outputs,
-        layer_rows=None if attended is None else layer_rows,
-    )
+            yield layer_mean, own, h
 
 
 # ----------------------------------------------------------------------

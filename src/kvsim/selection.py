@@ -46,9 +46,6 @@ class ScoreVector:
         return cls(np.arange(len(scores), dtype=np.int64), scores)
 
 
-AttentionRow = ScoreVector
-
-
 def top_k_mask(scores: np.ndarray, k: int) -> np.ndarray:
     """Boolean mask over ``scores`` (aligned to ascending positions) that
     marks the ``min(k, len)`` largest, earliest position winning ties.

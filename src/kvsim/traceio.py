@@ -6,19 +6,16 @@ prompt compression consumes; row t >= 1 holds decode step t's scores over
 the full causal prefix (length M + t). Every score is finite and
 nonnegative.
 
-Format version 2, the one :func:`write_trace` writes: one ASCII JSON
-header line
+The file (format version 2): one ASCII JSON header line
 ``{"version": 2, "M": ..., "T": ..., "layers": ..., "heads": ..., "aggregation": ...}``
 ending in ``\n``, then rows 0..T back to back as one little-endian float64
 payload of ``M*(T+1) + T*(T+1)/2`` values, so row t starts at element
 ``M*t + t*(t-1)/2``. The file is exactly the header line plus 8 bytes per
-value. :func:`read_trace` loads the payload with one ``np.fromfile`` into a
-read-only buffer; the trace's rows are views into it.
-
-Version 1 files (the same header with ``"version": 1``, then one JSON
-record ``{"t": t, "scores": [...]}`` per row in decimal text) are still
-read. ``write_trace(read_trace(old), new)`` converts one to version 2 with
-the same bits.
+value. :func:`stream_trace` writes each row as it comes, so its caller
+need hold no more than that row; :func:`write_trace` is its in-memory
+case. :func:`read_trace` loads the payload with one ``np.fromfile`` into
+a read-only buffer; the trace's rows are views into it. A file of any
+other version is refused.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO
+from typing import Iterable
 
 import numpy as np
 
@@ -39,15 +36,20 @@ class TraceError(Exception):
 
 
 @dataclass
-class Trace:
+class TraceHeader:
+    """What a trace file's header line records besides the version."""
+
     M: int
     T: int
     layers: int = 1
     heads: int = 1
     aggregation: str = "heads=mean;layers=mean;prompt=colsum"
+
+
+@dataclass
+class Trace(TraceHeader):
     prefill_scores: np.ndarray = field(default_factory=lambda: np.zeros(0))
     rows: list[np.ndarray] = field(default_factory=list)
-    version: int = TRACE_VERSION  # format of the file the trace was read from
 
     def __post_init__(self) -> None:
         self.prefill_scores = np.asarray(self.prefill_scores, dtype=np.float64)
@@ -70,33 +72,39 @@ class Trace:
 
 
 def _row_start(m, t):
-    """Element offset of row t (0 = the prompt row) in a version-2 payload;
+    """Element offset of row t (0 = the prompt row) in the payload;
     ``_row_start(m, T + 1)`` is the payload's length. Works elementwise on
     integer arrays."""
     return m * t + t * (t - 1) // 2
 
 
-def write_trace(trace: Trace, path: str | Path) -> None:
-    """Write ``trace`` in format version 2: the header line, then each row
-    in turn, so no copy of the payload is ever built."""
-    header = {
-        "version": TRACE_VERSION,
-        "M": trace.M,
-        "T": trace.T,
-        "layers": trace.layers,
-        "heads": trace.heads,
-        "aggregation": trace.aggregation,
-    }
+def stream_trace(header: TraceHeader, rows: Iterable[np.ndarray], path: str | Path) -> int:
+    """Write ``header``'s line, then rows 0..T in turn as ``rows`` yields
+    them; return the file's size in bytes. A row of the wrong length, or a
+    count of rows other than T + 1, raises :class:`TraceError`."""
+    m, t_max = header.M, header.T
+    line = {"version": TRACE_VERSION, "M": m, "T": t_max, "layers": header.layers, "heads": header.heads,
+            "aggregation": header.aggregation}
     with Path(path).open("wb") as fh:
-        fh.write(json.dumps(header).encode("ascii") + b"\n")
-        for row in (trace.prefill_scores, *trace.rows):
+        fh.write(json.dumps(line).encode("ascii") + b"\n")
+        t = -1
+        for t, row in enumerate(rows):
+            if t > t_max or len(row) != m + t:
+                raise TraceError(f"row t={t} of length {len(row)} does not fit a trace of M={m}, T={t_max}")
             fh.write(np.ascontiguousarray(row, dtype="<f8"))  # no copy of a float64 row on a little-endian host
+        if t != t_max:
+            raise TraceError(f"{t + 1} rows written, a trace of T={t_max} has {t_max + 1}")
+        return fh.tell()
+
+
+def write_trace(trace: Trace, path: str | Path) -> int:
+    """Write ``trace`` with :func:`stream_trace`; return the file's size."""
+    return stream_trace(trace, (trace.prefill_scores, *trace.rows), path)
 
 
 def read_trace(path: str | Path) -> Trace:
-    """Read a trace file of format version 1 or 2. A file that cannot be
-    opened, or anything malformed, truncated or out of range, raises
-    :class:`TraceError`."""
+    """Read a trace file. A file that cannot be opened, or anything
+    malformed, truncated or out of range, raises :class:`TraceError`."""
     path = Path(path)
     try:
         fh = path.open("rb")
@@ -106,10 +114,16 @@ def read_trace(path: str | Path) -> Trace:
         head = fh.readline()
         if not head:
             raise TraceError(f"{path}: empty trace file")
-        header = _record(path, 1, _ascii(path, head, "line 1: header"))
-        version = header.get("version")
-        if version not in (1, TRACE_VERSION):
-            raise TraceError(f"{path}: line 1: unsupported trace version {version!r}")
+        try:
+            header = json.loads(head.decode("ascii"))
+        except UnicodeDecodeError as exc:
+            raise TraceError(f"{path}: line 1: header is not ASCII text (byte {exc.start})") from exc
+        except json.JSONDecodeError as exc:
+            raise TraceError(f"{path}: line 1: invalid record ({exc.msg})") from exc
+        if not isinstance(header, dict):
+            raise TraceError(f"{path}: line 1: expected an object record")
+        if header.get("version") != TRACE_VERSION:
+            raise TraceError(f"{path}: line 1: unsupported trace version {header.get('version')!r}")
         try:
             m, t_max = int(header["M"]), int(header["T"])
             layers, heads = int(header["layers"]), int(header["heads"])
@@ -118,24 +132,15 @@ def read_trace(path: str | Path) -> Trace:
             raise TraceError(f"{path}: line 1: incomplete header ({exc})") from exc
         if m < 1 or t_max < 0:
             raise TraceError(f"{path}: line 1: header needs M >= 1 and T >= 0, got M={m}, T={t_max}")
-        read_rows = _read_v1 if version == 1 else _read_v2
-        prefill_scores, rows = read_rows(path, fh, m, t_max)
-    return Trace(
-        M=m, T=t_max, layers=layers, heads=heads, aggregation=aggregation,
-        prefill_scores=prefill_scores, rows=rows, version=version,
-    )
-
-
-def _read_v2(path: Path, fh: BinaryIO, m: int, t_max: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    count = _row_start(m, t_max + 1)
-    size = os.fstat(fh.fileno()).st_size - fh.tell()
-    # checked in bytes: fromfile would drop a partial float without a word
-    if size != 8 * count:
-        problem = "truncated trace" if size < 8 * count else "trailing bytes after the last row"
-        raise TraceError(
-            f"{path}: {problem}: payload of {size} bytes, expected {8 * count} for M={m}, T={t_max}"
-        )
-    buf = np.fromfile(fh, dtype="<f8", count=count)
+        count = _row_start(m, t_max + 1)
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        # checked in bytes: fromfile would drop a partial float without a word
+        if size != 8 * count:
+            problem = "truncated trace" if size < 8 * count else "trailing bytes after the last row"
+            raise TraceError(
+                f"{path}: {problem}: payload of {size} bytes, expected {8 * count} for M={m}, T={t_max}"
+            )
+        buf = np.fromfile(fh, dtype="<f8", count=count)
     buf.flags.writeable = False  # one trace serves every cell of a command
     # min is NaN if any value is, and NaN compares false
     if not (buf.min() >= 0 and buf.max() < np.inf):
@@ -146,58 +151,8 @@ def _read_v2(path: Path, fh: BinaryIO, m: int, t_max: int) -> tuple[np.ndarray, 
             "is not finite and nonnegative"
         )
     rows = [buf[_row_start(m, t):_row_start(m, t + 1)] for t in range(1, t_max + 1)]
-    return buf[:m], rows
-
-
-def _read_v1(path: Path, fh: BinaryIO, m: int, t_max: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    lines = _ascii(path, fh.read(), "version 1 trace").splitlines()
-    if len(lines) < t_max + 1:
-        raise TraceError(
-            f"{path}: truncated trace: {len(lines) + 1} lines, expected {t_max + 2} for T={t_max}"
-        )
-    rows: list[np.ndarray] = []
-    for t, text in enumerate(lines[: t_max + 1]):
-        line_no = t + 2
-        record = _record(path, line_no, text)
-        if record.get("t") != t:
-            raise TraceError(f"{path}: line {line_no}: expected step t={t}, got {record.get('t')!r}")
-        scores = record.get("scores")
-        if not isinstance(scores, list):
-            raise TraceError(f"{path}: line {line_no}: missing scores array")
-        try:
-            arr = np.asarray(scores, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise TraceError(f"{path}: line {line_no}: scores are not numbers ({exc})") from exc
-        if arr.shape != (m + t,):
-            raise TraceError(
-                f"{path}: line {line_no}: row length {len(arr)} inconsistent with causal growth "
-                f"(expected M+t={m + t})"
-            )
-        bad = np.flatnonzero(~((arr >= 0) & (arr < np.inf)))
-        if len(bad):
-            raise TraceError(
-                f"{path}: line {line_no}: score {arr[bad[0]]} at position {bad[0]} "
-                "is not finite and nonnegative"
-            )
-        rows.append(arr)
-    return rows[0], rows[1:]
-
-
-def _ascii(path: Path, data: bytes, what: str) -> str:
-    try:
-        return data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise TraceError(f"{path}: {what} is not ASCII text (byte {exc.start})") from exc
-
-
-def _record(path: Path, line_no: int, text: str) -> dict:
-    try:
-        record = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TraceError(f"{path}: line {line_no}: invalid record ({exc.msg})") from exc
-    if not isinstance(record, dict):
-        raise TraceError(f"{path}: line {line_no}: expected an object record")
-    return record
+    return Trace(M=m, T=t_max, layers=layers, heads=heads, aggregation=aggregation,
+                 prefill_scores=buf[:m], rows=rows)
 
 
 def synthetic_trace(M: int, T: int, seed: int = 0) -> Trace:
@@ -206,9 +161,12 @@ def synthetic_trace(M: int, T: int, seed: int = 0) -> Trace:
     if M < 1 or T < 0:
         raise ValueError("synthetic trace needs M >= 1 and T >= 0")
     rng = np.random.default_rng(np.random.SeedSequence([seed, M, T]))
-    prompt = rng.exponential(1.0, M) + 1e-9
+    prompt = rng.standard_exponential(M)
+    prompt += 1e-9
     rows = []
     for t in range(1, T + 1):
-        row = rng.exponential(1.0, M + t) + 1e-9
-        rows.append(row / row.sum())
+        row = rng.standard_exponential(M + t)
+        row += 1e-9
+        row /= row.sum()
+        rows.append(row)
     return Trace(M=M, T=T, aggregation="synthetic=exponential", prefill_scores=prompt, rows=rows)

@@ -13,7 +13,7 @@ from kvsim.core import BudgetConfig, append_decoding_entry, new_pool
 from kvsim.decoding import DecodingPolicy, PolicyKind, PolicyRunner
 from kvsim.engine import ToyModel, decode_loop, run_prefill
 from kvsim.prefill import PrefillPolicy, PrefillPolicyKind
-from kvsim.selection import AttentionRow
+from kvsim.selection import ScoreVector
 from kvsim.traceio import synthetic_trace, write_trace
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -109,7 +109,7 @@ def test_policy_step_decision_has_traced_fields():
         # the tracer's core.append extra: entries on the new decoding side
         assert len(pool.decoding_entries) == pool.decoding_size == p - 1
     positions = pool.all_positions()
-    row = AttentionRow(positions, np.full(len(positions), 1.0 / len(positions)))
+    row = ScoreVector(positions, np.full(len(positions), 1.0 / len(positions)))
     _, decision = runner.step(pool, row, 3)
     assert decision.ran_selection is True
     assert decision.evicted_count == 1

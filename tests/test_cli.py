@@ -1,9 +1,10 @@
 """Config parsing, pipeline resolution, CLI subcommands, and exit codes."""
 
 import contextlib
+import hashlib
 import io
-import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,8 @@ from kvsim.cli import main, run_experiment
 from kvsim.config import _KEYMAP, POLICY_TOKENS, ConfigError, ExperimentConfig, load_config, parse_config_text
 from kvsim.core import InvariantError
 from kvsim.decoding import PolicyKind
-from kvsim.engine import ModelWeights, run_prefill
+from kvsim.engine import ModelWeights, ToyModel, run_prefill
+from kvsim.oracle import full_cache_reference
 from kvsim.prefill import PrefillPolicyKind
 from kvsim.traceio import synthetic_trace, write_trace
 
@@ -61,12 +63,25 @@ def write_config(tmp_path, text, name="exp.cfg"):
     return path
 
 
-def write_trace_v1(trace, path):
-    """The line-delimited JSON format (version 1) that kvsim still reads."""
-    header = {"version": 1, "M": trace.M, "T": trace.T, "layers": trace.layers, "heads": trace.heads,
-              "aggregation": trace.aggregation}
-    records = [{"t": t, "scores": row.tolist()} for t, row in enumerate([trace.prefill_scores, *trace.rows])]
-    path.write_text("".join(json.dumps(r) + "\n" for r in [header, *records]))
+def assert_bad_score_exit_two(tmp_path, capsys, t, position, value):
+    """Plant ``value`` at ``position`` of row t of an M=4, T=3 trace file:
+    import-check and run both exit 2 and name the row and the position."""
+    path = tmp_path / "bad.trace"
+    write_trace(synthetic_trace(4, 3, seed=0), path)
+    head, _, payload = path.read_bytes().partition(b"\n")
+    values = np.frombuffer(payload, dtype="<f8").copy()
+    values[4 * t + t * (t - 1) // 2 + position] = value
+    path.write_bytes(head + b"\n" + values.tobytes())
+    assert main(["trace", "import-check", str(path)]) == 2
+    assert f"row t={t}, position {position}: score" in capsys.readouterr().err
+    cfg_text = (
+        f"mode = trace_replay\ntrace = {path}\nM = 4\nT = 3\npolicies = h2o, scope_slide\n"
+        f"prefill.alpha1 = 1\nprefill.alpha2 = 1\ndecoding.beta2 = 1\noutput_dir = {tmp_path / 'out'}\n"
+    )
+    cfg = write_config(tmp_path, cfg_text)
+    assert main(["run", str(cfg)]) == 2
+    assert "not finite and nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def export_trace(tmp_path):
@@ -359,10 +374,24 @@ class TestCLI:
         assert "ok: M=12 T=8" in capsys.readouterr().out
 
     def test_corrupt_trace_exit_two(self, tmp_path, capsys):
+        # a file of the line-delimited JSON format, version 1, which is read no more
         bad = tmp_path / "bad.trace"
-        bad.write_text('{"version": 1, "M": 2, "T": 1, "layers": 1, "heads": 1, "aggregation": "x"}\n')
+        bad.write_text(
+            '{"version": 1, "M": 2, "T": 1, "layers": 1, "heads": 1, "aggregation": "x"}\n'
+            '{"t": 0, "scores": [0.5, 0.5]}\n{"t": 1, "scores": [0.2, 0.3, 0.5]}\n'
+        )
         assert main(["trace", "import-check", str(bad)]) == 2
-        assert "trace error" in capsys.readouterr().err
+        assert "line 1: unsupported trace version 1" in capsys.readouterr().err
+        cfg_text = (
+            f"mode = trace_replay\ntrace = {bad}\nM = 2\nT = 1\npolicies = h2o\n"
+            f"prefill.alpha1 = 1\nprefill.alpha2 = 1\ndecoding.beta2 = 1\noutput_dir = {tmp_path / 'out'}\n"
+        )
+        cfg = write_config(tmp_path, cfg_text)
+        assert main(["run", str(cfg)]) == 2
+        assert "line 1: unsupported trace version 1" in capsys.readouterr().err
+        assert main(["sweep", str(cfg), "--axis", "beta1=1,2"]) == 2
+        assert "line 1: unsupported trace version 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_corrupt_trace_exit_two_v2(self, tmp_path, capsys):
         bad = tmp_path / "bad.trace"
@@ -370,53 +399,22 @@ class TestCLI:
         assert main(["trace", "import-check", str(bad)]) == 2
         assert "trace error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_import_check_prints_version(self, tmp_path, capsys, version):
+    def test_import_check_prints_version(self, tmp_path, capsys):
         path = tmp_path / "run.trace"
-        (write_trace_v1 if version == 1 else write_trace)(synthetic_trace(4, 3, seed=0), path)
+        write_trace(synthetic_trace(4, 3, seed=0), path)
         assert main(["trace", "import-check", str(path)]) == 0
-        assert f"ok: M=4 T=3 version={version} " in capsys.readouterr().out
+        assert "ok: M=4 T=3 version=2 " in capsys.readouterr().out
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.25], ids=["nan", "inf", "negative"])
-    @pytest.mark.parametrize("line_no", [2, 4], ids=["prompt_row", "step_row"])
-    def test_bad_trace_score_exit_two(self, tmp_path, capsys, line_no, value):
-        path = tmp_path / "bad.trace"
-        write_trace_v1(synthetic_trace(4, 3, seed=0), path)
-        lines = path.read_text().splitlines()
-        record = json.loads(lines[line_no - 1])
-        record["scores"][1] = value
-        lines[line_no - 1] = json.dumps(record)
-        path.write_text("\n".join(lines) + "\n")
-        assert main(["trace", "import-check", str(path)]) == 2
-        assert f"line {line_no}: score" in capsys.readouterr().err
-        cfg_text = (
-            f"mode = trace_replay\ntrace = {path}\nM = 4\nT = 3\npolicies = h2o, scope_slide\n"
-            f"prefill.alpha1 = 1\nprefill.alpha2 = 1\ndecoding.beta2 = 1\noutput_dir = {tmp_path / 'out'}\n"
-        )
-        cfg = write_config(tmp_path, cfg_text)
-        assert main(["run", str(cfg)]) == 2
-        assert "not finite and nonnegative" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+    @pytest.mark.parametrize("t", [0, 3], ids=["prompt_row", "step_row"])
+    def test_bad_trace_score_exit_two(self, tmp_path, capsys, t, value):
+        # position 0, where the previous row ends: the payload's first value, and the last row's first
+        assert_bad_score_exit_two(tmp_path, capsys, t, 0, value)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.25], ids=["nan", "inf", "negative"])
     @pytest.mark.parametrize("t", [0, 2], ids=["prompt_row", "step_row"])
     def test_bad_trace_score_exit_two_v2(self, tmp_path, capsys, t, value):
-        path = tmp_path / "bad.trace"
-        write_trace(synthetic_trace(4, 3, seed=0), path)
-        head, _, payload = path.read_bytes().partition(b"\n")
-        values = np.frombuffer(payload, dtype="<f8").copy()
-        values[4 * t + t * (t - 1) // 2 + 1] = value  # position 1 of row t
-        path.write_bytes(head + b"\n" + values.tobytes())
-        assert main(["trace", "import-check", str(path)]) == 2
-        assert f"row t={t}, position 1: score" in capsys.readouterr().err
-        cfg_text = (
-            f"mode = trace_replay\ntrace = {path}\nM = 4\nT = 3\npolicies = h2o, scope_slide\n"
-            f"prefill.alpha1 = 1\nprefill.alpha2 = 1\ndecoding.beta2 = 1\noutput_dir = {tmp_path / 'out'}\n"
-        )
-        cfg = write_config(tmp_path, cfg_text)
-        assert main(["run", str(cfg)]) == 2
-        assert "not finite and nonnegative" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        assert_bad_score_exit_two(tmp_path, capsys, t, 1, value)
 
     def test_replay_with_exported_trace_file(self, tmp_path):
         trace_path = export_trace(tmp_path)
@@ -525,29 +523,50 @@ class TestCLI:
         assert cells == []
         assert not (tmp_path / "out").exists()
 
-    def test_trace_export_size_guard_names_the_flag(self, tmp_path, capsys):
-        cfg_text = (
-            SMOKE_CONFIG.replace("seeds = 1, 2", "seeds = 1").replace("M = 24", "M = 4090")
-            .replace("metrics.checkpoints = 4, 16\n", "")
-        )
-        path = write_config(tmp_path, cfg_text)
-        assert main(["trace", "export", str(path), str(tmp_path / "big.trace")]) == 1
-        err = capsys.readouterr().err
-        assert "exceeds the guard (4096); pass --allow-large to override" in err
-        assert "allow_large" not in err
-        assert not (tmp_path / "big.trace").exists()
+    @pytest.mark.parametrize(
+        "edits",
+        [(), (("d_model = 16", "d_model = 8"), ("M = 24", "M = 3000"), ("T = 16", "T = 1097"))],
+        ids=["smoke", "M3000_T1097"],
+    )
+    def test_trace_export_streams_what_write_trace_writes(self, tmp_path, capsys, edits):
+        # the rows go to the file as the reference computes them, and make the
+        # bytes that writing the whole run from memory makes
+        cfg_text = SMOKE_CONFIG.replace("seeds = 1, 2", "seeds = 1")
+        for old, new in edits:
+            cfg_text = cfg_text.replace(old, new)
+        cfg, streamed, whole = write_config(tmp_path, cfg_text), tmp_path / "streamed.trace", tmp_path / "whole.trace"
+        assert main(["trace", "export", str(cfg), str(streamed)]) == 0
+        c = load_config(cfg)
+        model = ToyModel(c.seeds[0], c.d_model, c.n_heads, c.n_layers, c.recency_bias)
+        size = write_trace(full_cache_reference(model, c.M, c.T).to_trace(), whole)
+        assert f"wrote trace M={c.M} T={c.T}, {size} bytes -> {streamed}" in capsys.readouterr().out
+        assert streamed.read_bytes() == whole.read_bytes()
 
-    def test_trace_export_past_the_guard_with_allow_large(self, tmp_path, capsys):
-        # M + T = 4097, one position past the guard
+    def test_trace_export_bytes_pinned(self, tmp_path):
+        # sha256 of the smoke model's export (M=24, T=16, seed 1), recorded
+        # when export still wrote every row from memory
+        path = tmp_path / "smoke.trace"
+        cfg = write_config(tmp_path, SMOKE_CONFIG.replace("seeds = 1, 2", "seeds = 1"))
+        assert main(["trace", "export", str(cfg), str(path)]) == 0
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "fca04b7e44e4f7f31c2ebd62a6511dee10d18b480473acf9ae0d0c8d6c560b2c"
+
+    def test_trace_export_holds_no_rows(self, tmp_path):
+        # M=512, T=1536: a 15.7 MB payload, written a row at a time
         cfg_text = (
-            SMOKE_CONFIG.replace("seeds = 1, 2", "seeds = 1").replace("d_model = 16", "d_model = 8")
-            .replace("M = 24", "M = 3000").replace("T = 16", "T = 1097")
-            .replace("metrics.checkpoints = 4, 16\n", "")
+            SMOKE_CONFIG.replace("seeds = 1, 2", "seeds = 1").replace("M = 24", "M = 512")
+            .replace("T = 16", "T = 1536").replace("metrics.checkpoints = 4, 16\n", "")
         )
-        path, trace_path = write_config(tmp_path, cfg_text), tmp_path / "big.trace"
-        assert main(["trace", "export", str(path), str(trace_path), "--allow-large"]) == 0
-        assert main(["trace", "import-check", str(trace_path)]) == 0
-        assert "ok: M=3000 T=1097 version=2" in capsys.readouterr().out
+        cfg, path = write_config(tmp_path, cfg_text), tmp_path / "big.trace"
+        export_trace(tmp_path)  # a small export first: one-time allocations (lazy imports) do not count
+        tracemalloc.start()
+        try:
+            assert main(["trace", "export", str(cfg), str(path)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 15_700_000
+        assert peak < path.stat().st_size / 10
 
     def test_trace_export_to_a_missing_directory_exit_one(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.trace"

@@ -21,7 +21,7 @@ from kvsim.decoding import (
 from kvsim.engine import ToyModel, decode_loop, prefill_result_from_positions, run_prefill
 from kvsim.metrics import efficiency
 from kvsim.prefill import PrefillPolicy, PrefillPolicyKind
-from kvsim.selection import AttentionRow, ScoreVector
+from kvsim.selection import ScoreVector
 from kvsim.traceio import synthetic_trace
 
 
@@ -107,7 +107,7 @@ def pool_with_decoding(m, decode_positions):
 
 def uniform_row(pool):
     pos = pool.all_positions()
-    return AttentionRow(pos, np.full(len(pos), 1.0 / len(pos)))
+    return ScoreVector(pos, np.full(len(pos), 1.0 / len(pos)))
 
 
 class TestSlideStep:
@@ -378,7 +378,7 @@ def test_row_over_other_positions_rejected(kind):
     runner = PolicyRunner(DecodingPolicy(kind, BudgetConfig(beta1=1, max_decode_steps=4)), 4)
     pool = append_decoding_entry(new_pool(range(4)), 4)
     with pytest.raises(InvariantError, match="row covers 1 positions, the pool holds 5"):
-        runner.step(pool, AttentionRow([4], [1.0]), 1)
+        runner.step(pool, ScoreVector([4], [1.0]), 1)
 
 
 class RankedScores(PolicyRunner):
@@ -422,7 +422,7 @@ def test_window_scores_equal_a_scatter_add_fold(kind, window, extra_steps, m, be
         pool = append_decoding_entry(pool, m + t - 1)
         positions = pool.all_positions()
         n = len(positions)
-        row = AttentionRow(positions, np.where(rng.random(n) < 0.5, rng.choice([-0.0, 0.0, 0.25], n), rng.random(n)))
+        row = ScoreVector(positions, np.where(rng.random(n) < 0.5, rng.choice([-0.0, 0.0, 0.25], n), rng.random(n)))
         selections = len(runner.ranked)
         pool, _ = runner.step(pool, row, t)
         seen = positions >= (m if kind is PolicyKind.SCOPE_SLIDE else 0)

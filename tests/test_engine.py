@@ -260,6 +260,12 @@ class TestSharedPromptPass:
         with pytest.raises(ValueError, match="does not serve"):
             run_prefill(self.model, 32, policy, PromptPass(model, m, rows))
 
+    def test_pass_with_a_trace_rejected(self):
+        # replay compresses the trace's own prompt row, so a pass would go unread
+        policy = PrefillPolicy(kind=PrefillPolicyKind.WINDOW, alpha1=6, alpha2=4, observation_rows=12)
+        with pytest.raises(ValueError, match=r"prompt pass \(seed 5, M=32\) does not serve a trace"):
+            run_prefill(synthetic_trace(32, 4, seed=0), 32, policy, PromptPass(self.model, 32, 12))
+
     def test_empty_prompt_rejected(self):
         with pytest.raises(ValueError, match="prompt length must be >= 1, got 0"):
             PromptPass(self.model, 0, 0)

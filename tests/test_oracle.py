@@ -41,14 +41,6 @@ class TestFullCacheReference:
             assert np.allclose(ref_row, row.scores, rtol=1e-9, atol=1e-12)
         assert np.allclose(reference.outputs, record.outputs, rtol=1e-9, atol=1e-12)
 
-    def test_size_guard(self):
-        model = ToyModel(seed=1, d_model=8, n_heads=1)
-        with pytest.raises(ValueError, match="guard"):
-            full_cache_reference(model, 4000, 2000)
-        # the guard is on keeping every row; a few rows past it are kept
-        reference = full_cache_reference(model, 30, 4070, rows_at=[4070])
-        assert reference.rows[0] is None and len(reference.rows[-1]) == 4100
-
     @pytest.mark.parametrize("rows_at", [[1, 4, 10], [10], []])
     def test_rows_at_keeps_only_the_listed_steps(self, rows_at):
         model = ToyModel(seed=9, d_model=16, n_heads=2, n_layers=2, recency_bias=0.05)

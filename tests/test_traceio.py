@@ -7,19 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kvsim.traceio import Trace, TraceError, read_trace, synthetic_trace, write_trace
+from kvsim.traceio import Trace, TraceError, TraceHeader, read_trace, stream_trace, synthetic_trace, write_trace
 
 
 def file_sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def write_trace_v1(trace, path):
-    """The line-delimited JSON format (version 1) that kvsim still reads."""
-    header = {"version": 1, "M": trace.M, "T": trace.T, "layers": trace.layers, "heads": trace.heads,
-              "aggregation": trace.aggregation}
-    records = [{"t": t, "scores": row.tolist()} for t, row in enumerate([trace.prefill_scores, *trace.rows])]
-    path.write_text("".join(json.dumps(r) + "\n" for r in [header, *records]))
 
 
 def assert_same_rows(a, b):
@@ -100,18 +92,6 @@ class TestRoundTrip:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
 
-    def test_version_1_still_read_and_converted(self, tmp_path):
-        trace = synthetic_trace(4, 6, seed=4)
-        old, new, direct = tmp_path / "old.trace", tmp_path / "new.trace", tmp_path / "direct.trace"
-        write_trace_v1(trace, old)
-        back = read_trace(old)
-        assert back.version == 1
-        assert_same_rows(back, trace)
-        write_trace(back, new)
-        write_trace(trace, direct)
-        assert read_trace(new).version == 2
-        assert file_sha256(new) == file_sha256(direct)
-
     def test_synthetic_traces_deterministic(self):
         a = synthetic_trace(6, 9, seed=3)
         b = synthetic_trace(6, 9, seed=3)
@@ -119,44 +99,32 @@ class TestRoundTrip:
         for ra, rb in zip(a.rows, b.rows):
             assert np.array_equal(ra, rb)
 
+    # sha256 over the prompt row and every step row as little-endian
+    # float64, recorded with exponential(1.0, n) draws and out-of-place
+    # normalization: the in-place form must keep every bit
+    @pytest.mark.parametrize("m, t_steps, seed, digest", [
+        (1, 0, 0, "4287a6e1c03635aec9a9dc4ffc79db832c2410bd2087bf04535761d960d451d9"),
+        (7, 33, 3, "ff599242447e7770e01b3c8209a22e020bcd58fb6437c3f7b35a393c8d53bdd9"),
+        (300, 200, 11, "e1c42051a627f8bcf0ca10cc4f082a1b4b2a0eff28807a583e8e90999b9a4cc3"),
+    ])
+    def test_synthetic_trace_bits_pinned(self, m, t_steps, seed, digest):
+        trace = synthetic_trace(m, t_steps, seed)
+        sha = hashlib.sha256()
+        for row in (trace.prefill_scores, *trace.rows):
+            sha.update(np.ascontiguousarray(row, dtype="<f8").tobytes())
+        assert sha.hexdigest() == digest
+
 
 class TestErrors:
-    """Malformed version 1 (JSON text) files."""
-
-    def write_good(self, tmp_path):
-        path = tmp_path / "good.trace"
-        write_trace_v1(synthetic_trace(4, 3, seed=0), path)
-        return path
-
-    def test_corrupt_last_line_names_line_number(self, tmp_path):
-        path = self.write_good(tmp_path)
-        lines = path.read_text().splitlines()
-        lines[-1] = lines[-1][: len(lines[-1]) // 2]  # truncate mid-record
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(TraceError, match=f"line {len(lines)}"):
-            read_trace(path)
+    """Files and traces that are not a trace of this format."""
 
     def test_version_mismatch(self, tmp_path):
-        path = self.write_good(tmp_path)
-        lines = path.read_text().splitlines()
-        lines[0] = lines[0].replace('"version": 1', '"version": 9')
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(TraceError, match="version"):
-            read_trace(path)
-
-    def test_truncated_file(self, tmp_path):
-        path = self.write_good(tmp_path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(TraceError, match="truncated"):
-            read_trace(path)
-
-    def test_row_length_inconsistent_with_causal_growth(self, tmp_path):
-        path = self.write_good(tmp_path)
-        lines = path.read_text().splitlines()
-        lines[2] = '{"t": 1, "scores": [0.5, 0.5]}'
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(TraceError, match="causal growth"):
+        # the line-delimited JSON format of version 1 is read no more
+        path = tmp_path / "old.trace"
+        write_trace(synthetic_trace(4, 3, seed=0), path)
+        head, _, payload = path.read_bytes().partition(b"\n")
+        path.write_bytes(head.replace(b'"version": 2', b'"version": 1') + b"\n" + payload)
+        with pytest.raises(TraceError, match="line 1: unsupported trace version 1$"):
             read_trace(path)
 
     def test_empty_file(self, tmp_path):
@@ -176,9 +144,18 @@ class TestErrors:
         with pytest.raises(TraceError, match="outside"):
             trace.row(4)
 
+    @pytest.mark.parametrize("rows, message", [
+        ([np.ones(4), np.ones(5), np.ones(7)], "row t=2 of length 7 does not fit a trace of M=4, T=3"),
+        ([np.ones(4), np.ones(5)], "2 rows written, a trace of T=3 has 4"),
+        ([np.ones(4 + t) for t in range(5)], "row t=4 of length 8 does not fit"),
+    ], ids=["wrong_length", "too_few", "too_many"])
+    def test_stream_rejects_rows_that_do_not_fit(self, tmp_path, rows, message):
+        with pytest.raises(TraceError, match=message):
+            stream_trace(TraceHeader(4, 3), iter(rows), tmp_path / "bad.trace")
+
 
 class TestErrorsV2:
-    """Malformed version 2 (binary) files: the twins of TestErrors."""
+    """Malformed files of the one format, version 2: payload and header."""
 
     M, T = 4, 3
     PAYLOAD_BYTES = 8 * (M * (T + 1) + T * (T + 1) // 2)
