@@ -61,15 +61,16 @@ class SeedInputs:
     rows: list[np.ndarray | None]
 
 
-def _seed_inputs(cfg: ExperimentConfig, seed: int, file_trace: Trace | None, window: int) -> SeedInputs:
-    """``window`` is the widest observation window of every grid, clipped
-    here to M. The reference stops at the last checkpoint: its rows up to
-    step t do not depend on T."""
+def _seed_inputs(cfg: ExperimentConfig, seed: int, file_trace: Trace | None) -> SeedInputs:
+    """One seed's inputs for ``cfg``'s M (and T in trace replay). The
+    prompt pass serves every policy, whatever rows it observes. The
+    reference stops at the last checkpoint: its rows up to step t do not
+    depend on T."""
     if cfg.mode == "trace_replay":
         source = file_trace or synthetic_trace(cfg.M, cfg.T, seed)
         return SeedInputs(seed, source, None, source.rows)
     model = ToyModel(seed, cfg.d_model, cfg.n_heads, cfg.n_layers, cfg.recency_bias)
-    prompt = PromptPass(model, cfg.M, min(window, cfg.M))
+    prompt = PromptPass(model, cfg.M)
     checkpoints = cfg.checkpoints
     rows = full_cache_reference(model, cfg.M, max(checkpoints), rows_at=checkpoints).rows if checkpoints else []
     return SeedInputs(seed, model, prompt, rows)
@@ -194,16 +195,13 @@ def run_experiment(
             )
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # A seed's inputs depend on M and, in trace replay, T: grids that keep
-    # both share them. The prompt pass holds the widest observation
-    # window of all grids.
-    window = max(sub.pipeline(t)[0].observed_rows(sub.M) for sub, _, _ in grids for t in sub.policies)
+    # a seed's inputs depend on M and, in trace replay, T: grids that keep both share them
     cells, inputs, built_for = [], [], None
     for sub, ax, value in grids:
         depends_on = (sub.M, sub.T if sub.mode == "trace_replay" else None)
         if depends_on != built_for:
             inputs = []  # the old inputs go before the new ones are built
-            inputs, built_for = [_seed_inputs(sub, seed, file_trace, window) for seed in sub.seeds], depends_on
+            inputs, built_for = [_seed_inputs(sub, seed, file_trace) for seed in sub.seeds], depends_on
         for cell in _run_grid(sub, inputs):
             cell.axis, cell.axis_value = ax, value
             cells.append(cell)

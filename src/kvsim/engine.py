@@ -147,60 +147,65 @@ class PrefillResult:
     prompt: PromptPass | None = None
 
 
+def _prompt_attention(
+    model: ToyModel, queries: np.ndarray, k: np.ndarray, v: np.ndarray, start: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Causal attention of one layer's prompt rows ``start..m-1`` (``queries``
+    are its m input hidden states) at the full key width, so a row's bits do
+    not depend on the range: (m - start, m) head-mean rows and their context."""
+    heads, (m, d) = model.n_heads, k.shape
+    dh = d // heads
+    logits = np.einsum("ihd,jhd->hij", queries[start:].reshape(m - start, heads, dh), k.reshape(m, heads, dh))
+    logits /= math.sqrt(dh)
+    positions = np.arange(m, dtype=np.float64)
+    # (j - i) at [i, j], scaled in place: one (m - start, m) float array, freed before the head mean
+    bias = positions[None, :] - positions[start:, None]
+    future = bias > 0
+    bias *= model.recency_bias
+    logits += bias
+    del bias
+    logits[:, future] = -np.inf
+    logits -= logits.max(axis=2, keepdims=True)
+    att = np.exp(logits, out=logits)
+    att /= att.sum(axis=2, keepdims=True)
+    context = np.einsum("hij,jhd->ihd", att, v.reshape(m, heads, dh)).reshape(m - start, d)
+    return att.mean(axis=0), context
+
+
 class PromptPass:
     """The policy-independent part of a closed-loop prefill: full causal
     attention over the ``m`` prompt positions, layer by layer, computed
-    when the pass is built. Keeps what compression and decoding read: the
-    model's weights, each layer's prompt (keys, values), dense column sums
-    and last ``rows`` head-averaged attention rows, and the first decode
-    input. Its arrays are read-only, since every policy compressing this
-    pass shares them.
+    when the pass is built. Keeps the model's weights, each layer's input
+    hidden states (its queries), prompt (keys, values) and dense column
+    sums, and the first decode input, all read-only: every policy of a seed
+    shares them. :meth:`obs_rows` recomputes the rows a policy observes."""
 
-    One instance shared by every policy of a seed runs the forward pass
-    once; ``rows`` must cover the widest observation window among those
-    policies (:meth:`PrefillPolicy.observed_rows`)."""
-
-    def __init__(self, model: ToyModel, m: int, rows: int) -> None:
+    def __init__(self, model: ToyModel, m: int) -> None:
         if m < 1:
             raise ValueError(f"prompt length must be >= 1, got {m}")
-        if not 0 <= rows <= m:
-            raise ValueError(f"observation rows must be in 0..{m}, got {rows}")
-        self.model, self.m, self.rows = model, m, rows
+        self.model, self.m = model, m
         self.weights = weights = ModelWeights(model)
-        self.colsums: list[np.ndarray] = []
-        self.obs_rows: list[np.ndarray] = []
-        self.prompt_kv: list[tuple[np.ndarray, np.ndarray]] = []
-        heads, d = model.n_heads, model.d_model
-        dh = d // heads
+        self.queries, self.colsums, self.prompt_kv = [], [], []
         hidden = weights.embeddings(m)
-        positions = np.arange(m, dtype=np.float64)
-        future = positions[None, :] > positions[:, None]
         for layer in range(model.n_layers):
-            k = hidden @ weights.w_k[layer]
-            v = hidden @ weights.w_v[layer]
-            logits = np.einsum("ihd,jhd->hij", hidden.reshape(m, heads, dh), k.reshape(m, heads, dh))
-            logits /= math.sqrt(dh)
-            # (j - i) at [i, j], scaled in place: one (m, m) float array, freed before the head mean
-            bias = np.subtract.outer(positions, positions).T
-            bias *= model.recency_bias
-            logits += bias
-            del bias
-            logits[:, future] = -np.inf
-            logits -= logits.max(axis=2, keepdims=True)
-            att = np.exp(logits, out=logits)
-            att /= att.sum(axis=2, keepdims=True)
-            rows = att.mean(axis=0)  # (m, m), causal lower triangle
-            context = np.einsum("hij,jhd->ihd", att, v.reshape(m, heads, dh)).reshape(m, d)
-            hidden = _rmsnorm_rows(hidden + context)
-            colsums, observed = rows.sum(axis=0), rows[m - self.rows:].copy()
-            for array in (colsums, observed, k, v, weights.w_k[layer], weights.w_v[layer]):
-                array.flags.writeable = False
-            self.colsums.append(colsums)
-            self.obs_rows.append(observed)
+            k, v = hidden @ weights.w_k[layer], hidden @ weights.w_v[layer]
+            rows, context = _prompt_attention(model, hidden, k, v, 0)
+            self.queries.append(hidden)
+            self.colsums.append(rows.sum(axis=0))
             self.prompt_kv.append((k, v))
-            del logits, att, rows, context  # before the next layer allocates its (n_heads, m, m) arrays
+            del rows  # before the next layer allocates its (n_heads, m, m) arrays
+            hidden = _rmsnorm_rows(hidden + context)
         self.next_input = _rmsnorm(hidden[m - 1])
-        self.next_input.flags.writeable = False
+        kv = [array for pair in self.prompt_kv for array in pair]
+        for array in [*self.queries, *self.colsums, *kv, *weights.w_k, *weights.w_v, self.next_input]:
+            array.flags.writeable = False
+
+    def obs_rows(self, layer: int, r: int) -> np.ndarray:
+        """``layer``'s last ``r`` head-mean attention rows, (r, m): bit for bit
+        the rows ``colsums[layer]`` sums. An ``r`` outside 0..m raises ``ValueError``."""
+        if not 0 <= r <= self.m:
+            raise ValueError(f"observation rows must be in 0..{self.m}, got {r}")
+        return _prompt_attention(self.model, self.queries[layer], *self.prompt_kv[layer], self.m - r)[0]
 
 
 def run_prefill(
@@ -209,16 +214,17 @@ def run_prefill(
     """Process the prompt and build the initial pools under ``policy``.
 
     Each layer contributes its dense prompt column sums and its trailing
-    observation rows: closed loop takes them from a :class:`PromptPass`
-    of full causal attention over all M positions, trace replay uses the
-    stored prompt row for both. Layer ``i`` compresses under
-    ``policy.per_layer(n_layers)[i]`` over the last
-    ``policy.observed_rows(m)`` rows (a layer's share may clip alpha2).
+    ``policy.observed_rows(m)`` observation rows: closed loop takes them
+    from a :class:`PromptPass` of full causal attention over all M
+    positions, trace replay uses the stored prompt row for both. Layer
+    ``i`` compresses under ``policy.per_layer(n_layers)[i]`` (a layer's
+    share may clip alpha2).
 
     In closed loop, ``prompt`` passes a pass shared with other calls for
-    the same model and M, so each call only compresses; by default the
-    call builds, and so computes, a pass of its own. A pass given with a
-    trace raises ``ValueError``.
+    the same model and M, whatever their policies, so each call only
+    compresses; by default the call builds, and so computes, a pass of its
+    own. A pass of another model or M, or one given with a trace, raises
+    ``ValueError``.
     """
     if m < 1:
         raise ValueError("prompt length must be >= 1")
@@ -228,22 +234,18 @@ def run_prefill(
                 f"prompt pass (seed {prompt.model.seed}, M={prompt.m}) does not serve a trace, "
                 "which brings its own prompt row"
             )
-        if source.M < m:
-            raise TraceError(f"trace prompt covers {source.M} positions, shorter than M={m}")
         if source.M != m:
             raise TraceError(f"trace was recorded with M={source.M}, run requested M={m}")
         result = PrefillResult(prompt_len=m, pools=[], seed_scores=[])
         layers = [(source.prefill_scores, source.prefill_scores[None, :])]
     else:
-        window = policy.observed_rows(m)
-        prompt = prompt or PromptPass(source, m, window)
-        if prompt.model != source or prompt.m != m or prompt.rows < window:
+        prompt = prompt or PromptPass(source, m)
+        if prompt.model != source or prompt.m != m:
             raise ValueError(
-                f"prompt pass (seed {prompt.model.seed}, M={prompt.m}, {prompt.rows} rows) does not "
-                f"serve seed {source.seed}, M={m}, {window} observation rows"
+                f"prompt pass (seed {prompt.model.seed}, M={prompt.m}) does not serve seed {source.seed}, M={m}"
             )
         result = PrefillResult(prompt_len=m, pools=[], seed_scores=[], prompt=prompt)
-        layers = list(zip(prompt.colsums, [rows[len(rows) - window:] for rows in prompt.obs_rows]))
+        layers = [(c, prompt.obs_rows(i, policy.observed_rows(m))) for i, c in enumerate(prompt.colsums)]
     for layer_policy, (colsums, obs_rows) in zip(policy.per_layer(len(layers)), layers):
         result.pools.append(apply_prefill_policy(layer_policy, m, colsums, obs_rows))
         result.seed_scores.append(colsums)

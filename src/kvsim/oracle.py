@@ -36,18 +36,6 @@ class ReferenceRun:
     outputs: np.ndarray
     layer_rows: list[list[np.ndarray] | None] | None = None
 
-    def to_trace(self) -> Trace:
-        if any(row is None for row in self.rows):
-            raise ValueError("to_trace: a trace needs every step's row; this reference kept only rows_at")
-        return Trace(
-            M=self.prompt_len,
-            T=self.steps,
-            layers=self.model.n_layers,
-            heads=self.model.n_heads,
-            prefill_scores=self.prompt_scores,
-            rows=self.rows,
-        )
-
 
 def full_cache_reference(
     model: ToyModel,

@@ -124,14 +124,16 @@ def read_trace(path: str | Path) -> Trace:
             raise TraceError(f"{path}: line 1: expected an object record")
         if header.get("version") != TRACE_VERSION:
             raise TraceError(f"{path}: line 1: unsupported trace version {header.get('version')!r}")
-        try:
-            m, t_max = int(header["M"]), int(header["T"])
-            layers, heads = int(header["layers"]), int(header["heads"])
-            aggregation = str(header["aggregation"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TraceError(f"{path}: line 1: incomplete header ({exc})") from exc
-        if m < 1 or t_max < 0:
-            raise TraceError(f"{path}: line 1: header needs M >= 1 and T >= 0, got M={m}, T={t_max}")
+        got = {key: header.get(key) for key in ("M", "T", "layers", "heads", "aggregation")}
+        *counts, aggregation = got.values()
+        # a JSON integer: not a float, a string or a bool, which int() would pass
+        if not (all(type(c) is int for c in counts) and type(aggregation) is str):
+            raise TraceError(
+                f"{path}: line 1: header needs integers M, T, layers and heads and a string aggregation, got {got}"
+            )
+        m, t_max, layers, heads = counts
+        if m < 1 or t_max < 0 or min(layers, heads) < 1:
+            raise TraceError(f"{path}: line 1: header needs M >= 1 and T >= 0, layers and heads >= 1, got {got}")
         count = _row_start(m, t_max + 1)
         size = os.fstat(fh.fileno()).st_size - fh.tell()
         # checked in bytes: fromfile would drop a partial float without a word

@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import json
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -20,7 +21,7 @@ from kvsim.decoding import PolicyKind
 from kvsim.engine import ModelWeights, ToyModel, run_prefill
 from kvsim.oracle import full_cache_reference
 from kvsim.prefill import PrefillPolicyKind
-from kvsim.traceio import synthetic_trace, write_trace
+from kvsim.traceio import Trace, synthetic_trace, write_trace
 
 SMOKE_CONFIG = """
 # closed-loop smoke experiment
@@ -287,7 +288,7 @@ class TestRunExperiment:
             ]
             if mode == "closed_loop":
                 want = list(dict.fromkeys((seed, m) for seed, m, _ in grids))
-                assert [(model.seed, m) for model, m, _ in calls["PromptPass"]] == want, axis
+                assert [(model.seed, m) for model, m in calls["PromptPass"]] == want, axis
                 assert [(model.seed, m, t) for model, m, t in calls["full_cache_reference"]] == [
                     (seed, m, 12) for seed, m in want
                 ], axis
@@ -303,21 +304,21 @@ class TestRunExperiment:
     @pytest.mark.parametrize(
         "axis, values, built",
         [
-            ("beta1", "1,2,3", [(1, 24, 2), (2, 24, 2)]),
-            ("alpha2", "2,5", [(1, 24, 5), (2, 24, 5)]),  # the widest window of both grids
-            ("m", "20,24", [(1, 20, 2), (2, 20, 2), (1, 24, 2), (2, 24, 2)]),
-            ("t", "16,20", [(1, 24, 2), (2, 24, 2)]),
+            ("beta1", "1,2,3", [(1, 24), (2, 24)]),
+            ("alpha2", "2,5", [(1, 24), (2, 24)]),  # one pass serves both grids' windows
+            ("m", "20,24", [(1, 20), (2, 20), (1, 24), (2, 24)]),
+            ("t", "16,20", [(1, 24), (2, 24)]),
             # the grids share the reference rows, not the heavy-hitter figures drawn from them
-            ("hh_fraction", "0.15,0.5", [(1, 24, 2), (2, 24, 2)]),
+            ("hh_fraction", "0.15,0.5", [(1, 24), (2, 24)]),
         ],
     )
     def test_prompt_pass_built_once_per_seed_and_m(self, tmp_path, monkeypatch, axis, values, built):
         passes = []
 
         class CountedPass(cli.PromptPass):
-            def __init__(self, model, m, rows):
-                passes.append((model.seed, m, rows))
-                super().__init__(model, m, rows)
+            def __init__(self, model, m):
+                passes.append((model.seed, m))
+                super().__init__(model, m)
 
         monkeypatch.setattr(cli, "PromptPass", CountedPass)
         base = SMOKE_CONFIG + "metrics.hh_fraction = 0.15\n"
@@ -398,6 +399,16 @@ class TestCLI:
         bad.write_text('{"version": 2, "M": 2, "T": 1, "layers": 1, "heads": 1, "aggregation": "x"}\n')
         assert main(["trace", "import-check", str(bad)]) == 2
         assert "trace error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fields", [{"M": 3.7}, {"layers": -4}, {"heads": "2"}], ids=["M", "layers", "heads"])
+    def test_import_check_bad_header_value_exit_two(self, tmp_path, capsys, fields):
+        path = tmp_path / "run.trace"
+        write_trace(synthetic_trace(3, 2, seed=0), path)
+        head, _, payload = path.read_bytes().partition(b"\n")
+        path.write_bytes(json.dumps({**json.loads(head), **fields}).encode() + b"\n" + payload)
+        assert main(["trace", "import-check", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert "ok:" not in out and err.startswith("trace error:") and "line 1: header needs" in err
 
     def test_import_check_prints_version(self, tmp_path, capsys):
         path = tmp_path / "run.trace"
@@ -538,7 +549,11 @@ class TestCLI:
         assert main(["trace", "export", str(cfg), str(streamed)]) == 0
         c = load_config(cfg)
         model = ToyModel(c.seeds[0], c.d_model, c.n_heads, c.n_layers, c.recency_bias)
-        size = write_trace(full_cache_reference(model, c.M, c.T).to_trace(), whole)
+        ref = full_cache_reference(model, c.M, c.T)
+        trace = Trace(
+            M=c.M, T=c.T, layers=c.n_layers, heads=c.n_heads, prefill_scores=ref.prompt_scores, rows=ref.rows
+        )
+        size = write_trace(trace, whole)
         assert f"wrote trace M={c.M} T={c.T}, {size} bytes -> {streamed}" in capsys.readouterr().out
         assert streamed.read_bytes() == whole.read_bytes()
 

@@ -135,7 +135,7 @@ class TestRunPrefill:
 
     def test_trace_prompt_length_mismatch_rejected(self):
         trace = synthetic_trace(10, 5, seed=0)
-        with pytest.raises(TraceError, match="shorter"):
+        with pytest.raises(TraceError, match="recorded with M=10, run requested M=20"):
             run_prefill(trace, 20, PrefillPolicy(kind=PrefillPolicyKind.FULL))
         with pytest.raises(TraceError, match="recorded with M=10"):
             run_prefill(trace, 5, PrefillPolicy(kind=PrefillPolicyKind.FULL))
@@ -227,7 +227,7 @@ class TestSharedPromptPass:
 
     def test_shared_pass_equals_fresh_prefill(self):
         m = 32
-        shared = PromptPass(self.model, m, max(p.observed_rows(m) for p in SHARED_PASS_POLICIES))
+        shared = PromptPass(self.model, m)
         for policy in SHARED_PASS_POLICIES:
             assert_prefill_equal(run_prefill(self.model, m, policy, shared), run_prefill(self.model, m, policy))
 
@@ -235,7 +235,7 @@ class TestSharedPromptPass:
         calls = []
         embeddings = ModelWeights.embeddings
         monkeypatch.setattr(ModelWeights, "embeddings", lambda w, m: calls.append(m) or embeddings(w, m))
-        shared = PromptPass(self.model, 32, 12)
+        shared = PromptPass(self.model, 32)
         assert calls == [32]  # the pass runs where it is built
         results = [run_prefill(self.model, 32, policy, shared) for policy in SHARED_PASS_POLICIES]
         assert calls == [32]  # and the prefills only compress it
@@ -245,30 +245,51 @@ class TestSharedPromptPass:
             results[0].prompt.prompt_kv[1][0][0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             results[0].prompt.weights.w_v[1][0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            results[0].prompt.queries[1][0, 0] = 1.0
 
     @pytest.mark.parametrize(
-        "model, m, rows",
-        [
-            (ToyModel(seed=6, d_model=8, n_heads=2, n_layers=2, recency_bias=0.02), 32, 12),
-            (model, 31, 12),
-            (model, 32, 11),
-        ],
-        ids=["other_seed", "other_m", "too_few_rows"],
+        "model, m",
+        [(ToyModel(seed=6, d_model=8, n_heads=2, n_layers=2, recency_bias=0.02), 32), (model, 31)],
+        ids=["other_seed", "other_m"],
     )
-    def test_mismatched_pass_rejected(self, model, m, rows):
+    def test_mismatched_pass_rejected(self, model, m):
         policy = PrefillPolicy(kind=PrefillPolicyKind.WINDOW, alpha1=6, alpha2=4, observation_rows=12)
         with pytest.raises(ValueError, match="does not serve"):
-            run_prefill(self.model, 32, policy, PromptPass(model, m, rows))
+            run_prefill(self.model, 32, policy, PromptPass(model, m))
 
     def test_pass_with_a_trace_rejected(self):
         # replay compresses the trace's own prompt row, so a pass would go unread
         policy = PrefillPolicy(kind=PrefillPolicyKind.WINDOW, alpha1=6, alpha2=4, observation_rows=12)
         with pytest.raises(ValueError, match=r"prompt pass \(seed 5, M=32\) does not serve a trace"):
-            run_prefill(synthetic_trace(32, 4, seed=0), 32, policy, PromptPass(self.model, 32, 12))
+            run_prefill(synthetic_trace(32, 4, seed=0), 32, policy, PromptPass(self.model, 32))
 
     def test_empty_prompt_rejected(self):
         with pytest.raises(ValueError, match="prompt length must be >= 1, got 0"):
-            PromptPass(self.model, 0, 0)
+            PromptPass(self.model, 0)
+
+    @given(
+        m=st.integers(1, 40),
+        n_layers=st.integers(1, 3),
+        n_heads=st.sampled_from([1, 2, 3, 8, 16]),
+        head_dim=st.integers(1, 4),
+        bias=st.sampled_from([0.0, 0.02, 0.5]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_obs_rows_are_the_rows_the_pass_summed(self, m, n_layers, n_heads, head_dim, bias, seed):
+        # every window is recomputed over its own range of query rows, with
+        # the bits of the whole-prompt rows the column sums fold
+        shared = PromptPass(ToyModel(seed, n_heads * head_dim, n_heads, n_layers, bias), m)
+        for layer in range(n_layers):
+            every = shared.obs_rows(layer, m)
+            assert every.shape == (m, m)
+            assert np.array_equal(every.sum(axis=0), shared.colsums[layer])
+            for r in range(m + 1):
+                assert np.array_equal(shared.obs_rows(layer, r), every[m - r:])
+            for r in (-1, m + 1):
+                with pytest.raises(ValueError, match=f"observation rows must be in 0..{m}, got {r}"):
+                    shared.obs_rows(layer, r)
 
     def test_layers_do_not_stack_their_square_arrays(self):
         # each layer frees its (n_heads, m, m) arrays before the next allocates
@@ -276,7 +297,7 @@ class TestSharedPromptPass:
         def peak(n_layers):
             tracemalloc.start()
             try:
-                PromptPass(ToyModel(seed=1, n_layers=n_layers), 600, 8)
+                PromptPass(ToyModel(seed=1, n_layers=n_layers), 600)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -495,7 +516,7 @@ def test_closed_loop_head_shapes_pinned():
         n_layers, bias = 1 + i % 3, 0.05 * (i % 2)
         model = ToyModel(n_heads + head_dim, n_heads * head_dim, n_heads, n_layers, bias)
         if model not in passes:
-            passes[model] = PromptPass(model, m, 3)
+            passes[model] = PromptPass(model, m)
         policy = DecodingPolicy(kind, budget, selector=selector, observation_window=4)
         prefill = run_prefill(model, m, prompts[(i // 2) % 2], passes[model])
         record = decode_loop(model, prefill, policy, capture_positions=True)
@@ -507,8 +528,8 @@ def test_closed_loop_head_shapes_pinned():
     assert digest.hexdigest() == HEAD_SHAPE_DIGEST
 
 
-# sha256 over every array a PromptPass keeps: each layer's column sums,
-# observation rows, prompt keys and values, then the first decode input
+# sha256 over each layer's column sums, observation rows (as obs_rows
+# recomputes them), prompt keys and values, then the first decode input
 # (shape, then little-endian float64). Prompt lengths 1 to 997 (257 is one
 # row past 256, 129 and 997 are no multiple of 64), head_dim 1-16, 1-3
 # layers and recency_bias 0/0.05: a pass computed in row blocks must keep
@@ -527,8 +548,9 @@ def test_prompt_pass_arrays_pinned():
         (1, 1, 8, 2, 2, 0.05),
     ]
     for seed, (m, rows, d_model, n_heads, n_layers, bias) in enumerate(cases):
-        shared = PromptPass(ToyModel(seed, d_model, n_heads, n_layers, bias), m, rows)
-        layers = zip(shared.colsums, shared.obs_rows, shared.prompt_kv, strict=True)
+        shared = PromptPass(ToyModel(seed, d_model, n_heads, n_layers, bias), m)
+        obs = [shared.obs_rows(layer, rows) for layer in range(n_layers)]
+        layers = zip(shared.colsums, obs, shared.prompt_kv, strict=True)
         kept = [array for colsums, obs, (k, v) in layers for array in (colsums, obs, k, v)]
         for array in [*kept, shared.next_input]:
             digest.update(np.array(array.shape, dtype="<i8").tobytes())

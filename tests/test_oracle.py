@@ -51,8 +51,6 @@ class TestFullCacheReference:
             assert np.array_equal(row, want) if t in rows_at else row is None
         assert np.array_equal(some.outputs, every.outputs)
         assert np.array_equal(some.prompt_scores, every.prompt_scores)
-        with pytest.raises(ValueError, match="to_trace"):
-            some.to_trace()
 
     @pytest.mark.parametrize("rows_at", [[0], [11], [3, -1]])
     def test_rows_at_outside_the_run_rejected(self, rows_at):
@@ -402,8 +400,8 @@ def test_prompt_compression_matches_naive_compressor(
     if closed_loop:
         n_layers = int(rng.integers(1, 5))
         source = ToyModel(seed % 1000, d_model=8, n_heads=2, n_layers=n_layers, recency_bias=0.05 * (seed % 2))
-        prompt = PromptPass(source, m, m)  # every row, so the engine picks how many it observes
-        colsums, obs_rows = prompt.colsums, prompt.obs_rows
+        prompt = PromptPass(source, m)
+        colsums, obs_rows = prompt.colsums, [prompt.obs_rows(layer, m) for layer in range(n_layers)]
     else:
         # coarse scores make ties at the top-k boundary common
         source = coarse_trace(m, 1, rng) if rng.integers(2) else synthetic_trace(m, 1, seed % 1000)

@@ -204,6 +204,33 @@ class TestErrorsV2:
         with pytest.raises(TraceError, match="M >= 1 and T >= 0"):
             read_trace(path)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"M": 3.7}, {"M": 4.0}, {"M": True}, {"T": "3"}, {"T": None}, {"layers": -4}, {"layers": 0},
+            {"layers": 1.5}, {"heads": "2"}, {"heads": 0}, {"heads": False}, {"aggregation": 5},
+            {"aggregation": None},
+        ],
+        ids=lambda fields: "-".join(f"{k}={v!r}" for k, v in fields.items()),
+    )
+    def test_header_values_of_the_wrong_type_or_range(self, tmp_path, fields):
+        # M, T, layers and heads are JSON integers (no bools), layers and heads >= 1,
+        # aggregation a string; int() and str() would have passed most of these
+        path = self.write_good(tmp_path)
+        self.edit_header(path, **fields)
+        with pytest.raises(TraceError, match="line 1: header needs"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("key", ["M", "T", "layers", "heads", "aggregation"])
+    def test_header_key_missing(self, tmp_path, key):
+        path = self.write_good(tmp_path)
+        head, _, payload = path.read_bytes().partition(b"\n")
+        fields = json.loads(head)
+        del fields[key]
+        path.write_bytes(json.dumps(fields).encode() + b"\n" + payload)
+        with pytest.raises(TraceError, match=f"line 1: header needs .*'{key}': None"):
+            read_trace(path)
+
     def test_binary_header_line(self, tmp_path):
         path = tmp_path / "garbage.trace"
         path.write_bytes(np.arange(4, dtype="<f8").tobytes())
