@@ -23,6 +23,7 @@ from .engine import (
     PromptPass,
     RunRecord,
     ToyModel,
+    decode_lanes,
     decode_loop,
     run_prefill,
 )

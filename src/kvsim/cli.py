@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import SWEEP_AXES, ConfigError, ExperimentConfig, load_config
 from .core import InvariantError
-from .engine import PromptPass, ToyModel, decode_loop, run_prefill
+from .engine import PromptPass, RunRecord, ToyModel, decode_lanes, decode_loop, run_prefill
 from .metrics import EfficiencyReport, efficiency, heavy_hitter_set, hh_origin_distribution, retained_recall
 from .oracle import check_policy_equivalence, full_cache_reference, naive_prompt_compressor, reference_rows
 from .traceio import TRACE_VERSION, Trace, TraceError, TraceHeader, read_trace, stream_trace, synthetic_trace
@@ -52,8 +52,9 @@ class SeedInputs:
     """What every policy of one seed compresses and is measured against:
     the attention source, the closed-loop prompt pass (None in trace
     replay; computed where it is built, before the seed's cells run) and
-    the full-cache run's dense rows, ``rows[t - 1]`` at each checkpoint t:
-    the trace's own, or a reference run's (none without checkpoints)."""
+    the full-cache run's dense rows, ``rows[t - 1]`` at each checkpoint t
+    and None at the other steps: the trace's own, or a reference run's
+    (none without checkpoints)."""
 
     seed: int
     source: ToyModel | Trace
@@ -63,17 +64,29 @@ class SeedInputs:
 
 def _seed_inputs(cfg: ExperimentConfig, seed: int, file_trace: Trace | None) -> SeedInputs:
     """One seed's inputs for ``cfg``'s M (and T in trace replay). The
-    prompt pass serves every policy, whatever rows it observes. The
-    reference stops at the last checkpoint: its rows up to step t do not
-    depend on T."""
+    prompt pass serves every policy, whatever rows it observes. The rows
+    come from one pass that stops at the last checkpoint: a reference
+    run's rows up to step t do not depend on T."""
+    checkpoints = cfg.checkpoints
     if cfg.mode == "trace_replay":
         source = file_trace or synthetic_trace(cfg.M, cfg.T, seed)
-        return SeedInputs(seed, source, None, source.rows)
+        steps = range(1, max(checkpoints, default=0) + 1)
+        rows = [row if t in checkpoints else None for t, row in zip(steps, source.rows)]
+        return SeedInputs(seed, source, None, rows)
     model = ToyModel(seed, cfg.d_model, cfg.n_heads, cfg.n_layers, cfg.recency_bias)
     prompt = PromptPass(model, cfg.M)
-    checkpoints = cfg.checkpoints
     rows = full_cache_reference(model, cfg.M, max(checkpoints), rows_at=checkpoints).rows if checkpoints else []
     return SeedInputs(seed, model, prompt, rows)
+
+
+def _cell(
+    token: str, inputs: SeedInputs, record: RunRecord, hh_prefill: dict[int, float], hh: dict[int, set[int]]
+) -> CellResult:
+    recall: dict[int, float] = {}
+    for t, oracle_hh in hh.items():
+        kept_prefill, kept_decoding = record.positions_at(t)
+        recall[t] = retained_recall(kept_prefill | kept_decoding, oracle_hh)
+    return CellResult(policy=token, seed=inputs.seed, report=efficiency(record), hh_prefill=hh_prefill, recall=recall)
 
 
 def _run_cell(
@@ -82,19 +95,29 @@ def _run_cell(
     prefill_policy, decoding_policy = cfg.pipeline(token)
     prefill = run_prefill(inputs.source, cfg.M, prefill_policy, inputs.prompt)
     record = decode_loop(inputs.source, prefill, decoding_policy, cfg.T, capture_positions=cfg.checkpoints)
-    report = efficiency(record)
-    recall: dict[int, float] = {}
-    for t, oracle_hh in hh.items():
-        kept_prefill, kept_decoding = record.positions_at(t)
-        recall[t] = retained_recall(kept_prefill | kept_decoding, oracle_hh)
-    return CellResult(policy=token, seed=inputs.seed, report=report, hh_prefill=hh_prefill, recall=recall)
+    return _cell(token, inputs, record, hh_prefill, hh)
+
+
+def _run_lanes(
+    cfg: ExperimentConfig, inputs: SeedInputs, hh_prefill: dict[int, float], hh: dict[int, set[int]]
+) -> list[CellResult]:
+    """Every policy of one seed's trace replay as lanes of one lockstep run,
+    which reads each trace row once for all of them."""
+    lanes = []
+    for token in cfg.policies:
+        prefill_policy, decoding_policy = cfg.pipeline(token)
+        lanes.append((run_prefill(inputs.source, cfg.M, prefill_policy), decoding_policy))
+    records = decode_lanes(inputs.source, lanes, cfg.T, cfg.checkpoints)
+    return [_cell(token, inputs, record, hh_prefill, hh) for token, record in zip(cfg.policies, records)]
 
 
 def _run_grid(cfg: ExperimentConfig, inputs: list[SeedInputs]) -> list[CellResult]:
     """Every (policy, seed) cell of one config, token-major, on the seeds'
-    shared inputs. The heavy-hitter figures follow ``hh_fraction``, so the
-    grid derives dicts of its own from each seed's rows: per checkpoint,
-    the prompt-origin fraction and the heavy-hitter set."""
+    shared inputs. Trace replay runs a seed's policies in lockstep; closed
+    loop runs one cell at a time, since its lanes share no per-step input.
+    The heavy-hitter figures follow ``hh_fraction``, so the grid derives
+    dicts of its own from each seed's rows: per checkpoint, the
+    prompt-origin fraction and the heavy-hitter set."""
     measured = []
     for seed_inputs in inputs:
         rows, hh_prefill, heavy_hitters = seed_inputs.rows, {}, {}
@@ -102,6 +125,9 @@ def _run_grid(cfg: ExperimentConfig, inputs: list[SeedInputs]) -> list[CellResul
             hh_prefill[cp.t] = cp.prefill_fraction
             heavy_hitters[cp.t] = heavy_hitter_set(rows[cp.t - 1], cfg.hh_fraction)
         measured.append((seed_inputs, hh_prefill, heavy_hitters))
+    if cfg.mode == "trace_replay":
+        by_seed = [_run_lanes(cfg, *seed) for seed in measured]
+        return [cell for token_cells in zip(*by_seed) for cell in token_cells]
     return [_run_cell(cfg, token, *seed) for token in cfg.policies for seed in measured]
 
 

@@ -15,6 +15,11 @@ only a small per-mode function differs:
   dynamics (an idealization: real models change scores under eviction).
   A lane whose policy reads no rows slices one only at captured steps.
 
+:func:`decode_lanes` moves every lane (a prefill and a decoding policy)
+through step t before step t + 1, so trace replay reads the trace's rows
+in one pass, each row once for all lanes, and holds one row of a drawn
+trace at a time. :func:`decode_loop` is its one-lane case.
+
 Model weights and prompt embeddings are drawn uniformly from
 [-1/sqrt(d_model), 1/sqrt(d_model)] using numpy's PCG64 generator seeded
 through a SeedSequence, so runs are bit-reproducible across platforms.
@@ -22,9 +27,10 @@ through a SeedSequence, so runs are bit-reproducible across platforms.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -337,84 +343,118 @@ def decode_loop(
     *,
     capture_positions: Iterable[int] | bool = (),
 ) -> RunRecord:
-    """Run ``t_steps`` decode steps (default: the budget's horizon, which
-    is also their upper bound) and return the audit record. Layer ``i``
-    runs ``policy.per_layer(n_layers)[i]``. Each step appends the new
-    position to every layer's pool, takes that layer's attention row over
-    the retained positions from the mode's source, and lets the layer's
-    policy runner evict. Closed loop threads hidden states through the
-    layers so eviction feeds back into later outputs; trace replay drives
-    a single policy lane (trace rows are already layer-aggregated), and
-    takes no row for a step whose policy reads none
+    """Run ``t_steps`` decode steps of one policy (default: the budget's
+    horizon) and return its audit record: the one-lane case of
+    :func:`decode_lanes`."""
+    steps = t_steps if t_steps is not None else policy.budget.max_decode_steps
+    return decode_lanes(source, [(prefill, policy)], steps, capture_positions)[0]
+
+
+def decode_lanes(
+    source: ToyModel | Trace,
+    lanes: Sequence[tuple[PrefillResult, DecodingPolicy]],
+    t_steps: int,
+    capture_positions: Iterable[int] | bool,
+) -> list[RunRecord]:
+    """Run ``t_steps`` decode steps of every lane, a (prefill, policy) pair,
+    in lockstep: every lane takes step t before any lane takes step t + 1.
+    Returns each lane's audit record, in lane order.
+
+    Layer ``i`` of a lane runs ``policy.per_layer(n_layers)[i]``. Each step
+    appends the new position to every layer's pool, takes that layer's
+    attention row over the retained positions from the mode's source, and
+    lets the layer's policy runner evict. Closed loop threads hidden states
+    through the layers so eviction feeds back into later outputs. Trace
+    replay reads the trace's rows in one pass, each row once for every lane
+    (trace rows are already layer-aggregated, so a lane has one layer), and
+    a lane takes no row for a step whose policy reads none
     (``PolicyRunner.reads_rows``). For each step in ``capture_positions``
     (``True``: every step; a step outside 1..t_steps raises
     ``ValueError``), every layer's log keeps its retained positions and its
-    attention row."""
-    horizon = policy.budget.max_decode_steps
-    steps = t_steps if t_steps is not None else horizon
-    if steps < 1:
+    attention row. ``t_steps`` must lie within each lane's budget horizon."""
+    if t_steps < 1:
         raise ValueError("decode loop needs at least one step")
-    if steps > horizon:
-        raise ValueError(f"t_steps={steps} exceeds the budget's horizon max_decode_steps={horizon}")
-    if isinstance(source, Trace):
-        attend, compact = _replay_attention(source, prefill, steps), None
-    else:
-        attend, compact = _closed_loop_attention(source, prefill, steps)
-    m = prefill.prompt_len
-    capture = set(range(1, steps + 1)) if capture_positions is True else {int(t) for t in capture_positions}
-    if outside := sorted(t for t in capture if not 1 <= t <= steps):
-        raise ValueError(f"capture_positions {outside} lie outside the run's steps 1..{steps}")
-    pools = list(prefill.pools)
-    runners = []
-    for pool, colsums, layer_policy in zip(pools, prefill.seed_scores, policy.per_layer(len(pools))):
-        runner = PolicyRunner(layer_policy, m)
-        runner.seed_scores(pool.prefill_entries, colsums)
-        runners.append(runner)
-    logs = [LayerLog(pool.prefill_size, steps) for pool in pools]
-    # closed loop attends at every step: that attention is its forward pass
-    attends = [compact is not None or runner.reads_rows for runner in runners]
-    hidden = None if prefill.prompt is None else prefill.prompt.next_input
-    outputs = None if hidden is None else np.zeros((steps, len(hidden)))
+    capture = set(range(1, t_steps + 1)) if capture_positions is True else {int(t) for t in capture_positions}
+    if outside := sorted(t for t in capture if not 1 <= t <= t_steps):
+        raise ValueError(f"capture_positions {outside} lie outside the run's steps 1..{t_steps}")
+    runs = [_Lane(source, prefill, policy, t_steps, capture) for prefill, policy in lanes]
+    rows = iter(source.rows) if isinstance(source, Trace) else itertools.repeat(None)
+    for t, full in zip(range(1, t_steps + 1), rows):
+        for run in runs:
+            run.step(t, full)
+    return [run.record() for run in runs]
 
-    for t in range(1, steps + 1):
-        for layer, runner in enumerate(runners):
-            pool = append_decoding_entry(pools[layer], m + t - 1)
+
+class _Lane:
+    """One lane of :func:`decode_lanes`: each layer's pool, policy runner
+    and log, and the mode's attention over them."""
+
+    def __init__(
+        self, source: ToyModel | Trace, prefill: PrefillResult, policy: DecodingPolicy, steps: int, capture: set[int]
+    ) -> None:
+        horizon = policy.budget.max_decode_steps
+        if steps > horizon:
+            raise ValueError(f"t_steps={steps} exceeds the budget's horizon max_decode_steps={horizon}")
+        if isinstance(source, Trace):
+            self.attend, self.compact = _replay_attention(source, prefill, steps), None
+        else:
+            self.attend, self.compact = _closed_loop_attention(source, prefill, steps)
+        self.m, self.steps, self.capture = prefill.prompt_len, steps, capture
+        self.pools = list(prefill.pools)
+        self.runners = []
+        for pool, colsums, layer_policy in zip(self.pools, prefill.seed_scores, policy.per_layer(len(self.pools))):
+            runner = PolicyRunner(layer_policy, self.m)
+            runner.seed_scores(pool.prefill_entries, colsums)
+            self.runners.append(runner)
+        self.logs = [LayerLog(pool.prefill_size, steps) for pool in self.pools]
+        # closed loop attends at every step: that attention is its forward pass
+        self.attends = [self.compact is not None or runner.reads_rows for runner in self.runners]
+        self.hidden = None if prefill.prompt is None else prefill.prompt.next_input
+        self.outputs = None if self.hidden is None else np.zeros((steps, len(self.hidden)))
+
+    def step(self, t: int, full: np.ndarray | None) -> None:
+        """Step ``t``. A layer attends with the previous layer's output in
+        closed loop, and with ``full``, the trace's row of step t, in replay."""
+        h = self.hidden if full is None else full
+        for layer, runner in enumerate(self.runners):
+            pool = append_decoding_entry(self.pools[layer], self.m + t - 1)
             row = None
-            if attends[layer] or t in capture:
-                row, hidden = attend(layer, t, pool.all_positions(), hidden)
-            pools[layer], decision = runner.step(pool, row, t)
-            if compact and decision.keep is not None:
-                compact(layer, len(row), decision.keep)
-            logs[layer].record(t, pools[layer], row, decision, capture)
-        if outputs is not None:
-            outputs[t - 1] = hidden
+            if self.attends[layer] or t in self.capture:
+                row, h = self.attend(layer, t, pool.all_positions(), h)
+            self.pools[layer], decision = runner.step(pool, row, t)
+            if self.compact and decision.keep is not None:
+                self.compact(layer, len(row), decision.keep)
+            self.logs[layer].record(t, self.pools[layer], row, decision, self.capture)
+        if self.outputs is not None:
+            self.outputs[t - 1] = self.hidden = h
 
-    return RunRecord(
-        prompt_len=m, num_steps=steps, num_layers=len(pools),
-        layers=logs, final_pools=pools, outputs=outputs,
-    )
+    def record(self) -> RunRecord:
+        return RunRecord(
+            prompt_len=self.m, num_steps=self.steps, num_layers=len(self.pools),
+            layers=self.logs, final_pools=self.pools, outputs=self.outputs,
+        )
 
 
 def _replay_attention(trace: Trace, prefill: PrefillResult, steps: int):
-    """Trace replay's ``attend(layer, t, pos, h) -> (row, h)``: step t's
-    recorded full-prefix row sliced to ``pos`` and renormalized (uniform
-    when the slice has no mass, a ``TraceError`` when its mass is NaN or
-    infinite); ``h`` passes through. Only a step that needs the row calls
-    it, so a row no step reads is never checked. ``prefill`` must be a
-    replay prefill of the trace's own prompt length."""
+    """Trace replay's ``attend(layer, t, pos, full) -> (row, full)``: step
+    t's recorded full-prefix row ``full`` sliced to ``pos`` and
+    renormalized (uniform when the slice has no mass, a ``TraceError`` when
+    its mass is NaN or infinite). Only a step that needs the row calls it,
+    so a row no step reads is never checked. ``prefill`` must be a replay
+    prefill of the trace's own prompt length."""
     if prefill.prompt is not None or prefill.prompt_len != trace.M:
         kind = "closed-loop prefill" if prefill.prompt is not None else f"prefill of M={prefill.prompt_len}"
         raise TraceError(f"replay of a trace recorded with M={trace.M} was given a {kind}")
     if steps > trace.T:
         raise TraceError(f"trace holds {trace.T} steps, run requested {steps}")
 
-    def attend(layer: int, t: int, pos: np.ndarray, h: None) -> tuple[ScoreVector, None]:
-        sliced = trace.row(t)[pos]
+    def attend(layer: int, t: int, pos: np.ndarray, full: np.ndarray) -> tuple[ScoreVector, np.ndarray]:
+        sliced = full[pos]
         mass = sliced.sum()
         if not math.isfinite(mass):
             raise TraceError(f"trace row of step {t} has non-finite mass {mass} over the retained positions")
         sliced = sliced / mass if mass > 0 else np.full(len(pos), 1.0 / len(pos))
-        return ScoreVector(pos, sliced, validate=False), h
+        return ScoreVector(pos, sliced, validate=False), full
 
     return attend
 

@@ -17,7 +17,7 @@ import numpy as np
 from .decoding import DecodingPolicy, PolicyKind, SelectorKind
 from .engine import ModelWeights, ToyModel, decode_loop, prefill_result_from_positions
 from .prefill import PrefillPolicy, PrefillPolicyKind
-from .traceio import Trace
+from .traceio import Trace, TraceError
 
 
 @dataclass
@@ -179,7 +179,8 @@ def naive_policy_simulator(
 ) -> list[tuple[frozenset[int], frozenset[int]]]:
     """Replay a decoding policy with the most literal data structures
     possible and return the retained (prompt, decoding) position sets after
-    every step. Shares no code with the policy runners."""
+    every step, reading the trace's rows in one pass in step order. Shares
+    no code with the policy runners."""
     b = policy.budget
     m = trace.M
     steps = steps if steps is not None else min(b.max_decode_steps, trace.T)
@@ -215,11 +216,12 @@ def naive_policy_simulator(
         for p in evicted:
             sums.pop(p, None)
 
+    if steps > trace.T:
+        raise TraceError(f"trace holds {trace.T} steps, the simulation asked for {steps}")
     history: list[tuple[frozenset[int], frozenset[int]]] = []
-    for t in range(1, steps + 1):
+    for t, full in zip(range(1, steps + 1), trace.rows):
         decoding.append(m + t - 1)
         retained = prefill + decoding
-        full = trace.row(t)
         sliced = [float(full[p]) for p in retained]
         total_mass = sum(sliced)
         if total_mass > 0:

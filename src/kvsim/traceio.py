@@ -16,15 +16,21 @@ need hold no more than that row; :func:`write_trace` is its in-memory
 case. :func:`read_trace` loads the payload with one ``np.fromfile`` into
 a read-only buffer; the trace's rows are views into it. A file of any
 other version is refused.
+
+A trace's ``rows`` are read in step order, as replay reads them. A file
+trace's are a list of views; a :func:`synthetic_trace`'s are drawn from
+its seed again on each pass and hold no row, so a reader that keeps only
+the current row holds one row of the trace at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -48,27 +54,29 @@ class TraceHeader:
 
 @dataclass
 class Trace(TraceHeader):
+    """``rows`` holds rows 1..T in step order: a list, or the
+    :class:`DrawnRows` of a synthetic trace, which is kept as it is (each of
+    its rows has length M + t by construction)."""
+
     prefill_scores: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    rows: list[np.ndarray] = field(default_factory=list)
+    rows: list[np.ndarray] | DrawnRows = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.prefill_scores = np.asarray(self.prefill_scores, dtype=np.float64)
-        self.rows = [np.asarray(r, dtype=np.float64) for r in self.rows]
+        drawn = isinstance(self.rows, DrawnRows)
+        if not drawn:
+            self.rows = [np.asarray(r, dtype=np.float64) for r in self.rows]
         if len(self.prefill_scores) != self.M:
             raise TraceError(
                 f"prompt score row has length {len(self.prefill_scores)}, expected M={self.M}"
             )
         if len(self.rows) != self.T:
             raise TraceError(f"trace holds {len(self.rows)} step rows, expected T={self.T}")
-        for t, row in enumerate(self.rows, start=1):
+        if drawn and self.rows.M != self.M:
+            raise TraceError(f"rows drawn for M={self.rows.M}, expected M={self.M}")
+        for t, row in enumerate([] if drawn else self.rows, start=1):
             if len(row) != self.M + t:
                 raise TraceError(f"row t={t} has length {len(row)}, expected M+t={self.M + t}")
-
-    def row(self, t: int) -> np.ndarray:
-        """Full-prefix scores for decode step t (1-based)."""
-        if not 1 <= t <= self.T:
-            raise TraceError(f"step t={t} outside trace range 1..{self.T}")
-        return self.rows[t - 1]
 
 
 def _row_start(m, t):
@@ -99,7 +107,7 @@ def stream_trace(header: TraceHeader, rows: Iterable[np.ndarray], path: str | Pa
 
 def write_trace(trace: Trace, path: str | Path) -> int:
     """Write ``trace`` with :func:`stream_trace`; return the file's size."""
-    return stream_trace(trace, (trace.prefill_scores, *trace.rows), path)
+    return stream_trace(trace, itertools.chain((trace.prefill_scores,), trace.rows), path)
 
 
 def read_trace(path: str | Path) -> Trace:
@@ -157,18 +165,41 @@ def read_trace(path: str | Path) -> Trace:
                  prefill_scores=buf[:m], rows=rows)
 
 
-def synthetic_trace(M: int, T: int, seed: int = 0) -> Trace:
-    """Random positive attention rows, each normalized to unit mass. Useful
-    for accounting experiments and oracle equivalence at desk scale."""
-    if M < 1 or T < 0:
-        raise ValueError("synthetic trace needs M >= 1 and T >= 0")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, M, T]))
-    prompt = rng.standard_exponential(M)
+def _draws(m: int, t_max: int, seed: int) -> Iterator[np.ndarray]:
+    """A synthetic trace's rows 0..T in the order its generator draws them."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, m, t_max]))
+    prompt = rng.standard_exponential(m)
     prompt += 1e-9
-    rows = []
-    for t in range(1, T + 1):
-        row = rng.standard_exponential(M + t)
+    yield prompt
+    for t in range(1, t_max + 1):
+        row = rng.standard_exponential(m + t)
         row += 1e-9
         row /= row.sum()
-        rows.append(row)
-    return Trace(M=M, T=T, aggregation="synthetic=exponential", prefill_scores=prompt, rows=rows)
+        yield row
+
+
+@dataclass(frozen=True)
+class DrawnRows:
+    """Rows 1..T of :func:`synthetic_trace`'s trace for (M, T, seed): of
+    length T, drawn again from the seed on each pass, holding no row."""
+
+    M: int
+    T: int
+    seed: int
+
+    def __len__(self) -> int:
+        return self.T
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return itertools.islice(_draws(self.M, self.T, self.seed), 1, None)
+
+
+def synthetic_trace(M: int, T: int, seed: int = 0) -> Trace:
+    """Random positive attention rows, each normalized to unit mass, whose
+    step rows are drawn on each pass over them (:class:`DrawnRows`).
+    Useful for accounting experiments and oracle equivalence at desk
+    scale."""
+    if M < 1 or T < 0:
+        raise ValueError("synthetic trace needs M >= 1 and T >= 0")
+    return Trace(M=M, T=T, aggregation="synthetic=exponential", prefill_scores=next(_draws(M, T, seed)),
+                 rows=DrawnRows(M, T, seed))

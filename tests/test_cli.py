@@ -647,7 +647,7 @@ class TestCLI:
         def broken_decode_loop(*args, **kwargs):
             raise InvariantError("decoding_entries positions must be strictly ascending")
 
-        monkeypatch.setattr("kvsim.cli.decode_loop", broken_decode_loop)
+        monkeypatch.setattr("kvsim.cli.decode_lanes", broken_decode_loop)
         path = write_config(tmp_path, REPLAY_CONFIG + f"output_dir = {tmp_path / 'out'}\n")
         assert main(["run", str(path)]) == 3
         assert "invariant violation" in capsys.readouterr().err
@@ -656,7 +656,7 @@ class TestCLI:
         def broken_decode_loop(*args, **kwargs):
             raise ValueError("a programming error")
 
-        monkeypatch.setattr("kvsim.cli.decode_loop", broken_decode_loop)
+        monkeypatch.setattr("kvsim.cli.decode_lanes", broken_decode_loop)
         path = write_config(tmp_path, REPLAY_CONFIG + f"output_dir = {tmp_path / 'out'}\n")
         with pytest.raises(ValueError, match="a programming error"):
             main(["run", str(path)])

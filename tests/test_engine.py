@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,22 @@ from kvsim.engine import (
 )
 from kvsim.prefill import PrefillPolicy, PrefillPolicyKind, allocate_layer_budgets
 from kvsim.traceio import TraceError, synthetic_trace
+
+
+def in_memory(trace):
+    """``trace`` with its rows held in a list, so that a test can edit one."""
+    return replace(trace, rows=list(trace.rows))
+
+
+class SliceLog:
+    """A trace row that logs its step in ``log`` each time it is sliced."""
+
+    def __init__(self, t, row, log):
+        self.t, self.row, self.log = t, row, log
+
+    def __getitem__(self, positions):
+        self.log.append(self.t)
+        return self.row[positions]
 
 
 def single_head_row(query, keys, bias=0.0):
@@ -367,7 +384,7 @@ class TestDecodeLoop:
             assert np.array_equal(row.scores, every.layers[0].rows[t - 1].scores)
 
     def test_non_finite_replay_row_rejected(self):
-        trace = synthetic_trace(6, 4, seed=0)
+        trace = in_memory(synthetic_trace(6, 4, seed=0))
         trace.rows[1] = np.full(8, np.nan)
         prefill = prefill_result_from_positions(trace, range(6))
         policy = DecodingPolicy(PolicyKind.UNIFIED_H2O, BudgetConfig(alpha1=2, alpha2=2, max_decode_steps=4))
@@ -377,7 +394,7 @@ class TestDecodeLoop:
     @pytest.mark.parametrize("kind", [PolicyKind.PREFILL_ONLY, PolicyKind.UNIFIED_STREAMING])
     def test_non_finite_replay_row_no_step_reads_runs(self, kind):
         # read_trace rejects such a row at load; an in-memory one is checked where it is read
-        trace = synthetic_trace(6, 4, seed=0)
+        trace = in_memory(synthetic_trace(6, 4, seed=0))
         trace.rows[1] = np.full(8, np.nan)
         prefill = prefill_result_from_positions(trace, range(6))
         policy = DecodingPolicy(kind, BudgetConfig(alpha1=2, alpha2=2, max_decode_steps=4))
@@ -392,7 +409,7 @@ class TestDecodeLoop:
     def test_replay_slices_rows_only_where_a_step_reads_them(self, kind, reads):
         trace = synthetic_trace(6, 5, seed=0)
         sliced = []
-        trace.row = lambda t, row=trace.row: sliced.append(t) or row(t)
+        trace.rows = [SliceLog(t, row, sliced) for t, row in enumerate(trace.rows, start=1)]
         prefill = prefill_result_from_positions(trace, range(6))
         policy = DecodingPolicy(kind, BudgetConfig(alpha1=2, alpha2=2, max_decode_steps=5))
         record = decode_loop(trace, prefill, policy, 5, capture_positions=[4])
@@ -400,7 +417,7 @@ class TestDecodeLoop:
         assert record.layers[0].steps == decode_loop(trace, prefill, policy, 5, capture_positions=True).layers[0].steps
 
     def test_zero_mass_replay_row_is_uniform(self):
-        trace = synthetic_trace(6, 4, seed=0)
+        trace = in_memory(synthetic_trace(6, 4, seed=0))
         trace.rows[1] = np.zeros(8)
         prefill = prefill_result_from_positions(trace, range(6))
         policy = DecodingPolicy(PolicyKind.PREFILL_ONLY, BudgetConfig(max_decode_steps=4))

@@ -128,6 +128,6 @@ class TestOriginComposition:
             trace, range(m), DecodingPolicy(PolicyKind.PREFILL_ONLY, budget), t_steps,
             capture_positions=True,
         )
-        hh = heavy_hitter_set(trace.rows[t_steps - 1], 0.15)
+        hh = heavy_hitter_set(list(trace.rows)[t_steps - 1], 0.15)
         kept_prefill, kept_decoding = record.positions_at(t_steps)
         assert retained_recall(kept_prefill | kept_decoding, hh) == 1.0

@@ -139,11 +139,6 @@ class TestErrors:
         with pytest.raises(TraceError, match="expected M"):
             Trace(M=2, T=1, prefill_scores=np.ones(2), rows=[np.ones(5)])
 
-    def test_row_access_bounds(self):
-        trace = synthetic_trace(4, 3, seed=1)
-        with pytest.raises(TraceError, match="outside"):
-            trace.row(4)
-
     @pytest.mark.parametrize("rows, message", [
         ([np.ones(4), np.ones(5), np.ones(7)], "row t=2 of length 7 does not fit a trace of M=4, T=3"),
         ([np.ones(4), np.ones(5)], "2 rows written, a trace of T=3 has 4"),
