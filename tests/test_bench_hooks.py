@@ -100,6 +100,32 @@ def test_every_wrapped_name_is_called(tmp_path, monkeypatch):
     assert never == NOT_ON_A_RUN_PATH
 
 
+def test_traced_run_reads_its_metrics(tmp_path, monkeypatch):
+    """The benchmark's traced run wraps every name at once and reads the
+    spans back. The tracer takes the parent of each ``cli.decode_loop``
+    span for a ``cli.cell`` span carrying a policy token, so a
+    ``decode_loop`` call from anywhere else makes ``metrics`` fail."""
+    tracer_module = load_tracer()
+    tracer = tracer_module.Tracer()
+    for owner, attr, name, extra in tracer_module.WRAPS:
+        monkeypatch.setattr(owner, attr, tracer.wrap(getattr(owner, attr), name, extra))
+    trace_path = tmp_path / "run.trace"
+    write_trace(synthetic_trace(24, 12, seed=4), trace_path)
+    for name, text in [
+        ("closed", CLOSED_LOOP_2LAYER),
+        ("replay_file", REPLAY_H2O + f"trace = {trace_path}\n"),
+        ("replay_synthetic", REPLAY_H2O + "trace.synthetic = true\n"),
+    ]:
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text + f"output_dir = {tmp_path / name}\n")
+        assert main(["run", str(cfg)]) == 0
+    metrics, _ = tracer.metrics(d_model=8)
+    # the closed-loop run's two policies, 12 steps over 2 layers each
+    for token in ("pyramid_infer", "scope_slide"):
+        assert metrics[f"engine.decode_us_per_step.{token}"][0] > 0
+    assert metrics["decoding.selections"][0] > 0
+
+
 def test_policy_step_decision_has_traced_fields():
     budget = BudgetConfig(beta1=1, beta2=1, max_decode_steps=8)
     runner = PolicyRunner(DecodingPolicy(PolicyKind.SCOPE_SLIDE, budget), prompt_len=2)

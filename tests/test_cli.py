@@ -583,6 +583,28 @@ class TestCLI:
         assert path.stat().st_size > 15_700_000
         assert peak < path.stat().st_size / 10
 
+    def test_replay_holds_no_rows(self, tmp_path):
+        # M=512, T=1536: a 15.7 MB synthetic trace, read a row at a time by all 8 policies at once
+        cfg_text = (
+            REPLAY_CONFIG.replace("M = 32", "M = 512").replace("T = 24", "T = 1536")
+            .replace("policies = ", "policies = full, ")
+            + f"metrics.checkpoints = 768, 1536\noutput_dir = {tmp_path / 'big'}\n"
+        )
+        cfg = load_config(write_config(tmp_path, cfg_text))
+        assert len(cfg.policies) == 8
+        # a small run first: one-time allocations (lazy imports) do not count
+        run_experiment(load_config(write_config(tmp_path, REPLAY_CONFIG + f"output_dir = {tmp_path / 'small'}\n")))
+        tracemalloc.start()
+        try:
+            cells, _, _ = run_experiment(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(cells) == 8
+        payload = 8 * (512 * 1537 + 1536 * 1537 // 2)
+        assert payload > 15_700_000
+        assert peak < payload / 10
+
     def test_trace_export_to_a_missing_directory_exit_one(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.trace"
         path = write_config(tmp_path, SMOKE_CONFIG.replace("seeds = 1, 2", "seeds = 1"))

@@ -3,14 +3,17 @@
 import hashlib
 import itertools
 import math
+import tempfile
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from kvsim.config import POLICY_TOKENS, ConfigError, ExperimentConfig
 from kvsim.core import BudgetConfig
 from kvsim.decoding import DecodingPolicy, PolicyKind, SelectorKind
 from kvsim.engine import (
@@ -18,12 +21,13 @@ from kvsim.engine import (
     PromptPass,
     ToyModel,
     _attend,
+    decode_lanes,
     decode_loop,
     prefill_result_from_positions,
     run_prefill,
 )
 from kvsim.prefill import PrefillPolicy, PrefillPolicyKind, allocate_layer_budgets
-from kvsim.traceio import TraceError, synthetic_trace
+from kvsim.traceio import TraceError, read_trace, synthetic_trace, write_trace
 
 
 def in_memory(trace):
@@ -472,6 +476,72 @@ class TestDecodeLoop:
         for log in record.layers:
             assert [row.positions[-1] for row in log.rows] == list(range(8, 18))
         assert not np.array_equal(record.layers[0].rows[0].scores, record.layers[1].rows[0].scores)
+
+
+@st.composite
+def lockstep_cases(draw):
+    """A runnable replay config with 1-8 policy tokens, the steps to
+    capture, and how its trace holds its rows."""
+    t_steps = draw(st.integers(1, 30))
+    cfg = ExperimentConfig(
+        mode="trace_replay",
+        trace_synthetic=True,
+        seeds=[draw(st.integers(0, 2**16))],
+        M=draw(st.integers(1, 20)),
+        T=t_steps,
+        policies=draw(st.lists(st.sampled_from(POLICY_TOKENS), min_size=1, max_size=8, unique=True)),
+        alpha1=draw(st.integers(0, 6)),
+        alpha2=draw(st.integers(0, 4)),
+        beta1=draw(st.integers(0, 6)),
+        beta2=draw(st.integers(0, 4)),
+        selector=draw(st.sampled_from(["cumulative", "window"])),
+        observation_window=draw(st.integers(1, 4)),
+    )
+    try:
+        cfg.validate()
+    except ConfigError:
+        assume(False)
+    capture = draw(st.one_of(st.just(True), st.lists(st.integers(1, t_steps), max_size=3)))
+    return cfg, capture, draw(st.sampled_from(["drawn", "in_memory", "file"]))
+
+
+def assert_same_pool(got, want):
+    assert np.array_equal(got.prefill_entries, want.prefill_entries)
+    assert np.array_equal(got.decoding_entries, want.decoding_entries)
+
+
+@given(case=lockstep_cases())
+@settings(max_examples=80, deadline=None)
+def test_lockstep_lanes_equal_one_lane_runs(case):
+    """Every lane of one lockstep run records what a run of that lane alone
+    records, over a drawn, an in-memory and a file trace alike."""
+    cfg, capture, kind = case
+    trace = synthetic_trace(cfg.M, cfg.T, cfg.seeds[0])
+    with tempfile.TemporaryDirectory() as tmp:
+        if kind == "in_memory":
+            trace = in_memory(trace)
+        elif kind == "file":
+            write_trace(trace, Path(tmp) / "run.trace")
+            trace = read_trace(Path(tmp) / "run.trace")
+        lanes = []
+        for token in cfg.policies:
+            prefill_policy, decoding_policy = cfg.pipeline(token)
+            lanes.append((run_prefill(trace, cfg.M, prefill_policy), decoding_policy))
+        records = decode_lanes(trace, lanes, cfg.T, capture)
+        assert len(records) == len(lanes)
+        for (prefill, policy), got in zip(lanes, records):
+            want = decode_loop(trace, prefill, policy, cfg.T, capture_positions=capture)
+            for got_log, want_log in zip(got.layers, want.layers, strict=True):
+                for column in ("prefill_size", "decoding_size", "evicted"):
+                    assert np.array_equal(getattr(got_log, column), getattr(want_log, column))
+                assert got_log.captured.keys() == want_log.captured.keys()
+                for t, pool in got_log.captured.items():
+                    assert_same_pool(pool, want_log.captured[t])
+                for got_row, want_row in zip(got_log.rows, want_log.rows, strict=True):
+                    assert np.array_equal(got_row.positions, want_row.positions)
+                    assert np.array_equal(got_row.scores, want_row.scores)
+            for got_pool, want_pool in zip(got.final_pools, want.final_pools, strict=True):
+                assert_same_pool(got_pool, want_pool)
 
 
 # sha256 over every layer's retained (prompt, decode) positions after every

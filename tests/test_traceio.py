@@ -82,6 +82,18 @@ class TestRoundTrip:
             tracemalloc.stop()
         assert peak < 2 * 1024 * 1024
 
+    def test_write_of_a_drawn_trace_holds_one_row(self, tmp_path):
+        # M=512, T=1536: a 15.7 MB file, drawn and written a row at a time
+        path = tmp_path / "drawn.trace"
+        tracemalloc.start()
+        try:
+            write_trace(synthetic_trace(512, 1536, seed=0), path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 15_700_000
+        assert peak < path.stat().st_size / 10
+
     def test_rows_are_read_only_views_of_one_buffer(self, tmp_path):
         path = tmp_path / "shared.trace"
         write_trace(synthetic_trace(4, 5, seed=0), path)
@@ -138,6 +150,11 @@ class TestErrors:
             Trace(M=4, T=0, prefill_scores=np.ones(3), rows=[])
         with pytest.raises(TraceError, match="expected M"):
             Trace(M=2, T=1, prefill_scores=np.ones(2), rows=[np.ones(5)])
+
+    def test_drawn_rows_of_another_prompt_length_rejected(self):
+        trace = synthetic_trace(4, 3, seed=1)
+        with pytest.raises(TraceError, match="rows drawn for M=4, expected M=5"):
+            Trace(M=5, T=3, prefill_scores=np.ones(5), rows=trace.rows)
 
     @pytest.mark.parametrize("rows, message", [
         ([np.ones(4), np.ones(5), np.ones(7)], "row t=2 of length 7 does not fit a trace of M=4, T=3"),
