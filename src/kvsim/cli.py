@@ -50,11 +50,12 @@ class CellResult:
 @dataclass
 class SeedInputs:
     """What every policy of one seed compresses and is measured against:
-    the attention source, the closed-loop prompt pass (None in trace
-    replay; computed where it is built, before the seed's cells run) and
-    the full-cache run's dense rows, ``rows[t - 1]`` at each checkpoint t
-    and None at the other steps: the trace's own, or a reference run's
-    (none without checkpoints)."""
+    the attention source (a trace, whose step rows are read from its file
+    or drawn from its seed on each pass, or a toy model), the closed-loop
+    prompt pass (None in trace replay; computed where it is built, before
+    the seed's cells run) and the full-cache run's dense rows,
+    ``rows[t - 1]`` at each checkpoint t and None at the other steps: the
+    trace's own, or a reference run's (none without checkpoints)."""
 
     seed: int
     source: ToyModel | Trace
@@ -198,7 +199,9 @@ def run_experiment(
     ``SWEEP_AXES``, no or repeated values, or a grid that cannot run raise
     ``ConfigError`` (``TraceError`` if the trace file does not cover it)
     before any cell runs; after those checks, so does an ``output_dir``
-    that cannot be created (``OSError``)."""
+    that cannot be created (``OSError``). A trace file is read and checked
+    once per command; each pass over its rows reads them from the file
+    again, and raises ``TraceError`` if the file has changed since."""
     grids: list[tuple[ExperimentConfig, str | None, int | float | None]] = []
     if axis is None:
         grids.append((cfg, None, None))

@@ -13,14 +13,16 @@ payload of ``M*(T+1) + T*(T+1)/2`` values, so row t starts at element
 ``M*t + t*(t-1)/2``. The file is exactly the header line plus 8 bytes per
 value. :func:`stream_trace` writes each row as it comes, so its caller
 need hold no more than that row; :func:`write_trace` is its in-memory
-case. :func:`read_trace` loads the payload with one ``np.fromfile`` into
-a read-only buffer; the trace's rows are views into it. A file of any
-other version is refused.
+case. :func:`read_trace` checks the header and the size, then reads the
+payload once in blocks of ``BLOCK_VALUES`` values to check every score,
+and keeps the prompt row alone. A file of any other version is refused.
 
-A trace's ``rows`` are read in step order, as replay reads them. A file
-trace's are a list of views; a :func:`synthetic_trace`'s are drawn from
-its seed again on each pass and hold no row, so a reader that keeps only
-the current row holds one row of the trace at a time.
+A trace's ``rows`` are read in step order, as replay reads them. An
+in-memory trace's are a list; a file trace's (:class:`FileRows`) are read
+from the file again on each pass, and a :func:`synthetic_trace`'s
+(:class:`DrawnRows`) drawn from its seed again. Neither holds a row, so a
+reader that keeps only the current row holds one row of the trace at a
+time.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 TRACE_VERSION = 2
+BLOCK_VALUES = 1 << 16  # float64 values per read when read_trace checks the scores: 512 KiB
 
 
 class TraceError(Exception):
@@ -55,15 +58,16 @@ class TraceHeader:
 @dataclass
 class Trace(TraceHeader):
     """``rows`` holds rows 1..T in step order: a list, or the
-    :class:`DrawnRows` of a synthetic trace, which is kept as it is (each of
-    its rows has length M + t by construction)."""
+    :class:`FileRows` of a file trace or :class:`DrawnRows` of a synthetic
+    one, which are kept as they are (each of their rows has length M + t
+    by construction)."""
 
     prefill_scores: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    rows: list[np.ndarray] | DrawnRows = field(default_factory=list)
+    rows: list[np.ndarray] | FileRows | DrawnRows = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.prefill_scores = np.asarray(self.prefill_scores, dtype=np.float64)
-        drawn = isinstance(self.rows, DrawnRows)
+        drawn = isinstance(self.rows, (FileRows, DrawnRows))
         if not drawn:
             self.rows = [np.asarray(r, dtype=np.float64) for r in self.rows]
         if len(self.prefill_scores) != self.M:
@@ -110,15 +114,56 @@ def write_trace(trace: Trace, path: str | Path) -> int:
     return stream_trace(trace, itertools.chain((trace.prefill_scores,), trace.rows), path)
 
 
-def read_trace(path: str | Path) -> Trace:
-    """Read a trace file. A file that cannot be opened, or anything
-    malformed, truncated or out of range, raises :class:`TraceError`."""
-    path = Path(path)
+def _identity(st: os.stat_result) -> tuple[int, int, int, int]:
+    """What tells a file apart from the one a trace was read from."""
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _fill(fh, array: np.ndarray, path: Path) -> np.ndarray:
+    """Fill ``array`` with the next bytes of ``fh`` and return it. A short
+    read means the file shrank after its size was checked."""
+    if fh.readinto(array) != array.nbytes:
+        raise _changed(path)
+    return array
+
+
+def _changed(path: Path) -> TraceError:
+    return TraceError(f"{path}: trace file changed since it was opened to be read")
+
+
+def _open(path: Path, buffering: int):
     try:
-        fh = path.open("rb")
+        return open(path, "rb", buffering=buffering)
     except OSError as exc:
         raise TraceError(f"{path}: cannot open trace file: {exc.strerror}") from exc
-    with fh:
+
+
+def _check_scores(fh, path: Path, m: int, t_max: int) -> None:
+    """Read the payload from ``fh`` in blocks of ``BLOCK_VALUES`` values; the
+    first score that is not finite and nonnegative raises :class:`TraceError`
+    naming its row and position."""
+    count = _row_start(m, t_max + 1)
+    block = np.empty(min(BLOCK_VALUES, count), dtype="<f8")
+    for start in range(0, count, BLOCK_VALUES):
+        values = _fill(fh, block[:count - start], path)
+        # min is NaN if any value is, and NaN compares false
+        if not (values.min() >= 0 and values.max() < np.inf):
+            i = int(np.argmin((values >= 0) & (values < np.inf)))
+            t = int(np.searchsorted(_row_start(m, np.arange(t_max + 1)), start + i, side="right")) - 1
+            raise TraceError(
+                f"{path}: row t={t}, position {start + i - _row_start(m, t)}: score {values[i]} "
+                "is not finite and nonnegative"
+            )
+
+
+def read_trace(path: str | Path) -> Trace:
+    """Read a trace file: its header, its prompt row and, as
+    :class:`FileRows`, where its step rows lie. Every score is checked
+    here, once. A file that cannot be opened, or anything malformed,
+    truncated or out of range, raises :class:`TraceError`."""
+    path = Path(path)
+    with _open(path, -1) as fh:
+        stat = os.fstat(fh.fileno())
         head = fh.readline()
         if not head:
             raise TraceError(f"{path}: empty trace file")
@@ -143,26 +188,60 @@ def read_trace(path: str | Path) -> Trace:
         if m < 1 or t_max < 0 or min(layers, heads) < 1:
             raise TraceError(f"{path}: line 1: header needs M >= 1 and T >= 0, layers and heads >= 1, got {got}")
         count = _row_start(m, t_max + 1)
-        size = os.fstat(fh.fileno()).st_size - fh.tell()
-        # checked in bytes: fromfile would drop a partial float without a word
+        offset = fh.tell()
+        size = stat.st_size - offset
+        # checked in bytes, so a partial float fails too
         if size != 8 * count:
             problem = "truncated trace" if size < 8 * count else "trailing bytes after the last row"
             raise TraceError(
                 f"{path}: {problem}: payload of {size} bytes, expected {8 * count} for M={m}, T={t_max}"
             )
-        buf = np.fromfile(fh, dtype="<f8", count=count)
-    buf.flags.writeable = False  # one trace serves every cell of a command
-    # min is NaN if any value is, and NaN compares false
-    if not (buf.min() >= 0 and buf.max() < np.inf):
-        i = int(np.argmin((buf >= 0) & (buf < np.inf)))
-        t = int(np.searchsorted(_row_start(m, np.arange(t_max + 1)), i, side="right")) - 1
-        raise TraceError(
-            f"{path}: row t={t}, position {i - _row_start(m, t)}: score {buf[i]} "
-            "is not finite and nonnegative"
-        )
-    rows = [buf[_row_start(m, t):_row_start(m, t + 1)] for t in range(1, t_max + 1)]
+        _check_scores(fh, path, m, t_max)
+        fh.seek(offset)
+        prompt = _fill(fh, np.empty(m, dtype="<f8"), path)
+    prompt.flags.writeable = False  # one trace serves every cell of a command
+    rows = FileRows(path, offset, m, t_max)
+    if rows.identity != _identity(stat):
+        raise _changed(path)
     return Trace(M=m, T=t_max, layers=layers, heads=heads, aggregation=aggregation,
-                 prefill_scores=buf[:m], rows=rows)
+                 prefill_scores=prompt, rows=rows)
+
+
+@dataclass(frozen=True)
+class FileRows:
+    """Rows 1..T of the trace file at ``path``, whose payload starts at byte
+    ``offset``: of length T, read from the file again on each pass, one
+    fresh read-only row at a time, holding no row. ``identity`` records the
+    file's device, inode, size and modification time when the rows are
+    made; a pass that finds the path can no longer be opened, or names a
+    file of another identity, raises :class:`TraceError` before it yields
+    a row."""
+
+    path: Path
+    offset: int
+    M: int
+    T: int
+    identity: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        try:
+            identity = _identity(os.stat(self.path))
+        except OSError as exc:
+            raise TraceError(f"{self.path}: cannot open trace file: {exc.strerror}") from exc
+        object.__setattr__(self, "identity", identity)
+
+    def __len__(self) -> int:
+        return self.T
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        with _open(self.path, 0) as fh:  # unbuffered: each row is one readinto, straight from the file
+            if _identity(os.fstat(fh.fileno())) != self.identity:
+                raise _changed(self.path)
+            fh.seek(self.offset + 8 * self.M)
+            for t in range(1, self.T + 1):
+                row = _fill(fh, np.empty(self.M + t, dtype="<f8"), self.path)
+                row.flags.writeable = False
+                yield row
 
 
 def _draws(m: int, t_max: int, seed: int) -> Iterator[np.ndarray]:

@@ -605,6 +605,54 @@ class TestCLI:
         assert payload > 15_700_000
         assert peak < payload / 10
 
+    def test_file_replay_holds_no_rows(self, tmp_path):
+        # M=512, T=1536: a 15.7 MB trace file, read a row at a time by all 8 policies at once
+        small, big = tmp_path / "small.trace", tmp_path / "big.trace"
+        write_trace(synthetic_trace(32, 24, seed=0), small)
+        write_trace(synthetic_trace(512, 1536, seed=0), big)
+        replay = REPLAY_CONFIG.replace("trace.synthetic = true", "trace = {path}")
+        cfg_text = (
+            replay.format(path=big).replace("M = 32", "M = 512").replace("T = 24", "T = 1536")
+            .replace("policies = ", "policies = full, ")
+            + f"metrics.checkpoints = 768, 1536\noutput_dir = {tmp_path / 'big'}\n"
+        )
+        cfg = load_config(write_config(tmp_path, cfg_text))
+        assert len(cfg.policies) == 8
+        # a small run first: one-time allocations (lazy imports) do not count
+        run_experiment(load_config(write_config(tmp_path, replay.format(path=small) + f"output_dir = {tmp_path / 'small'}\n")))
+        tracemalloc.start()
+        try:
+            cells, _, _ = run_experiment(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(cells) == 8
+        payload = 8 * (512 * 1537 + 1536 * 1537 // 2)
+        assert big.stat().st_size > payload > 15_700_000
+        assert peak < payload / 10
+
+    def test_trace_file_changed_after_read_exit_two(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "run.trace"
+        write_trace(synthetic_trace(4, 3, seed=0), path)
+        read = cli.read_trace
+
+        def read_then_rewrite(file):
+            trace = read(file)
+            head, _, payload = path.read_bytes().partition(b"\n")
+            values = np.frombuffer(payload, dtype="<f8").copy()
+            values[-1] = float("nan")  # the same size, one score no longer valid
+            path.write_bytes(head + b"\n" + values.tobytes())
+            return trace
+
+        monkeypatch.setattr(cli, "read_trace", read_then_rewrite)
+        cfg_text = (
+            f"mode = trace_replay\ntrace = {path}\nM = 4\nT = 3\npolicies = h2o, scope_slide\n"
+            f"prefill.alpha1 = 1\nprefill.alpha2 = 1\ndecoding.beta2 = 1\noutput_dir = {tmp_path / 'out'}\n"
+        )
+        assert main(["run", str(write_config(tmp_path, cfg_text))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("trace error:") and f"{path}: trace file changed since it was opened to be read" in err
+
     def test_trace_export_to_a_missing_directory_exit_one(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.trace"
         path = write_config(tmp_path, SMOKE_CONFIG.replace("seeds = 1, 2", "seeds = 1"))

@@ -2,12 +2,13 @@
 
 import hashlib
 import json
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from kvsim.traceio import Trace, TraceError, TraceHeader, read_trace, stream_trace, synthetic_trace, write_trace
+from kvsim.traceio import BLOCK_VALUES, Trace, TraceError, TraceHeader, read_trace, stream_trace, synthetic_trace, write_trace
 
 
 def file_sha256(path):
@@ -94,15 +95,35 @@ class TestRoundTrip:
         assert path.stat().st_size > 15_700_000
         assert peak < path.stat().st_size / 10
 
-    def test_rows_are_read_only_views_of_one_buffer(self, tmp_path):
-        path = tmp_path / "shared.trace"
-        write_trace(synthetic_trace(4, 5, seed=0), path)
-        trace = read_trace(path)
-        base = trace.prefill_scores.base
-        assert base is not None and all(row.base is base for row in trace.rows)
-        for array in (trace.prefill_scores, trace.rows[2]):
+    def test_file_rows_are_read_only_and_equal_the_rows_written_on_every_pass(self, tmp_path):
+        path = tmp_path / "rows.trace"
+        trace = synthetic_trace(4, 5, seed=0)
+        write_trace(trace, path)
+        back = read_trace(path)
+        assert back.prefill_scores.tobytes() == trace.prefill_scores.tobytes()
+        passes = [list(back.rows), list(back.rows)]
+        for first, second, written in zip(*passes, trace.rows, strict=True):
+            assert first.tobytes() == second.tobytes() == written.tobytes()
+            assert first is not second
+        for array in (back.prefill_scores, passes[0][2], passes[1][2]):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
+
+    def test_read_holds_the_prompt_row_alone(self, tmp_path):
+        # M=512, T=1536: a 15.7 MB payload, checked a block at a time
+        path = tmp_path / "big.trace"
+        write_trace(synthetic_trace(512, 1536, seed=0), path)
+        read_trace(path)  # a first read: one-time allocations do not count
+        tracemalloc.start()
+        try:
+            trace = read_trace(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        payload = 8 * (512 * 1537 + 1536 * 1537 // 2)
+        assert path.stat().st_size > payload > 15_700_000
+        assert peak < payload / 10
+        assert len(trace.rows) == 1536
 
     def test_synthetic_traces_deterministic(self):
         a = synthetic_trace(6, 9, seed=3)
@@ -155,6 +176,46 @@ class TestErrors:
         trace = synthetic_trace(4, 3, seed=1)
         with pytest.raises(TraceError, match="rows drawn for M=4, expected M=5"):
             Trace(M=5, T=3, prefill_scores=np.ones(5), rows=trace.rows)
+
+    @pytest.mark.parametrize("edit", ["truncate", "append", "same_size_nan", "delete"])
+    def test_file_changed_after_read_raises_on_the_next_pass(self, tmp_path, edit):
+        path = tmp_path / "changed.trace"
+        write_trace(synthetic_trace(4, 3, seed=0), path)
+        trace = read_trace(path)
+        assert len(list(trace.rows)) == 3
+        data = path.read_bytes()
+        if edit == "truncate":
+            path.write_bytes(data[:-8])
+        elif edit == "append":
+            path.write_bytes(data + data[-8:])
+        elif edit == "same_size_nan":
+            path.write_bytes(data[:-8] + np.array([np.nan], dtype="<f8").tobytes())
+        else:
+            path.unlink()
+        with pytest.raises(TraceError, match=re.escape(str(path))):
+            next(iter(trace.rows))
+
+    # M=64, T=480: 146,224 values, so the payload spans three blocks of
+    # BLOCK_VALUES = 65,536; each index lies in a block after the first
+    @pytest.mark.parametrize("index, value", [
+        (BLOCK_VALUES, np.nan), (BLOCK_VALUES + 4321, np.inf), (2 * BLOCK_VALUES - 1, -1.0),
+    ], ids=["nan_first_of_block", "inf_inside_block", "negative_last_of_block"])
+    def test_bad_score_past_the_first_block_names_its_row_and_position(self, tmp_path, index, value):
+        m, t_max = 64, 480
+        assert BLOCK_VALUES == 65_536 and m * (t_max + 1) + t_max * (t_max + 1) // 2 == 146_224
+        path = tmp_path / "blocks.trace"
+        write_trace(synthetic_trace(m, t_max, seed=0), path)
+        head, _, payload = path.read_bytes().partition(b"\n")
+        values = np.frombuffer(payload, dtype="<f8").copy()
+        values[index] = value
+        values[-1] = np.nan  # a later bad score, in the last block: the first one is named
+        path.write_bytes(head + b"\n" + values.tobytes())
+        t, start = 0, 0
+        while start + m + t <= index:  # row t holds m + t values
+            start += m + t
+            t += 1
+        with pytest.raises(TraceError, match=re.escape(f"row t={t}, position {index - start}: score {value} ")):
+            read_trace(path)
 
     @pytest.mark.parametrize("rows, message", [
         ([np.ones(4), np.ones(5), np.ones(7)], "row t=2 of length 7 does not fit a trace of M=4, T=3"),
