@@ -17,8 +17,8 @@ only a small per-mode function differs:
 
 :func:`decode_lanes` moves every lane (a prefill and a decoding policy)
 through step t before step t + 1, so trace replay reads the trace's rows
-in one pass, each row once for all lanes, and holds one row of a drawn
-trace at a time. :func:`decode_loop` is its one-lane case.
+in one pass, each row once for all lanes, and holds one row of a file
+or drawn trace at a time. :func:`decode_loop` is its one-lane case.
 
 Model weights and prompt embeddings are drawn uniformly from
 [-1/sqrt(d_model), 1/sqrt(d_model)] using numpy's PCG64 generator seeded

@@ -67,8 +67,8 @@ class Trace(TraceHeader):
 
     def __post_init__(self) -> None:
         self.prefill_scores = np.asarray(self.prefill_scores, dtype=np.float64)
-        drawn = isinstance(self.rows, (FileRows, DrawnRows))
-        if not drawn:
+        streamed = isinstance(self.rows, (FileRows, DrawnRows))
+        if not streamed:
             self.rows = [np.asarray(r, dtype=np.float64) for r in self.rows]
         if len(self.prefill_scores) != self.M:
             raise TraceError(
@@ -76,9 +76,9 @@ class Trace(TraceHeader):
             )
         if len(self.rows) != self.T:
             raise TraceError(f"trace holds {len(self.rows)} step rows, expected T={self.T}")
-        if drawn and self.rows.M != self.M:
+        if streamed and self.rows.M != self.M:
             raise TraceError(f"rows drawn for M={self.rows.M}, expected M={self.M}")
-        for t, row in enumerate([] if drawn else self.rows, start=1):
+        for t, row in enumerate([] if streamed else self.rows, start=1):
             if len(row) != self.M + t:
                 raise TraceError(f"row t={t} has length {len(row)}, expected M+t={self.M + t}")
 
