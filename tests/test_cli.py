@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -634,6 +635,8 @@ class TestCLI:
     def test_trace_file_changed_after_read_exit_two(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "run.trace"
         write_trace(synthetic_trace(4, 3, seed=0), path)
+        # recorded long before it is read: a rewrite gets another mtime even where timestamps are coarse
+        os.utime(path, ns=(10**9, 10**9))
         read = cli.read_trace
 
         def read_then_rewrite(file):

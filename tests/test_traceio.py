@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import re
 import tracemalloc
 
@@ -181,6 +182,8 @@ class TestErrors:
     def test_file_changed_after_read_raises_on_the_next_pass(self, tmp_path, edit):
         path = tmp_path / "changed.trace"
         write_trace(synthetic_trace(4, 3, seed=0), path)
+        # recorded long before it is read: a rewrite gets another mtime even where timestamps are coarse
+        os.utime(path, ns=(10**9, 10**9))
         trace = read_trace(path)
         assert len(list(trace.rows)) == 3
         data = path.read_bytes()
