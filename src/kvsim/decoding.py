@@ -189,8 +189,8 @@ class PolicyRunner:
     A window selector keeps its last ``observation_window`` rows in a
     float64 ring (row i in slot i % window), dense over the positions it
     observes: the decode side for SCOPE, every position otherwise. Each
-    step zeroes one slot and scatters its row in; a selection reads the
-    ring at the candidates alone, oldest row first.
+    step zeroes one slot and scatters its row in; a selection gathers the
+    ring's columns at the candidates alone in one copy, oldest row first.
     """
 
     def __init__(self, policy: DecodingPolicy, prompt_len: int) -> None:
@@ -267,5 +267,6 @@ class PolicyRunner:
         if self.policy.selector is SelectorKind.CUMULATIVE:
             return self._acc.scores_for(self._sink, self._sink + len(candidates))
         ring, seen = self._ring, self._observed
-        oldest_first = np.arange(seen - min(seen, len(ring)), seen) % len(ring)
-        return observation_window_scores(ring[:, candidates - self._first][oldest_first])
+        block = ring.take(candidates - self._first, axis=1)  # (window, candidates), in slot order
+        oldest = seen % len(ring) if seen > len(ring) else 0
+        return observation_window_scores(np.concatenate((block[oldest:seen], block[:oldest])))

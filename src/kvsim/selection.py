@@ -51,12 +51,17 @@ def top_k_mask(scores: np.ndarray, k: int) -> np.ndarray:
     marks the ``min(k, len)`` largest, earliest position winning ties.
     O(n): everything at or above the k-th largest score is kept, and then,
     if that is more than k, the latest positions that score exactly that
-    are let go."""
+    are let go. Letting one entry go (k = n - 1) takes one ``argmin`` over
+    the reversed scores, which finds the last position among the lowest."""
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     n, k = len(scores), min(k, len(scores))
     if k == 0:
         return np.zeros(n, dtype=bool)
+    if k == n - 1:
+        keep = np.ones(n, dtype=bool)
+        keep[n - 1 - scores[::-1].argmin()] = False
+        return keep
     kth = np.partition(scores, n - k)[n - k]
     keep = scores >= kth
     extra = np.count_nonzero(keep) - k
@@ -123,10 +128,19 @@ def observation_window_scores(rows: np.ndarray) -> np.ndarray:
     starts from 0.0 is never -0.0, and ``x + 0.0 == x`` for any other x,
     so the columns of a block gathered at the candidates alone have the
     bits that a scatter-add of the rows over every position gives there.
+
+    The fold is one ``np.add.reduce`` from 0.0, which numpy runs row by
+    row over a row-major block of two or more columns. Over a lone column
+    or another layout it may add pairwise once there are 8 rows, so such a
+    block goes through ``np.add.accumulate``, which adds in order; its
+    ``+ 0.0`` turns the -0.0 of a column of -0.0s into the 0.0 of a fold
+    from 0.0.
     """
+    rows = np.asarray(rows, dtype=np.float64)
     if not len(rows):
         raise ValueError("at least one attention row is required")
-    total = np.zeros(len(rows[0]))
-    for row in rows:
-        total += row
+    if rows.shape[1] > 1 and rows.flags.c_contiguous:
+        total = np.add.reduce(rows, axis=0, initial=0.0)
+    else:
+        total = np.add.accumulate(rows, axis=0)[-1] + 0.0
     return total / len(rows)

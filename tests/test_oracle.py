@@ -184,14 +184,17 @@ def test_every_policy_and_selector_matches_naive_simulator(kind, selector, coars
     rng = np.random.default_rng(seed)
     m = int(rng.integers(4, 16))
     beta1, beta2 = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-    t_steps = beta1 + beta2 + int(rng.integers(beta1, 24))  # keeps T - beta2 >= beta1
+    # windows of 8 rows and more are where numpy's sum of a contiguous column turns pairwise
+    window = int(rng.integers(1, 13))
+    # keeps T - beta2 >= beta1, and the ring wraps: T passes the window
+    t_steps = beta1 + beta2 + window + int(rng.integers(beta1, 24))
     budget = BudgetConfig(
         alpha1=int(rng.integers(0, 6)), alpha2=int(rng.integers(1, 4)),
         beta1=beta1, beta2=beta2, max_decode_steps=t_steps,
     )
     policy = DecodingPolicy(
         kind, budget, selector=selector,
-        observation_window=int(rng.integers(1, 6)),
+        observation_window=window,
         seed_prefill_scores=bool(rng.integers(2)),
         taper_ratio=float(rng.uniform(0, 1)),
     )

@@ -5,7 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kvsim.core import BudgetConfig, InvariantError
@@ -78,23 +78,35 @@ class TestTopK:
     @given(
         n=st.integers(1, 3000),
         which=st.sampled_from(["n-1", "n-2", "n-3", "n//2"]),
-        levels=st.integers(1, 6),
+        levels=st.integers(0, 6),
+        stride=st.sampled_from([1, 3, -1, -2]),
         seed=st.integers(0, 2**32 - 1),
     )
-    @settings(max_examples=100, deadline=None)
-    def test_k_near_n_matches_a_stable_sort(self, n, which, levels, seed):
+    @settings(max_examples=150, deadline=None)
+    def test_k_near_n_matches_a_stable_sort(self, n, which, levels, stride, seed):
         """The hot case evicts 1 to 3 entries from pools of thousands: the
         mask keeps what a stable sort by descending score, earlier position
         first, puts in front. Scores take a few levels, so ties are heavy,
-        and the zero level mixes -0.0 with 0.0, which compare equal."""
+        and the zero level mixes -0.0 with 0.0, which compare equal; with
+        no other level every score is equal. The scores may be a strided
+        or reversed view of a larger buffer."""
         rng = np.random.default_rng(seed)
         k = max({"n-1": n - 1, "n-2": n - 2, "n-3": n - 3, "n//2": n // 2}[which], 0)
         values = np.concatenate(([-0.0, 0.0], rng.random(levels)))
-        scores = values[rng.integers(0, len(values), n)]
+        scores = np.zeros(n * abs(stride))[::stride]
+        scores[:] = values[rng.integers(0, len(values), n)]
         order = np.lexsort((np.arange(n), -scores))
         expected = np.zeros(n, dtype=bool)
         expected[order[:k]] = True
         assert np.array_equal(top_k_mask(scores, k), expected)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 1001])
+    @pytest.mark.parametrize("value", [-0.0, 0.0, 0.25])
+    def test_one_eviction_among_equal_scores_lets_the_last_position_go(self, n, value):
+        for scores in (np.full(n, value), np.full(3 * n, value)[::3], np.full(n, value)[::-1]):
+            scores[::2] = -value if value == 0.0 else value  # a zero alternates with the other zero
+            expected = np.arange(n) < n - 1
+            assert np.array_equal(top_k_mask(scores, n - 1), expected)
 
     @given(scores=score_lists, k=st.integers(0, 10))
     @settings(max_examples=100)
@@ -217,15 +229,51 @@ class TestObservationWindow:
         out = observation_window_scores(np.array([[1.0, 0.0], [1.0, 0.4]]))
         assert out.tolist() == [1.0, 0.2]
 
-    @given(seed=st.integers(0, 2**32 - 1), window=st.integers(1, 4))
-    @settings(max_examples=80)
-    def test_mean_matches_direct_recomputation(self, seed, window):
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        window=st.integers(1, 16),
+        n_pos=st.integers(1, 40),
+        layout=st.sampled_from(["C", "F", "strided", "strided F"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(seed=0, window=2, n_pos=2, layout="C")
+    @example(seed=0, window=9, n_pos=1, layout="C")
+    @example(seed=0, window=9, n_pos=3, layout="F")
+    def test_mean_matches_direct_recomputation(self, seed, window, n_pos, layout):
+        """Each column is the rows' values added one at a time, oldest
+        first, to 0.0, then divided by the window, in bits and sign, for
+        row-major, column-major and strided blocks. Magnitudes span 24
+        decades, so an add in another order (numpy's pairwise sum of a
+        contiguous column from 8 values on) shows; a third of the values
+        are -0.0, 0.0 or a tied 0.25, and the first column is all -0.0
+        when there are two or more, which a sum not started from 0.0 leaves
+        negative."""
         rng = np.random.default_rng(seed)
-        n_rows, n_pos = 4, 6
-        dense = rng.random((n_rows, n_pos))
-        out = observation_window_scores(dense[-window:])
-        expected = dense[-window:].mean(axis=0)
-        assert np.allclose(out, expected)
+        values = rng.random((window, n_pos)) * 10.0 ** rng.integers(-12, 12, (window, n_pos))
+        special = rng.random((window, n_pos)) < 0.33
+        values[special] = rng.choice([-0.0, 0.0, 0.25], np.count_nonzero(special))
+        if n_pos > 1:
+            values[:, 0] = -0.0
+        if layout == "C":
+            block = np.ascontiguousarray(values)
+        elif layout == "F":
+            block = np.asfortranarray(values)
+        elif layout == "strided":
+            block = np.zeros((2 * window, 3 * n_pos))[::2, ::3]
+            block[:] = values
+        else:
+            block = np.zeros((3 * n_pos, 2 * window))[::3, ::2].T
+            block[:] = values
+        folds = []
+        for column in values.T:
+            total = 0.0
+            for value in column.tolist():
+                total += value
+            folds.append(total)
+        expected = np.array(folds) / window
+        out = observation_window_scores(block)
+        assert np.array_equal(out, expected)
+        assert np.array_equal(np.signbit(out), np.signbit(expected))
 
 
 class TestScoreVector:
