@@ -26,17 +26,18 @@ class ConfigError(Exception):
     """Invalid experiment configuration."""
 
 
-# token -> (decode kind, the prompt kind it brings or None for prefill.policy);
+# token -> (decode kind, the prompt kind it brings or None for prefill.policy,
+# the score mode it ranks by or None for prefill.score_mode);
 # a token that brings its own prompt kind compresses at alpha + beta
 _TOKENS = {
-    "full": (PolicyKind.PREFILL_ONLY, PrefillPolicyKind.FULL),
-    "prefill_only": (PolicyKind.PREFILL_ONLY, None),
-    "h2o": (PolicyKind.UNIFIED_H2O, PrefillPolicyKind.TOPK_LOCAL),
-    "streaming": (PolicyKind.UNIFIED_STREAMING, PrefillPolicyKind.STREAMING),
-    "pyramid_infer": (PolicyKind.PYRAMID_INFER, PrefillPolicyKind.PYRAMID),
-    "scope_slide": (PolicyKind.SCOPE_SLIDE, None),
-    "scope_adaptive": (PolicyKind.SCOPE_ADAPTIVE, None),
-    "scope_discontinuous": (PolicyKind.SCOPE_DISCONTINUOUS, None),
+    "full": (PolicyKind.PREFILL_ONLY, PrefillPolicyKind.FULL, None),
+    "prefill_only": (PolicyKind.PREFILL_ONLY, None, None),
+    "h2o": (PolicyKind.UNIFIED_H2O, PrefillPolicyKind.TOPK_LOCAL, "sum"),
+    "streaming": (PolicyKind.UNIFIED_STREAMING, PrefillPolicyKind.STREAMING, None),
+    "pyramid_infer": (PolicyKind.PYRAMID_INFER, PrefillPolicyKind.PYRAMID, None),
+    "scope_slide": (PolicyKind.SCOPE_SLIDE, None, None),
+    "scope_adaptive": (PolicyKind.SCOPE_ADAPTIVE, None, None),
+    "scope_discontinuous": (PolicyKind.SCOPE_DISCONTINUOUS, None, None),
 }
 POLICY_TOKENS = tuple(_TOKENS)
 _PREFILL_KINDS = {k.value: k for k in PrefillPolicyKind}
@@ -57,15 +58,15 @@ class ExperimentConfig:
     prefill_policy: str = "topk_local"
     alpha1: int = 0
     alpha2: int = 8
-    pooling_width: int = 7
-    taper_ratio: float = 0.5
-    score_mode: str = "window"
-    observation_rows: int | None = None
+    pooling_width: int = PrefillPolicy.pooling_width
+    taper_ratio: float = PrefillPolicy.taper_ratio
+    score_mode: str = PrefillPolicy.score_mode
+    observation_rows: int | None = PrefillPolicy.observation_rows
     beta1: int = 0
     beta2: int = 0
-    selector: str = "cumulative"
-    seed_prefill_scores: bool = True
-    observation_window: int = 8
+    selector: str = DecodingPolicy.selector.value
+    seed_prefill_scores: bool = DecodingPolicy.seed_prefill_scores
+    observation_window: int = DecodingPolicy.observation_window
     hh_fraction: float = 0.15
     checkpoints: list[int] = field(default_factory=list)
     output_dir: str = "out"
@@ -155,7 +156,7 @@ class ExperimentConfig:
         pair (``_TOKENS``). A token with its own prompt kind folds the
         decode budget into its prompt compression, so the totals match the
         phase-separated pipelines."""
-        decode_kind, prompt_kind = _TOKENS[token]
+        decode_kind, prompt_kind, score_mode = _TOKENS[token]
         decoding = DecodingPolicy(
             kind=decode_kind,
             budget=self.budget(),
@@ -171,7 +172,7 @@ class ExperimentConfig:
             alpha2=self.alpha2 + (self.beta2 if fold else 0),
             pooling_width=self.pooling_width,
             taper_ratio=self.taper_ratio,
-            score_mode="sum" if token == "h2o" else self.score_mode,
+            score_mode=score_mode or self.score_mode,
             observation_rows=self.observation_rows,
         )
         return prefill, decoding

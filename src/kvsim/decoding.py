@@ -187,10 +187,12 @@ class PolicyRunner:
     A cumulative selector keeps its sums in a :class:`ScoreAccumulator`
     lane aligned with the region, compacted by each step's ``keep``.
     A window selector keeps its last ``observation_window`` rows in a
-    float64 ring (row i in slot i % window), dense over the positions it
-    observes: the decode side for SCOPE, every position otherwise. Each
-    step zeroes one slot and scatters its row in; a selection gathers the
-    ring's columns at the candidates alone in one copy, oldest row first.
+    float64 ring of ``w = min(observation_window, max_decode_steps)``
+    slots (a run has no more rows; row i in slot i % w), dense over the
+    positions it observes: the decode side for SCOPE, every position
+    otherwise. Each step zeroes one slot and scatters its row in; a
+    selection gathers the ring's columns at the candidates alone in one
+    copy, oldest row first.
     """
 
     def __init__(self, policy: DecodingPolicy, prompt_len: int) -> None:
@@ -209,7 +211,7 @@ class PolicyRunner:
         self._cumulative = self.reads_rows and policy.selector is SelectorKind.CUMULATIVE
         self._acc = ScoreAccumulator()
         self._first = prompt_len if self._scope else 0
-        window = policy.observation_window if self.reads_rows and not self._cumulative else 0
+        window = min(policy.observation_window, b.max_decode_steps) if self.reads_rows and not self._cumulative else 0
         self._ring = np.zeros((window, prompt_len + b.max_decode_steps - self._first))
         self._observed = 0
 

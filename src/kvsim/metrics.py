@@ -67,7 +67,6 @@ class HHCheckpoint:
 
 @dataclass(frozen=True)
 class HHOriginReport:
-    fraction: float
     checkpoints: tuple[HHCheckpoint, ...]
 
 
@@ -93,7 +92,7 @@ def hh_origin_distribution(
                 decoding_fraction=(len(hh) - n_prefill) / len(hh),
             )
         )
-    return HHOriginReport(fraction=fraction, checkpoints=tuple(out))
+    return HHOriginReport(checkpoints=tuple(out))
 
 
 def retained_recall(pool_positions: Set[int], oracle_hh: Set[int]) -> float:

@@ -28,9 +28,6 @@ class ReferenceRun:
     positions also keeps ``layer_rows[t - 1][layer]``, that layer's own
     row over its attended positions, at the same steps."""
 
-    model: ToyModel
-    prompt_len: int
-    steps: int
     rows: list[np.ndarray | None]
     prompt_scores: np.ndarray
     outputs: np.ndarray
@@ -82,11 +79,8 @@ def full_cache_reference(
         rows.append(row if t in kept else None)
         layer_rows.append(own if t in kept else None)
         outputs[t - 1] = output
-    return ReferenceRun(
-        model=model, prompt_len=m, steps=t_steps, rows=rows,
-        prompt_scores=prompt_scores, outputs=outputs,
-        layer_rows=None if attended is None else layer_rows,
-    )
+    return ReferenceRun(rows=rows, prompt_scores=prompt_scores, outputs=outputs,
+                        layer_rows=None if attended is None else layer_rows)
 
 
 def reference_rows(model: ToyModel, m: int, t_steps: int) -> Iterator[np.ndarray]:

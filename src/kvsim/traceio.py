@@ -200,35 +200,25 @@ def read_trace(path: str | Path) -> Trace:
         fh.seek(offset)
         prompt = _fill(fh, np.empty(m, dtype="<f8"), path)
     prompt.flags.writeable = False  # one trace serves every cell of a command
-    rows = FileRows(path, offset, m, t_max)
-    if rows.identity != _identity(stat):
-        raise _changed(path)
     return Trace(M=m, T=t_max, layers=layers, heads=heads, aggregation=aggregation,
-                 prefill_scores=prompt, rows=rows)
+                 prefill_scores=prompt, rows=FileRows(path, offset, m, t_max, _identity(stat)))
 
 
 @dataclass(frozen=True)
 class FileRows:
     """Rows 1..T of the trace file at ``path``, whose payload starts at byte
     ``offset``: of length T, read from the file again on each pass, one
-    fresh read-only row at a time, holding no row. ``identity`` records the
-    file's device, inode, size and modification time when the rows are
-    made; a pass that finds the path can no longer be opened, or names a
-    file of another identity, raises :class:`TraceError` before it yields
-    a row."""
+    fresh read-only row at a time, holding no row. ``identity`` is the
+    file's device, inode, size and modification time as :func:`read_trace`
+    checked it; a pass that finds the path can no longer be opened, or
+    names a file of another identity, raises :class:`TraceError` before it
+    yields a row."""
 
     path: Path
     offset: int
     M: int
     T: int
-    identity: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        try:
-            identity = _identity(os.stat(self.path))
-        except OSError as exc:
-            raise TraceError(f"{self.path}: cannot open trace file: {exc.strerror}") from exc
-        object.__setattr__(self, "identity", identity)
+    identity: tuple[int, int, int, int]
 
     def __len__(self) -> int:
         return self.T

@@ -527,12 +527,13 @@ class TestCLI:
             f"output_dir = {tmp_path / 'out'}\n"
         )
         replay_cfg = write_config(tmp_path, replay_text, "replay.cfg")
-        cells = []
-        run_cell = cli._run_cell
-        monkeypatch.setattr(cli, "_run_cell", lambda *args: cells.append(args) or run_cell(*args))
+        # every cell, closed loop or replay, compresses its prompt before any decode step
+        prefills = []
+        prefill = cli.run_prefill
+        monkeypatch.setattr(cli, "run_prefill", lambda *args: prefills.append(args) or prefill(*args))
         assert main(["sweep", str(replay_cfg), "--axis", "m=12,16"]) == 2
         assert "does not cover the configured run (M=16, T=8)" in capsys.readouterr().err
-        assert cells == []
+        assert prefills == []
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -685,14 +686,14 @@ class TestCLI:
     def test_output_dir_that_is_a_file_exit_one_before_any_cell(self, tmp_path, capsys, monkeypatch, command):
         taken = tmp_path / "taken"
         taken.write_text("")
-        cells = []
-        run_cell = cli._run_cell
-        monkeypatch.setattr(cli, "_run_cell", lambda *args: cells.append(args) or run_cell(*args))
+        prefills = []
+        prefill = cli.run_prefill
+        monkeypatch.setattr(cli, "run_prefill", lambda *args: prefills.append(args) or prefill(*args))
         argv = [command, str(write_config(tmp_path, REPLAY_CONFIG)), "--output-dir", str(taken)]
         assert main(argv + (["--axis", "beta1=2,4"] if command == "sweep" else [])) == 1
         err = capsys.readouterr().err
         assert err.startswith("output error:") and str(taken) in err
-        assert cells == []
+        assert prefills == []
 
     @pytest.mark.parametrize("command", ["import-check", "run", "sweep"])
     @pytest.mark.parametrize("kind", ["missing", "directory"])

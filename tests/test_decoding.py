@@ -20,6 +20,7 @@ from kvsim.decoding import (
 )
 from kvsim.engine import ToyModel, decode_loop, prefill_result_from_positions, run_prefill
 from kvsim.metrics import efficiency
+from kvsim.oracle import naive_policy_simulator
 from kvsim.prefill import PrefillPolicy, PrefillPolicyKind
 from kvsim.selection import ScoreVector
 from kvsim.traceio import synthetic_trace
@@ -338,6 +339,29 @@ def test_observation_window_selector_also_supported():
     record = decode_loop(trace, prefill, policy, 30)
     assert record.final_pools[0].decoding_size == budget.decoding_budget
     assert efficiency(record).selection_ops == 30 - budget.decoding_budget
+
+
+@pytest.mark.parametrize("kind", [PolicyKind.UNIFIED_H2O, PolicyKind.SCOPE_SLIDE, PolicyKind.SCOPE_ADAPTIVE])
+def test_window_past_the_horizon_selects_as_a_window_of_the_horizon(kind):
+    """A ring holds no more rows than the run has steps: a window of 10**12
+    rows allocates T of them and keeps, step by step, what a window of T
+    rows and the naive simulator keep."""
+    m, t_steps = 10, 24
+    trace = synthetic_trace(m, t_steps, seed=3)
+    prefill = prefill_result_from_positions(trace, range(m))
+    budget = BudgetConfig(alpha1=3, alpha2=2, beta1=4, beta2=2, max_decode_steps=t_steps)
+
+    def policy(window):
+        return DecodingPolicy(kind, budget, selector=SelectorKind.WINDOW, observation_window=window)
+
+    def retained(window):
+        record = decode_loop(trace, prefill, policy(window), t_steps, capture_positions=True)
+        assert efficiency(record).selection_ops > 0
+        return [record.positions_at(t) for t in range(1, t_steps + 1)]
+
+    huge = retained(10**12)
+    assert huge == retained(t_steps)
+    assert huge == naive_policy_simulator(policy(10**12), trace, range(m), t_steps)
 
 
 @pytest.mark.parametrize(
