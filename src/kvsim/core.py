@@ -1,11 +1,14 @@
 """Two-part KV cache pool and its bookkeeping primitives.
 
-A pool is just the positions it retains: one strictly ascending int64
-array for positions that came from the prompt, another for positions
-generated during decoding. A position's origin is the array it is in.
-Keeping the split explicit lets phase-separated policies evict on the
-decoding side while the prompt side stays untouched, and lets unified
-policies cut across both.
+A pool is just the positions it retains, in one int64 buffer that
+changes in place: strictly ascending positions that came from the
+prompt, then those generated during decoding. A position's origin is
+the side of the buffer it is on. Keeping the split explicit lets
+phase-separated policies evict on the decoding side while the prompt
+side stays untouched, and lets unified policies cut across both. An
+append writes one slot, doubling a full buffer (:func:`grown`), and an
+eviction compacts the buffer by :func:`compact`, the one rule of every
+buffer a decode step evicts from.
 
 Positions are absolute token indices over prompt-then-output, so origin
 classification never needs to know the prompt length at eviction time.
@@ -68,22 +71,47 @@ class BudgetConfig:
 _NO_POSITIONS = np.zeros(0, dtype=np.int64)
 
 
+def grown(buf: np.ndarray, n: int, size: int) -> np.ndarray:
+    """``buf[:n]`` at the start of a buffer of ``size`` entries or twice ``buf``'s, whichever is more."""
+    return np.concatenate((buf[:n], np.empty(max(size, 2 * len(buf)) - n, dtype=buf.dtype)))
+
+
+def compact(keep: np.ndarray, n: int, *lanes: np.ndarray) -> int:
+    """Compact the first ``n`` entries of each of ``lanes`` in place along
+    its first axis and return how many are left: of the last ``len(keep)``,
+    those that ``keep``, a bool mask, marks move down in order. When one
+    entry goes, the tail after it shifts down by one; otherwise the
+    survivors from the first evicted entry on are gathered by the mask."""
+    dropped = len(keep) - int(np.count_nonzero(keep))
+    if dropped:
+        first = int(keep.argmin())
+        i = n - len(keep) + first
+        for lane in lanes:
+            lane[i : n - dropped] = lane[i + 1 : n] if dropped == 1 else lane[i:n][keep[first:]]
+    return n - dropped
+
+
 class CachePool:
-    """Ordered, origin-split pool of retained positions.
+    """Ordered, origin-split pool of retained positions, changed in place.
 
     ``prefill_entries`` and ``decoding_entries`` are strictly ascending
-    int64 position arrays with disjoint contents. Pools are treated as
-    immutable: operations return new pools, and the prompt-side array is
-    shared across steps, so its identity doubles as a cheap witness that
-    phase separation held. Build pools from outside input with
-    :func:`new_pool`, which validates; the constructor trusts its arrays.
+    int64 views of one buffer, prompt side then decode side, with
+    disjoint contents. A view holds until the pool next changes;
+    :meth:`copy` takes a snapshot. Build pools from outside input with
+    :func:`new_pool`, which validates; the constructor copies its arrays
+    and trusts them.
     """
 
-    __slots__ = ("prefill_entries", "decoding_entries")
+    __slots__ = ("_buf", "_split", "_size", "prefill_entries")
 
     def __init__(self, prefill_entries: np.ndarray, decoding_entries: np.ndarray = _NO_POSITIONS) -> None:
-        self.prefill_entries = prefill_entries
-        self.decoding_entries = decoding_entries
+        self._buf = np.concatenate((prefill_entries, decoding_entries)).astype(np.int64, copy=False)
+        self._size = len(self._buf)
+        self._set_split(len(prefill_entries))
+
+    def _set_split(self, split: int) -> None:
+        self._split = split
+        self.prefill_entries = self._buf[:split]
 
     def validate(self) -> None:
         """Raise InvariantError if any pool invariant is broken."""
@@ -100,19 +128,41 @@ class CachePool:
             raise InvariantError(f"position(s) {overlap.tolist()} present in both pool sections")
 
     @property
+    def decoding_entries(self) -> np.ndarray:
+        return self._buf[self._split : self._size]
+
+    @property
+    def positions(self) -> np.ndarray:
+        """Every retained position, prompt side first: a view of the buffer."""
+        return self._buf[: self._size]
+
+    @property
     def prefill_size(self) -> int:
-        return len(self.prefill_entries)
+        return self._split
 
     @property
     def decoding_size(self) -> int:
-        return len(self.decoding_entries)
+        return self._size - self._split
 
     @property
     def total_size(self) -> int:
-        return len(self.prefill_entries) + len(self.decoding_entries)
+        return self._size
 
     def all_positions(self) -> np.ndarray:
-        return np.concatenate((self.prefill_entries, self.decoding_entries))
+        return self._buf[: self._size].copy()
+
+    def copy(self) -> "CachePool":
+        return CachePool(self.prefill_entries, self.decoding_entries)
+
+    def evict(self, keep: np.ndarray) -> None:
+        """Keep, of the pool's last ``len(keep)`` positions, those that
+        ``keep``, a bool mask, marks (:func:`compact`); a mask longer than
+        the decode side reaches into the prompt side."""
+        split, cut = self._split, self._size - len(keep)
+        self._size = compact(keep, self._size, self._buf)
+        if cut < split:
+            head = keep[: split - cut]
+            self._set_split(split - len(head) + int(np.count_nonzero(head)))
 
     def prefill_fingerprint(self) -> int:
         """CRC32 of the prompt-side positions. Stable within and across
@@ -130,28 +180,30 @@ def new_pool(retained_prefill: Iterable[int]) -> CachePool:
 
 
 def append_decoding_entry(pool: CachePool, position: int) -> CachePool:
-    """Add one newly generated position to the end of the decoding side,
-    copying the side once into a new array one slot longer."""
-    tail = pool.decoding_entries if len(pool.decoding_entries) else pool.prefill_entries
-    if len(tail) and position <= tail[-1]:
-        raise InvariantError(f"position {position} does not extend the pool (max is {tail[-1]})")
-    entries = np.empty(len(pool.decoding_entries) + 1, dtype=np.int64)
-    entries[:-1] = pool.decoding_entries
-    entries[-1] = position
-    return CachePool(pool.prefill_entries, entries)
+    """Write one newly generated position at the end of the decoding side,
+    in place, doubling the buffer when it is full; returns ``pool``."""
+    n = pool._size
+    if n and position <= pool._buf[n - 1]:
+        raise InvariantError(f"position {position} does not extend the pool (max is {pool._buf[n - 1]})")
+    if n == len(pool._buf):
+        pool._buf = grown(pool._buf, n, n + 1)
+        pool._set_split(pool._split)
+    pool._buf[n] = position
+    pool._size = n + 1
+    return pool
 
 
 def evict_decoding(pool: CachePool, keep) -> CachePool:
-    """Filter the decoding side by ``keep``, a boolean mask over it; the
-    prompt side is passed through untouched. A mask cannot name a prompt
+    """Filter the decoding side by ``keep``, a boolean mask over it, in
+    place; the prompt side is left untouched. A mask cannot name a prompt
     or unknown position, nor reorder the survivors, so phase separation
     and ascending order hold by construction. Raises unless ``keep`` is a
-    bool array as long as the decoding side."""
+    bool array as long as the decoding side; returns ``pool``."""
     keep = np.asarray(keep)
-    decoding = pool.decoding_entries
-    if keep.dtype != np.bool_ or keep.shape != decoding.shape:
+    if keep.dtype != np.bool_ or keep.shape != (pool.decoding_size,):
         raise InvariantError(
-            f"keep must be a bool mask of length {len(decoding)} over the decoding side, "
+            f"keep must be a bool mask of length {pool.decoding_size} over the decoding side, "
             f"got {keep.dtype} of shape {keep.shape}"
         )
-    return CachePool(pool.prefill_entries, decoding[keep])
+    pool.evict(keep)
+    return pool

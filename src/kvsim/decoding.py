@@ -180,9 +180,9 @@ class PolicyRunner:
     region, sink, local and target of the module docstring's one rule from
     the policy's kind and budget. Call :meth:`step` once per decode step,
     after the new entry has been appended to the pool and the attention
-    row over the retained entries (including the new one) is computed;
-    ``reads_rows`` is False for a policy that never reads that row, which
-    may then pass None.
+    row over the retained entries (including the new one) is computed; it
+    evicts from the pool in place and returns it. ``reads_rows`` is False
+    for a policy that never reads that row, which may then pass None.
 
     A cumulative selector keeps its sums in a :class:`ScoreAccumulator`
     lane aligned with the region, compacted by each step's ``keep``.
@@ -251,18 +251,17 @@ class PolicyRunner:
         if target is None or size <= target:
             return pool, _APPEND_ONLY
         sink, end, k = self._sink, size - self._local, target - self._sink - self._local
-        keep = np.ones(size, dtype=bool)
+        keep = np.empty(size, dtype=bool)
+        keep.fill(True)
         # k > 0 only for a policy that reads rows: streaming's sink and local fill its target
         keep[sink:end] = top_k_mask(self._selector_scores(row.positions[sink:end]), k) if k > 0 else False
         if self._cumulative:
             self._acc.drop(keep)
         if self._scope:
-            new_pool = evict_decoding(pool, keep)
+            pool = evict_decoding(pool, keep)
         else:
-            # keep is a mask over the whole row: prompt side, then decoding side
-            split = pool.prefill_size
-            new_pool = CachePool(pool.prefill_entries[keep[:split]], pool.decoding_entries[keep[split:]])
-        return new_pool, StepDecision(True, pool.total_size - new_pool.total_size, keep)
+            pool.evict(keep)  # keep masks the whole pool: prompt side, then decoding side
+        return pool, StepDecision(True, size - target, keep)
 
     def _selector_scores(self, candidates: np.ndarray) -> np.ndarray:
         """Scores of ``candidates``, the region's entries ``sink:sink + len(candidates)``."""

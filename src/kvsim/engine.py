@@ -9,7 +9,7 @@ only a small per-mode function differs:
   The engine alone owns keys and values: each layer has a lane of
   head-major key and value buffers holding only the retained entries, in
   pool order. Pools hold positions only; a step appends its new entry to
-  the lane, and the lane compacts in place after its layer evicts;
+  the lane, and the lane compacts in place as its pool does;
 * trace replay — prerecorded full-prefix rows are sliced to the retained
   positions and renormalized, which isolates policy accounting from model
   dynamics (an idealization: real models change scores under eviction).
@@ -18,7 +18,9 @@ only a small per-mode function differs:
 :func:`decode_lanes` moves every lane (a prefill and a decoding policy)
 through step t before step t + 1, so trace replay reads the trace's rows
 in one pass, each row once for all lanes, and holds one row of a file
-or drawn trace at a time. :func:`decode_loop` is its one-lane case.
+or drawn trace at a time. :func:`decode_loop` is its one-lane case. A
+lane changes copies of the prefill's pools in place; a captured step
+keeps copies of its pools and rows.
 
 Model weights and prompt embeddings are drawn uniformly from
 [-1/sqrt(d_model), 1/sqrt(d_model)] using numpy's PCG64 generator seeded
@@ -34,7 +36,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import CachePool, append_decoding_entry, new_pool
+from .core import CachePool, append_decoding_entry, compact, new_pool
 from .decoding import DecodingPolicy, PolicyRunner, StepDecision
 from .prefill import PrefillPolicy, apply_prefill_policy
 from .selection import ScoreVector
@@ -87,7 +89,7 @@ class ModelWeights:
 
 
 def _rmsnorm(x: np.ndarray) -> np.ndarray:
-    norm = math.sqrt(float(np.mean(x * x)))
+    norm = math.sqrt(float((x * x).sum()) / len(x))  # np.mean's add.reduce, then one division
     return x / norm if norm > 0 else x
 
 
@@ -313,7 +315,7 @@ class LayerLog:
         self.decoding_size[i] = pool.decoding_size
         self.evicted[i] = decision.evicted_count
         if t in capture:
-            self.captured[t] = pool
+            self.captured[t] = pool.copy()
             self.rows.append(row)
 
 
@@ -400,7 +402,7 @@ class _Lane:
         else:
             self.attend, self.compact = _closed_loop_attention(source, prefill, steps)
         self.m, self.steps, self.capture = prefill.prompt_len, steps, capture
-        self.pools = list(prefill.pools)
+        self.pools = [pool.copy() for pool in prefill.pools]  # the lane's own, changed in place
         self.runners = []
         for pool, colsums, layer_policy in zip(self.pools, prefill.seed_scores, policy.per_layer(len(self.pools))):
             runner = PolicyRunner(layer_policy, self.m)
@@ -415,12 +417,13 @@ class _Lane:
     def step(self, t: int, full: np.ndarray | None) -> None:
         """Step ``t``. A layer attends with the previous layer's output in
         closed loop, and with ``full``, the trace's row of step t, in replay."""
-        h = self.hidden if full is None else full
+        h, captured = (self.hidden if full is None else full), t in self.capture
         for layer, runner in enumerate(self.runners):
             pool = append_decoding_entry(self.pools[layer], self.m + t - 1)
             row = None
-            if self.attends[layer] or t in self.capture:
-                row, h = self.attend(layer, t, pool.all_positions(), h)
+            if self.attends[layer] or captured:
+                # the step's eviction compacts the buffer, so a row kept in the log gets a copy
+                row, h = self.attend(layer, t, pool.all_positions() if captured else pool.positions, h)
             self.pools[layer], decision = runner.step(pool, row, t)
             if self.compact and decision.keep is not None:
                 self.compact(layer, len(row), decision.keep)
@@ -450,10 +453,10 @@ def _replay_attention(trace: Trace, prefill: PrefillResult, steps: int):
 
     def attend(layer: int, t: int, pos: np.ndarray, full: np.ndarray) -> tuple[ScoreVector, np.ndarray]:
         sliced = full[pos]
-        mass = sliced.sum()
+        mass = np.add.reduce(sliced, axis=None)
         if not math.isfinite(mass):
             raise TraceError(f"trace row of step {t} has non-finite mass {mass} over the retained positions")
-        sliced = sliced / mass if mass > 0 else np.full(len(pos), 1.0 / len(pos))
+        sliced = np.divide(sliced, mass, out=sliced) if mass > 0 else np.full(len(pos), 1.0 / len(pos))
         return ScoreVector(pos, sliced, validate=False), full
 
     return attend
@@ -470,7 +473,8 @@ def _closed_loop_attention(model: ToyModel, prefill: PrefillResult, steps: int):
     order, seeded from the retained rows of the prompt pass (which is only
     read). When a step evicts by ``keep``, a :class:`StepDecision` mask over
     the last ``len(keep)`` of the lane's ``n`` rows, ``compact`` moves the
-    surviving rows from the first evicted one onward down, in order."""
+    surviving rows down in order, as :func:`~kvsim.core.compact` moves a
+    pool's positions: one evicted row shifts the rows after it by one."""
     prompt = prefill.prompt
     if prompt is None or prompt.model != model:
         raise ValueError(f"closed loop needs a prefill computed by the same model, {model}")
@@ -492,11 +496,7 @@ def _closed_loop_attention(model: ToyModel, prefill: PrefillResult, steps: int):
         row, context = _attend(h, k[:, :n], v[:, :n], pos, model.recency_bias)
         return row, _rmsnorm(h + context)
 
-    def compact(layer: int, n: int, keep: np.ndarray) -> None:
-        drop = int(np.argmin(keep))  # the first evicted row; a selection always evicts
-        first = n - len(keep) + drop
-        source = first + np.flatnonzero(keep[drop:])
-        for lane in (keys[layer], values[layer]):
-            lane[:, first : first + len(source)] = lane.take(source, axis=1)
+    def compact_kv(layer: int, n: int, keep: np.ndarray) -> None:
+        compact(keep, n, keys[layer].swapaxes(0, 1), values[layer].swapaxes(0, 1))  # along the entries
 
-    return attend, compact
+    return attend, compact_kv

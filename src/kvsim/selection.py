@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import InvariantError
+from .core import InvariantError, compact, grown
 
 
 class ScoreVector:
@@ -59,7 +59,8 @@ def top_k_mask(scores: np.ndarray, k: int) -> np.ndarray:
     if k == 0:
         return np.zeros(n, dtype=bool)
     if k == n - 1:
-        keep = np.ones(n, dtype=bool)
+        keep = np.empty(n, dtype=bool)
+        keep.fill(True)
         keep[n - 1 - scores[::-1].argmin()] = False
         return keep
     kth = np.partition(scores, n - k)[n - k]
@@ -79,42 +80,50 @@ def top_k(scores: ScoreVector, k: int) -> set[int]:
 class ScoreAccumulator:
     """Running attention mass of one region's retained entries, in a float
     lane aligned with their ascending ``positions``: ``sums[i]`` is the
-    mass of ``positions[i]``.
+    mass of ``positions[i]``. Both are views of buffers that the lane
+    changes in place, doubling them when a row outgrows them.
 
     A row must extend the lane: it starts with the lane's positions, and
     every position after them lies past all positions ever scored. Adding
-    it is one contiguous add over the grown lane, and every sum has the
-    bits of a dense scatter-add fold from 0.0. Dropping compacts the lane
-    by a keep mask and discards the dropped positions' mass for good; a
-    row that names one again does not extend the lane and is an invariant
-    violation, because rows are only ever computed over retained entries.
+    it is one contiguous add over the lane, and every sum has the bits of
+    a dense scatter-add fold from 0.0. Dropping compacts the lane by a
+    keep mask (:func:`~kvsim.core.compact`) and discards the dropped
+    positions' mass for good; a row that names one again does not extend
+    the lane and is an invariant violation, because rows are only ever
+    computed over retained entries.
     """
 
     def __init__(self) -> None:
-        self.positions = np.zeros(0, dtype=np.int64)
-        self.sums = np.zeros(0)
+        self._positions = np.zeros(0, dtype=np.int64)
+        self._sums = np.zeros(0)
+        self._n = 0
         self._end = 0  # one past the largest position ever scored
 
+    positions = property(lambda self: self._positions[: self._n])
+    sums = property(lambda self: self._sums[: self._n])
+
     def add_row(self, row: ScoreVector) -> None:
-        n, positions = len(self.sums), row.positions
-        if len(positions) < n or not (positions[:n] == self.positions).all() or (
-            len(positions) > n and positions[n] < self._end
-        ):
+        n, positions = self._n, row.positions
+        m = len(positions)
+        if m < n or not (positions[:n] == self._positions[:n]).all() or (m > n and positions[n] < self._end):
             raise InvariantError(
                 f"row does not extend the {n} scored positions: it must start with them "
                 f"and add only positions from {self._end} on"
             )
-        # score + 0.0 starts a new position's sum as a dense fold from 0.0 does; such a
-        # sum is never -0.0, so (score + 0.0) + sum has the bits of sum + score
-        sums = row.scores + 0.0
-        sums[:n] += self.sums
-        self.positions, self.sums = positions, sums
-        if len(positions):
+        if m > len(self._sums):
+            self._positions, self._sums = grown(self._positions, n, m), grown(self._sums, n, m)
+        # a new position's sum starts as score + 0.0, as a dense fold from 0.0 does; such
+        # a sum is never -0.0, so sum + score has the bits of (score + 0.0) + sum
+        self._sums[:n] += row.scores[:n]
+        np.add(row.scores[n:], 0.0, out=self._sums[n:m])
+        self._positions[n:m] = positions[n:]
+        self._n = m
+        if m:
             self._end = int(positions[-1]) + 1
 
     def drop(self, keep: np.ndarray) -> None:
         """Compact the lane to the entries that ``keep``, a bool mask over it, marks."""
-        self.positions, self.sums = self.positions[keep], self.sums[keep]
+        self._n = compact(keep, self._n, self._positions, self._sums)
 
     def scores_for(self, start: int, stop: int) -> np.ndarray:
         """The sums of lane entries ``start:stop`` (a view)."""

@@ -124,7 +124,7 @@ def test_random_operation_sequences_preserve_invariants(m, plan):
     """Disjointness, ordering, and prompt-side constancy hold after any
     append/evict interleaving."""
     pool = new_pool(range(m))
-    initial_prefill = pool.prefill_entries
+    initial_prefill = pool.prefill_entries.copy()
     initial_fp = pool.prefill_fingerprint()
     next_pos = m
     for do_append, salt in plan:
@@ -136,7 +136,7 @@ def test_random_operation_sequences_preserve_invariants(m, plan):
             pool = evict_decoding(pool, keep)
         pool.validate()
         assert pool.prefill_entries.dtype == pool.decoding_entries.dtype == np.int64
-        assert pool.prefill_entries is initial_prefill
+        assert np.array_equal(pool.prefill_entries, initial_prefill)
         assert pool.prefill_fingerprint() == initial_fp
 
 
