@@ -160,9 +160,8 @@ class CachePool:
         the decode side reaches into the prompt side."""
         split, cut = self._split, self._size - len(keep)
         self._size = compact(keep, self._size, self._buf)
-        if cut < split:
-            head = keep[: split - cut]
-            self._set_split(split - len(head) + int(np.count_nonzero(head)))
+        if cut < split:  # the prompt side keeps the cut before the mask and what it marks there
+            self._set_split(cut + int(np.count_nonzero(keep[: split - cut])))
 
     def prefill_fingerprint(self) -> int:
         """CRC32 of the prompt-side positions. Stable within and across

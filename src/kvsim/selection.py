@@ -21,21 +21,22 @@ class ScoreVector:
     """Nonnegative scores aligned to ascending, unique token positions.
 
     Doubles as the attention-row type: one decoding step's attention
-    weights over the currently retained positions.
+    weights over the currently retained positions. ``validate=False``
+    takes the caller's int64 and float64 arrays as they are.
     """
 
     __slots__ = ("positions", "scores")
 
     def __init__(self, positions, scores, validate: bool = True) -> None:
-        self.positions = np.asarray(positions, dtype=np.int64)
-        self.scores = np.asarray(scores, dtype=np.float64)
         if validate:
-            if self.positions.shape != self.scores.shape or self.positions.ndim != 1:
+            positions, scores = np.asarray(positions, dtype=np.int64), np.asarray(scores, dtype=np.float64)
+            if positions.shape != scores.shape or positions.ndim != 1:
                 raise ValueError("positions and scores must be 1-d arrays of equal length")
-            if len(self.positions) > 1 and not np.all(np.diff(self.positions) > 0):
+            if len(positions) > 1 and not np.all(np.diff(positions) > 0):
                 raise ValueError("positions must be strictly ascending and unique")
-            if not np.all(np.isfinite(self.scores)) or np.any(self.scores < 0):
+            if not np.all(np.isfinite(scores)) or np.any(scores < 0):
                 raise ValueError("scores must be finite and nonnegative")
+        self.positions, self.scores = positions, scores
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -112,10 +113,8 @@ class ScoreAccumulator:
             )
         if m > len(self._sums):
             self._positions, self._sums = grown(self._positions, n, m), grown(self._sums, n, m)
-        # a new position's sum starts as score + 0.0, as a dense fold from 0.0 does; such
-        # a sum is never -0.0, so sum + score has the bits of (score + 0.0) + sum
-        self._sums[:n] += row.scores[:n]
-        np.add(row.scores[n:], 0.0, out=self._sums[n:m])
+        self._sums[n:m] = 0.0  # a new position's sum starts from 0.0, as a dense fold's does
+        self._sums[:m] += row.scores
         self._positions[n:m] = positions[n:]
         self._n = m
         if m:
